@@ -39,7 +39,7 @@
 //!    and `L` accept the same strings). Structurally isomorphic roots
 //!    therefore denote the same language, so jumping the walk to a state's
 //!    canonical root preserves every verdict, reject position, and
-//!    [`FeedOutcome`](crate::FeedOutcome) — byte-identically.
+//!    per-feed viability answer — byte-identically.
 //!
 //! The automaton only engages under the class-keyed recognize gate
 //! ([`AutomatonMode`]'s docs spell it out); everywhere else the axis is
@@ -222,18 +222,14 @@ impl Language {
     }
 
     /// One table-walk step: the cached transition of `state` by `term`, as
-    /// `(canonical next root, next state, next is dead)`. `None` is a miss
-    /// (unexplored edge, or a terminal wider than the rows) — the caller
-    /// runs the interpreted path and records the result.
+    /// `(canonical next root, next is dead)`. `None` is a miss (unexplored
+    /// edge, or a terminal wider than the rows) — the caller runs the
+    /// interpreted path and records the result.
     #[inline]
-    pub(crate) fn auto_try_step(
-        &mut self,
-        state: u32,
-        term: TermId,
-    ) -> Option<(NodeId, u32, bool)> {
+    pub(crate) fn auto_try_step(&mut self, state: u32, term: TermId) -> Option<(NodeId, bool)> {
         let ns = self.auto.step(state, term)?;
         self.metrics.auto_table_hits += 1;
-        Some((self.auto.roots[ns as usize], ns, self.auto.dead(ns)))
+        Some((self.auto.roots[ns as usize], self.auto.dead(ns)))
     }
 
     /// Interns the derivative rooted at `id` as an automaton state,

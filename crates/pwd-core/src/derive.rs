@@ -1,6 +1,8 @@
-//! The derivative (`derive`), the outer parse loop (`parse`), and AST
-//! extraction (`parse-null`) — the paper's four core functions, minus
-//! `nullable?` which lives in [`crate::nullable`].
+//! The derivative (`derive`), the batch parse entry points (`parse`), and
+//! AST extraction (`parse-null`) — the paper's four core functions, minus
+//! `nullable?` which lives in [`crate::nullable`]. The per-token loop under
+//! `parse` is [`SessionState::feed`]; the batch entry points here start a
+//! session, feed it, and finish it.
 //!
 //! `derive` follows §2.5.2: before recurring into children it allocates a
 //! placeholder node of the correct shape, memoizes it, and patches the
@@ -12,6 +14,7 @@
 use crate::config::{CompactionMode, MemoKeying, ParseMode};
 use crate::error::PwdError;
 use crate::expr::{ExprKind, Language, NodeId};
+use crate::session::SessionState;
 use crate::token::{DeriveKey, Token};
 use pwd_forest::{CanonError, EnumLimits, ForestId, ForestNode, ParseForest, Tree, TreeCount};
 
@@ -44,10 +47,10 @@ impl Language {
     /// # }
     /// ```
     pub fn recognize(&mut self, start: NodeId, tokens: &[Token]) -> Result<bool, PwdError> {
-        match self.run_derivatives(start, tokens)? {
-            Err(_) => Ok(false),
-            Ok(final_node) => Ok(self.accept_of(final_node)),
-        }
+        let session = self.feed_tokens(start, tokens)?;
+        let accepted = session.prefix_is_sentence(self);
+        session.finish(self);
+        Ok(accepted)
     }
 
     /// Parses `tokens` and returns the root of the shared parse forest.
@@ -57,18 +60,16 @@ impl Language {
     /// [`PwdError::Rejected`] when the input is not in the language, plus
     /// the grammar/budget errors of [`recognize`](Language::recognize).
     pub fn parse_forest(&mut self, start: NodeId, tokens: &[Token]) -> Result<ForestId, PwdError> {
-        match self.run_derivatives(start, tokens)? {
-            Err(pos) => Err(PwdError::Rejected { position: pos, token: tokens.get(pos).cloned() }),
-            Ok(final_node) => {
-                if !self.nullable(final_node) {
-                    return Err(PwdError::Rejected { position: tokens.len(), token: None });
-                }
-                let span = self.obs_start();
-                let forest = self.parse_null(final_node);
-                self.obs_end(pwd_obs::Phase::Forest, span);
-                Ok(forest)
-            }
-        }
+        let session = self.feed_tokens(start, tokens)?;
+        let forest = if session.is_viable() {
+            session.forest(self)
+        } else {
+            // The last token fed is the one that killed the derivative.
+            let position = session.tokens_fed() - 1;
+            Err(PwdError::Rejected { position, token: tokens.get(position).cloned() })
+        };
+        session.finish(self);
+        forest
     }
 
     /// Parses `tokens` and enumerates up to `limits.max_trees` parse trees.
@@ -162,110 +163,27 @@ impl Language {
     ///
     /// Same grammar/budget errors as [`recognize`](Language::recognize).
     pub fn derivative(&mut self, start: NodeId, tokens: &[Token]) -> Result<NodeId, PwdError> {
-        match self.run_derivatives(start, tokens)? {
-            Ok(n) => Ok(n),
-            Err(_) => Ok(self.empty_node()),
-        }
+        let session = self.feed_tokens(start, tokens)?;
+        let viable = session.is_viable();
+        let last = session.finish(self);
+        Ok(if viable { last } else { self.empty_node() })
     }
 
     // ------------------------------------------------------------------
     // The outer loop (the paper's `parse`)
     // ------------------------------------------------------------------
 
-    /// Runs the per-token derivative loop. `Ok(Err(i))` means the derivative
-    /// became syntactically `∅` after consuming token `i` (early reject).
-    fn run_derivatives(
-        &mut self,
-        start: NodeId,
-        tokens: &[Token],
-    ) -> Result<Result<NodeId, usize>, PwdError> {
-        self.validate(start)?;
-        self.in_parse = false;
-        let mut cur = start;
-        // §4.3.1: apply the right-child rules (and the rest of the rule set)
-        // to the initial grammar once — cached, and run *before* the initial
-        // boundary is recorded so the compacted copy persists across resets.
-        if self.config.prepass_right_children && self.config.compaction != CompactionMode::None {
-            cur = self.prepass_root(cur);
-        }
-        self.mark_initial();
-        if self.config.naming {
-            self.assign_initial_names(cur);
-        }
-        let pruning = self.config.compaction != CompactionMode::None;
-        if pruning {
-            // Settle productivity for the initial grammar (and prepass
-            // output) before the per-token passes build on it.
-            self.prune_empty(0);
-        }
-        self.in_parse = true;
-        // The lazy-automaton walk state: the interned state of `cur`, when
-        // known. Interning the start node up front means a warm table serves
-        // from token 0.
-        let auto_active = self.automaton_active();
-        let mut cur_state = if auto_active { self.auto_intern(cur) } else { None };
-        for (i, tok) in tokens.iter().enumerate() {
-            debug_assert_eq!(
-                tok.lexeme(),
-                self.interner.token_by_key(tok.key()).lexeme(),
-                "token was interned by a different Language"
-            );
-            // Tier three: one dense-row lookup consumes the token — no
-            // derive call, no memo probe, no hashing, no allocation.
-            if let Some(st) = cur_state {
-                if let Some((next, ns, dead)) = self.auto_try_step(st, tok.term()) {
-                    if dead {
-                        self.in_parse = false;
-                        return Ok(Err(i));
-                    }
-                    cur = next;
-                    cur_state = Some(ns);
-                    continue;
-                }
-            }
-            let generation_start = self.nodes.len();
-            let span = self.obs_start();
-            cur = self.derive_node(cur, tok);
-            self.obs_end(pwd_obs::Phase::Derive, span);
-            if self.config.compaction == CompactionMode::SeparatePass {
-                let span = self.obs_start();
-                cur = self.compact_pass(cur);
-                self.obs_end(pwd_obs::Phase::Compact, span);
-            }
-            if pruning {
-                let span = self.obs_start();
-                self.prune_empty(generation_start);
-                self.obs_end(pwd_obs::Phase::Compact, span);
-            }
-            if self.budget_hit {
-                self.in_parse = false;
-                return Err(PwdError::NodeBudgetExceeded {
-                    limit: self.config.max_nodes.unwrap_or(0),
-                    at_token: i,
-                });
-            }
-            if auto_active {
-                // Interpreted step under an active automaton: intern the new
-                // derivative (post-prune, so its structure is final), record
-                // the explored transition, and canonicalize the walk onto
-                // the state's root so the next step reuses its caches.
-                self.metrics.auto_fallbacks += 1;
-                let ns = self.auto_intern(cur);
-                if let (Some(from), Some(to)) = (cur_state, ns) {
-                    self.auto_record(from, tok.term(), to);
-                }
-                if let Some(ns) = ns {
-                    cur = self.auto.roots[ns as usize];
-                }
-                cur_state = ns;
-            }
-            if self.is_empty_node(cur) {
-                self.in_parse = false;
-                return Ok(Err(i));
+    /// The paper's `parse` minus the final `parse-null`: a session started
+    /// at `start` and fed `tokens` until the derivative dies (early
+    /// reject). The caller reads the verdict or forest, then finishes it.
+    fn feed_tokens(&mut self, start: NodeId, tokens: &[Token]) -> Result<SessionState, PwdError> {
+        let mut session = SessionState::start(self, start)?;
+        for tok in tokens {
+            if !session.feed(self, tok)? {
+                break;
             }
         }
-        self.in_parse = false;
-        Ok(Ok(cur))
+        Ok(session)
     }
 
     // ------------------------------------------------------------------
@@ -570,7 +488,7 @@ impl Language {
     // ------------------------------------------------------------------
 
     /// Rule 5a: gives every node reachable from `root` a fresh base symbol.
-    fn assign_initial_names(&mut self, root: NodeId) {
+    pub(crate) fn assign_initial_names(&mut self, root: NodeId) {
         let mut stack = vec![root];
         let mut seen = vec![false; self.nodes.len()];
         while let Some(id) = stack.pop() {

@@ -88,7 +88,7 @@ pub use pwd_forest::{
     TreeCount,
 };
 pub use pwd_obs::{Histogram, Phase, PhaseStats, TraceEvent};
-pub use session::{FeedOutcome, ParseSession, SessionCheckpoint, SessionState};
+pub use session::{SessionCheckpoint, SessionState};
 pub use token::{TermId, TokKey, Token};
 
 // Compile-time guarantee that the engine is thread-safe: a compiled

@@ -1,13 +1,15 @@
-//! Incremental parsing sessions.
+//! Incremental parsing sessions: the engine's one per-token loop.
 //!
 //! PWD's outer loop is naturally *incremental*: the parser state after `k`
 //! tokens is just the derivative `D_{t1…tk}(L)`, a first-class language. A
-//! [`ParseSession`] exposes that loop one token at a time — feed tokens as
+//! [`SessionState`] exposes that loop one token at a time — feed tokens as
 //! they arrive (e.g. from a REPL), query acceptance of the prefix so far,
 //! inspect per-token costs, and extract a forest whenever the prefix is a
-//! sentence. This is an API the batch `parse` functions cannot offer and a
-//! natural extension of the paper's design (its §3.1 `parse` is exactly
-//! `feed*; parse-null`).
+//! sentence. The paper's §3.1 `parse` is exactly `start; feed*; parse-null`,
+//! and the batch entry points ([`Language::recognize`],
+//! [`Language::parse_forest`], [`Language::derivative`]) are that sequence
+//! over a `SessionState`: [`SessionState::feed`] is the only code that
+//! steps the derivative by a token.
 //!
 //! Because the state after `k` tokens *is* a language (a [`NodeId`]), a
 //! session is also **checkpointable**: [`SessionState::checkpoint`] saves
@@ -20,58 +22,17 @@
 //! class-template rows for free: all of it is keyed by node, and the nodes
 //! survive.
 //!
-//! Two layers are provided. [`SessionState`] is the *ownable* state machine
-//! (no borrow of the [`Language`]; every method takes `&mut Language`), the
-//! shape long-lived holders such as pooled service sessions need.
-//! [`ParseSession`] borrows the language once and wraps a `SessionState`
-//! for ergonomic linear use.
+//! A `SessionState` owns no borrow of the [`Language`]; every method takes
+//! `&mut Language` explicitly. That is the shape long-lived holders such as
+//! pooled service sessions and API backends need: they own the session
+//! state alongside the engine instead of borrowing it for the whole session
+//! lifetime.
 
 use crate::config::CompactionMode;
 use crate::error::PwdError;
 use crate::expr::{Language, NodeId};
 use crate::token::Token;
 use pwd_forest::ForestId;
-
-/// The observable state of a session after feeding a token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FeedOutcome {
-    /// Some continuation of the input can still reach a sentence.
-    Viable {
-        /// Is the *current* prefix itself a sentence?
-        prefix_is_sentence: bool,
-    },
-    /// The derivative is the empty language: no continuation can succeed.
-    Dead,
-}
-
-/// An incremental parse over a [`Language`].
-///
-/// # Examples
-///
-/// ```
-/// use pwd_core::{Language, ParseSession};
-///
-/// # fn main() -> Result<(), pwd_core::PwdError> {
-/// let mut lang = Language::default();
-/// let a = lang.terminal("a");
-/// let ta = lang.term_node(a);
-/// let s = lang.star(ta);
-/// let tok = lang.token(a, "a");
-///
-/// let mut session = ParseSession::start(&mut lang, s)?;
-/// assert!(session.prefix_is_sentence()); // ε ∈ a*
-/// session.feed(&tok)?;
-/// session.feed(&tok)?;
-/// assert!(session.prefix_is_sentence());
-/// assert_eq!(session.tokens_fed(), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct ParseSession<'a> {
-    lang: &'a mut Language,
-    state: SessionState,
-}
 
 /// A saved session position: the derivative node after `k` tokens.
 ///
@@ -104,13 +65,31 @@ impl SessionCheckpoint {
     }
 }
 
-/// The ownable state of an incremental parse: no borrow of the
-/// [`Language`], every method takes `&mut Language` explicitly.
+/// An incremental parse over a [`Language`]: the derivative after the
+/// tokens fed so far.
 ///
-/// This is the state machine under [`ParseSession`], split out so a
-/// long-lived holder (a pooled service session, a backend object) can own
-/// the session state alongside the engine instead of borrowing it for the
-/// whole session lifetime.
+/// # Examples
+///
+/// ```
+/// use pwd_core::{Language, SessionState};
+///
+/// # fn main() -> Result<(), pwd_core::PwdError> {
+/// let mut lang = Language::default();
+/// let a = lang.terminal("a");
+/// let ta = lang.term_node(a);
+/// let s = lang.star(ta);
+/// let tok = lang.token(a, "a");
+///
+/// let mut session = SessionState::start(&mut lang, s)?;
+/// assert!(session.prefix_is_sentence(&mut lang)); // ε ∈ a*
+/// assert!(session.feed(&mut lang, &tok)?); // still viable
+/// assert!(session.feed(&mut lang, &tok)?);
+/// assert!(session.prefix_is_sentence(&mut lang));
+/// assert_eq!(session.tokens_fed(), 2);
+/// session.finish(&mut lang);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct SessionState {
     current: NodeId,
@@ -120,7 +99,9 @@ pub struct SessionState {
 }
 
 impl SessionState {
-    /// Starts a session at the given start node.
+    /// Starts a session at the given start node, running the once-per-parse
+    /// set-up: the §4.3.1 prepass, Definition-5 base names (when naming is
+    /// on) and the initial productivity pass.
     ///
     /// # Errors
     ///
@@ -129,12 +110,20 @@ impl SessionState {
         lang.validate(start)?;
         lang.in_parse = false;
         let mut current = start;
+        // §4.3.1: apply the right-child rules (and the rest of the rule set)
+        // to the initial grammar once — cached, and run *before* the initial
+        // boundary is recorded so the compacted copy persists across resets.
         if lang.config.prepass_right_children && lang.config.compaction != CompactionMode::None {
             current = lang.prepass_root(current);
         }
         lang.mark_initial();
+        if lang.config.naming {
+            lang.assign_initial_names(current);
+        }
         let pruning = lang.config.compaction != CompactionMode::None;
         if pruning {
+            // Settle productivity for the initial grammar (and prepass
+            // output) before the per-token passes build on it.
             lang.prune_empty(0);
         }
         lang.in_parse = true;
@@ -146,17 +135,27 @@ impl SessionState {
         Ok(SessionState { current, fed: 0, dead: false, pruning })
     }
 
-    /// Feeds one token, advancing the derivative.
+    /// Feeds one token, advancing the derivative. Returns whether some
+    /// continuation can still reach a sentence (`false` = dead).
+    ///
+    /// Feeding pays for no sentence-hood probe; ask
+    /// [`prefix_is_sentence`](SessionState::prefix_is_sentence) when the
+    /// answer is wanted.
     ///
     /// # Errors
     ///
     /// [`PwdError::NodeBudgetExceeded`] if the node budget trips. Feeding a
     /// token that kills the language is *not* an error; it returns
-    /// [`FeedOutcome::Dead`] (and further feeds stay dead).
-    pub fn feed(&mut self, lang: &mut Language, tok: &Token) -> Result<FeedOutcome, PwdError> {
+    /// `Ok(false)` (and further feeds stay dead).
+    pub fn feed(&mut self, lang: &mut Language, tok: &Token) -> Result<bool, PwdError> {
+        debug_assert_eq!(
+            tok.lexeme(),
+            lang.interner.token_by_key(tok.key()).lexeme(),
+            "token was interned by a different Language"
+        );
         if self.dead {
             self.fed += 1;
-            return Ok(FeedOutcome::Dead);
+            return Ok(false);
         }
         // Tier three: when the current derivative is an interned automaton
         // state with an explored row entry for this terminal, the feed is a
@@ -166,14 +165,11 @@ impl SessionState {
         let auto_active = lang.automaton_active();
         let prev_state = if auto_active { lang.auto_state_of(self.current) } else { None };
         if let Some(st) = prev_state {
-            if let Some((next, ns, dead)) = lang.auto_try_step(st, tok.term()) {
+            if let Some((next, dead)) = lang.auto_try_step(st, tok.term()) {
                 self.fed += 1;
                 self.current = next;
-                if dead {
-                    self.dead = true;
-                    return Ok(FeedOutcome::Dead);
-                }
-                return Ok(FeedOutcome::Viable { prefix_is_sentence: lang.auto_accept(ns) });
+                self.dead = dead;
+                return Ok(!dead);
             }
         }
         let generation_start = lang.nodes.len();
@@ -201,8 +197,9 @@ impl SessionState {
         }
         if auto_active {
             // Interpreted feed under an active automaton: intern the fresh
-            // derivative (post-prune), record the explored transition, and
-            // canonicalize onto the state's root.
+            // derivative (post-prune, so its structure is final), record the
+            // explored transition, and canonicalize onto the state's root so
+            // the next step reuses its caches.
             lang.metrics.auto_fallbacks += 1;
             let ns = lang.auto_intern(self.current);
             if let (Some(from), Some(to)) = (prev_state, ns) {
@@ -212,31 +209,8 @@ impl SessionState {
                 self.current = lang.auto.roots[ns as usize];
             }
         }
-        if lang.is_empty_node(self.current) {
-            self.dead = true;
-            return Ok(FeedOutcome::Dead);
-        }
-        Ok(FeedOutcome::Viable { prefix_is_sentence: lang.accept_of(self.current) })
-    }
-
-    /// Feeds a slice of tokens; stops early if the language dies.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`feed`](SessionState::feed).
-    pub fn feed_all(
-        &mut self,
-        lang: &mut Language,
-        toks: &[Token],
-    ) -> Result<FeedOutcome, PwdError> {
-        let mut last = FeedOutcome::Viable { prefix_is_sentence: self.prefix_is_sentence(lang) };
-        for t in toks {
-            last = self.feed(lang, t)?;
-            if last == FeedOutcome::Dead {
-                break;
-            }
-        }
-        Ok(last)
+        self.dead = lang.is_empty_node(self.current);
+        Ok(!self.dead)
     }
 
     /// Saves the current position: one `NodeId`, no state is copied.
@@ -277,10 +251,7 @@ impl SessionState {
     /// Is the prefix fed so far a complete sentence? O(1) when the current
     /// derivative is an interned automaton state with a cached accept bit.
     pub fn prefix_is_sentence(&self, lang: &mut Language) -> bool {
-        !self.dead && {
-            let cur = self.current;
-            lang.accept_of(cur)
-        }
+        !self.dead && lang.accept_of(self.current)
     }
 
     /// Can any continuation still reach a sentence?
@@ -293,7 +264,8 @@ impl SessionState {
         self.fed
     }
 
-    /// The current derivative language `D_{t1…tk}(L)` as a node.
+    /// The current derivative language `D_{t1…tk}(L)` as a node — usable
+    /// with every `Language` API (even as the start of further parses).
     pub fn current(&self) -> NodeId {
         self.current
     }
@@ -313,7 +285,9 @@ impl SessionState {
         Ok(forest)
     }
 
-    /// Number of nodes reachable from the current derivative.
+    /// Number of nodes reachable from the current derivative — the live
+    /// parser state size (stays bounded for LL-ish prefixes thanks to
+    /// compaction and emptiness pruning).
     pub fn live_nodes(&self, lang: &Language) -> usize {
         lang.reachable_count(self.current)
     }
@@ -322,90 +296,6 @@ impl SessionState {
     pub fn finish(self, lang: &mut Language) -> NodeId {
         lang.in_parse = false;
         self.current
-    }
-}
-
-impl<'a> ParseSession<'a> {
-    /// Starts a session at the given start node.
-    ///
-    /// # Errors
-    ///
-    /// [`PwdError::UndefinedNonterminal`] for incomplete grammars.
-    pub fn start(lang: &'a mut Language, start: NodeId) -> Result<ParseSession<'a>, PwdError> {
-        let state = SessionState::start(lang, start)?;
-        Ok(ParseSession { lang, state })
-    }
-
-    /// Feeds one token, advancing the derivative.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SessionState::feed`].
-    pub fn feed(&mut self, tok: &Token) -> Result<FeedOutcome, PwdError> {
-        self.state.feed(self.lang, tok)
-    }
-
-    /// Feeds a slice of tokens; stops early if the language dies.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`feed`](ParseSession::feed).
-    pub fn feed_all(&mut self, toks: &[Token]) -> Result<FeedOutcome, PwdError> {
-        self.state.feed_all(self.lang, toks)
-    }
-
-    /// Saves the current position — see [`SessionState::checkpoint`]
-    /// (checkpoint = the saved derivative, the paper's `D_{t1…tk}(L)`).
-    pub fn checkpoint(&self) -> SessionCheckpoint {
-        self.state.checkpoint()
-    }
-
-    /// Restores a checkpoint taken earlier in this session — see
-    /// [`SessionState::rollback`].
-    pub fn rollback(&mut self, cp: &SessionCheckpoint) {
-        self.state.rollback(cp);
-    }
-
-    /// Is the prefix fed so far a complete sentence?
-    pub fn prefix_is_sentence(&mut self) -> bool {
-        self.state.prefix_is_sentence(self.lang)
-    }
-
-    /// Can any continuation still reach a sentence?
-    pub fn is_viable(&self) -> bool {
-        self.state.is_viable()
-    }
-
-    /// Number of tokens fed (including any fed after death).
-    pub fn tokens_fed(&self) -> usize {
-        self.state.tokens_fed()
-    }
-
-    /// The current derivative language `D_{t1…tk}(L)` as a node — usable
-    /// with every `Language` API (even as the start of further parses).
-    pub fn current(&self) -> NodeId {
-        self.state.current()
-    }
-
-    /// Extracts the forest of parses of the prefix fed so far.
-    ///
-    /// # Errors
-    ///
-    /// [`PwdError::Rejected`] if the prefix is not a sentence.
-    pub fn forest(&mut self) -> Result<ForestId, PwdError> {
-        self.state.forest(self.lang)
-    }
-
-    /// Number of nodes reachable from the current derivative — the live
-    /// parser state size (stays bounded for LL-ish prefixes thanks to
-    /// compaction and emptiness pruning).
-    pub fn live_nodes(&self) -> usize {
-        self.state.live_nodes(self.lang)
-    }
-
-    /// Ends the session, returning the final derivative node.
-    pub fn finish(self) -> NodeId {
-        self.state.finish(self.lang)
     }
 }
 
@@ -434,18 +324,17 @@ mod tests {
     #[test]
     fn incremental_matched_pairs() {
         let (mut lang, s, a, b) = ab_language();
-        let mut sess = ParseSession::start(&mut lang, s).unwrap();
-        assert!(!sess.prefix_is_sentence());
-        assert_eq!(sess.feed(&a).unwrap(), FeedOutcome::Viable { prefix_is_sentence: false });
-        assert_eq!(sess.feed(&a).unwrap(), FeedOutcome::Viable { prefix_is_sentence: false });
-        assert_eq!(sess.feed(&b).unwrap(), FeedOutcome::Viable { prefix_is_sentence: false });
-        assert_eq!(sess.feed(&b).unwrap(), FeedOutcome::Viable { prefix_is_sentence: true });
+        let mut sess = SessionState::start(&mut lang, s).unwrap();
+        assert!(!sess.prefix_is_sentence(&mut lang));
+        let mut sentence = Vec::new();
+        for t in [&a, &a, &b, &b] {
+            assert!(sess.feed(&mut lang, t).unwrap(), "aabb stays viable");
+            sentence.push(sess.prefix_is_sentence(&mut lang));
+        }
+        assert_eq!(sentence, [false, false, false, true]);
         // aabb is a sentence; the forest is extractable mid-session.
-        let f = sess.forest().unwrap();
-        let lang = {
-            let _ = sess.finish();
-            lang
-        };
+        let f = sess.forest(&mut lang).unwrap();
+        let _ = sess.finish(&mut lang);
         let trees = lang.trees_of(f, EnumLimits::default());
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].fringe(), vec!["a", "a", "b", "b"]);
@@ -454,11 +343,11 @@ mod tests {
     #[test]
     fn death_is_detected_and_sticky() {
         let (mut lang, s, a, b) = ab_language();
-        let mut sess = ParseSession::start(&mut lang, s).unwrap();
-        sess.feed(&b).unwrap(); // no sentence starts with b
+        let mut sess = SessionState::start(&mut lang, s).unwrap();
+        assert!(!sess.feed(&mut lang, &b).unwrap()); // no sentence starts with b
         assert!(!sess.is_viable());
-        assert_eq!(sess.feed(&a).unwrap(), FeedOutcome::Dead);
-        assert!(sess.forest().is_err());
+        assert!(!sess.feed(&mut lang, &a).unwrap());
+        assert!(sess.forest(&mut lang).is_err());
         assert_eq!(sess.tokens_fed(), 2);
     }
 
@@ -472,11 +361,12 @@ mod tests {
             lang.reset();
             let batch = lang.recognize(s, &toks).unwrap();
             lang.reset();
-            let mut sess = ParseSession::start(&mut lang, s).unwrap();
+            let mut sess = SessionState::start(&mut lang, s).unwrap();
             for t in &toks {
-                let _ = sess.feed(t).unwrap();
+                let _ = sess.feed(&mut lang, t).unwrap();
             }
-            let incremental = sess.prefix_is_sentence();
+            let incremental = sess.prefix_is_sentence(&mut lang);
+            sess.finish(&mut lang);
             assert_eq!(batch, incremental, "{toks:?}");
         }
     }
@@ -484,10 +374,10 @@ mod tests {
     #[test]
     fn current_derivative_is_a_first_class_language() {
         let (mut lang, s, a, b) = ab_language();
-        let mut sess = ParseSession::start(&mut lang, s).unwrap();
-        sess.feed(&a).unwrap();
-        sess.feed(&a).unwrap();
-        let d = sess.finish();
+        let mut sess = SessionState::start(&mut lang, s).unwrap();
+        sess.feed(&mut lang, &a).unwrap();
+        sess.feed(&mut lang, &a).unwrap();
+        let d = sess.finish(&mut lang);
         // After "aa", the remaining language is exactly { b b, a^k b^(k+2) }…
         // check two members and a non-member.
         assert!(lang.recognize(d, &[b.clone(), b.clone()]).unwrap());
@@ -501,26 +391,26 @@ mod tests {
     #[test]
     fn checkpoint_rollback_replays_exactly() {
         let (mut lang, s, a, b) = ab_language();
-        let mut sess = ParseSession::start(&mut lang, s).unwrap();
-        sess.feed(&a).unwrap();
-        sess.feed(&a).unwrap();
+        let mut sess = SessionState::start(&mut lang, s).unwrap();
+        sess.feed(&mut lang, &a).unwrap();
+        sess.feed(&mut lang, &a).unwrap();
         let cp = sess.checkpoint();
         assert_eq!(cp.tokens_fed(), 2);
         // Speculate down a doomed path…
-        sess.feed(&a).unwrap();
-        sess.feed(&b).unwrap();
-        sess.feed(&a).unwrap(); // aaba… dead
+        for t in [&a, &b, &a] {
+            sess.feed(&mut lang, t).unwrap(); // aaba… dead
+        }
         assert!(!sess.is_viable());
         // …and rewind: the saved derivative is still the language after aa.
         sess.rollback(&cp);
         assert!(sess.is_viable());
         assert_eq!(sess.tokens_fed(), 2);
-        assert!(!sess.prefix_is_sentence());
-        sess.feed(&b).unwrap();
-        sess.feed(&b).unwrap();
-        assert!(sess.prefix_is_sentence(), "aa + bb is a sentence after rollback");
-        let f = sess.forest().unwrap();
-        let _ = sess.finish();
+        assert!(!sess.prefix_is_sentence(&mut lang));
+        sess.feed(&mut lang, &b).unwrap();
+        sess.feed(&mut lang, &b).unwrap();
+        assert!(sess.prefix_is_sentence(&mut lang), "aa + bb is a sentence after rollback");
+        let f = sess.forest(&mut lang).unwrap();
+        let _ = sess.finish(&mut lang);
         let trees = lang.trees_of(f, EnumLimits::default());
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].fringe(), vec!["a", "a", "b", "b"]);
@@ -529,40 +419,42 @@ mod tests {
     #[test]
     fn rollback_out_of_death_is_sound() {
         let (mut lang, s, a, b) = ab_language();
-        let mut sess = ParseSession::start(&mut lang, s).unwrap();
+        let mut sess = SessionState::start(&mut lang, s).unwrap();
         let cp0 = sess.checkpoint();
-        sess.feed(&b).unwrap(); // dead immediately
+        sess.feed(&mut lang, &b).unwrap(); // dead immediately
         assert!(!sess.is_viable());
         sess.rollback(&cp0);
         assert!(sess.is_viable());
-        assert_eq!(sess.feed(&a).unwrap(), FeedOutcome::Viable { prefix_is_sentence: false });
-        assert_eq!(sess.feed(&b).unwrap(), FeedOutcome::Viable { prefix_is_sentence: true });
+        assert!(sess.feed(&mut lang, &a).unwrap());
+        assert!(!sess.prefix_is_sentence(&mut lang));
+        assert!(sess.feed(&mut lang, &b).unwrap());
+        assert!(sess.prefix_is_sentence(&mut lang));
     }
 
     #[test]
     fn nested_checkpoints_restore_in_any_order() {
         let (mut lang, s, a, b) = ab_language();
-        let mut sess = ParseSession::start(&mut lang, s).unwrap();
-        sess.feed(&a).unwrap();
+        let mut sess = SessionState::start(&mut lang, s).unwrap();
+        sess.feed(&mut lang, &a).unwrap();
         let cp1 = sess.checkpoint();
-        sess.feed(&a).unwrap();
+        sess.feed(&mut lang, &a).unwrap();
         let cp2 = sess.checkpoint();
-        sess.feed(&b).unwrap();
+        sess.feed(&mut lang, &b).unwrap();
         // Roll past cp2 down to cp1, then forward again to cp2: both nodes
         // remain valid because the graph is append-only within a parse.
         sess.rollback(&cp1);
         assert_eq!(sess.tokens_fed(), 1);
         sess.rollback(&cp2);
         assert_eq!(sess.tokens_fed(), 2);
-        sess.feed(&b).unwrap();
-        sess.feed(&b).unwrap();
-        assert!(sess.prefix_is_sentence());
+        sess.feed(&mut lang, &b).unwrap();
+        sess.feed(&mut lang, &b).unwrap();
+        assert!(sess.prefix_is_sentence(&mut lang));
     }
 
     #[test]
     fn ownable_session_state_drives_without_borrowing() {
-        // The SessionState layer: holder owns the state, the language is
-        // passed per call — the shape pooled service sessions use.
+        // The holder owns the state, the language is passed per call — the
+        // shape pooled service sessions use.
         let (mut lang, s, a, b) = ab_language();
         let mut st = SessionState::start(&mut lang, s).unwrap();
         st.feed(&mut lang, &a).unwrap();
@@ -579,10 +471,10 @@ mod tests {
     fn budget_error_reports_token_index() {
         let (mut lang, s, a, b) = ab_language();
         lang.config.max_nodes = Some(lang.node_count() + 4);
-        let mut sess = ParseSession::start(&mut lang, s).unwrap();
+        let mut sess = SessionState::start(&mut lang, s).unwrap();
         let mut hit = None;
         for (i, t) in [&a, &a, &a, &a, &b, &b].iter().enumerate() {
-            match sess.feed(t) {
+            match sess.feed(&mut lang, t) {
                 Ok(_) => {}
                 Err(PwdError::NodeBudgetExceeded { at_token, .. }) => {
                     hit = Some((i, at_token));

@@ -72,7 +72,14 @@
 //!                  │ idle session for fp?  reuse it            (epoch-clean)
 //!                  │ none?                 prototype.fork()    (memcpy only)
 //!                  ▼
-//!               session.recognize / parse_count  ──► ParseOutcome
+//!               run_input: Session::open(backend)
+//!                  │ recovery set?   enable_recovery(budget)
+//!                  │ feed the Input  one call, or 64-token strides
+//!                  │                 with a deadline check before each
+//!                  │ forests/trees/counts?  finish_forest_diagnostics
+//!                  │ otherwise              finish_with_diagnostics
+//!                  ▼                                   ──► ParseOutcome
+//!               backend.metrics() ──► memo totals (one pass per input)
 //!                  ▼
 //!               SessionPool[w].checkin ──► Recognizer::reset()  (O(1) epoch
 //!                                          bump: arena kept, state cleared)

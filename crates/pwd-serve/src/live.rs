@@ -26,13 +26,13 @@
 //! registry lock itself is never held across engine work, so sessions never
 //! serialize against each other.
 
-use derp::api::{BackendMetrics, Checkpoint, EnumLimits, FeedOutcome, ForestSummary, Session};
+use derp::api::{BackendMetrics, Checkpoint, FeedOutcome, ForestSummary, Session};
 use pwd_grammar::Cfg;
 use pwd_obs::{Phase, PhaseStats};
 use std::time::Instant;
 
 use crate::obs::ObsSamples;
-use crate::service::{Input, ParseService, ServeError};
+use crate::service::{top_k_trees, Input, ParseService, ServeError};
 
 /// Handle to a live session on a [`ParseService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -299,14 +299,7 @@ impl ParseService {
         let fed = (|| {
             // All-or-nothing: retract the partial prefix if any token fails.
             let undo = live.session.checkpoint().map_err(|e| (e, false))?;
-            let outcome = match chunk {
-                Input::Kinds(kinds) => {
-                    let refs: Vec<&str> = kinds.iter().map(String::as_str).collect();
-                    live.session.feed_all(&refs)
-                }
-                Input::Lexemes(lexemes) => live.session.feed_lexemes(lexemes),
-            };
-            match outcome {
+            match chunk.feed(&mut live.session, 0..chunk.len()) {
                 Ok(outcome) => Ok(outcome),
                 Err(e) => match live.session.rollback(&undo) {
                     // Session intact, chunk fully retracted.
@@ -599,9 +592,7 @@ impl ParseService {
         self.count_input();
         let forest = forest?;
         let summary = forest.summary();
-        let limits =
-            EnumLimits { max_trees: top_k, max_depth: forest.depth().saturating_mul(2) + 64 };
-        let trees = forest.trees(limits).iter().map(|t| t.to_string()).collect();
+        let trees = top_k_trees(&forest, top_k);
         Ok(FinishForestReport {
             accepted: !summary.count.is_zero(),
             tokens_fed,

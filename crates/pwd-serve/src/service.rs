@@ -7,13 +7,16 @@
 //! workers), and returns per-input results in input order together with
 //! batch metrics.
 
-use derp::api::ForestSummary;
-use derp::api::{BackendError, BackendMetrics, EnumLimits, ParseCount, ParseForest, Session};
+use derp::api::{
+    BackendError, BackendMetrics, EnumLimits, FeedOutcome, ForestSummary, ParseCount, ParseForest,
+    Session,
+};
 use derp::{Diagnostic, RecoveryBudget};
 use pwd_grammar::Cfg;
 use pwd_lex::Lexeme;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -176,40 +179,29 @@ impl Input {
         self.len() == 0
     }
 
-    fn kind_refs(&self) -> Vec<&str> {
+    /// Feeds tokens `range` of this input to `session` in one call and
+    /// returns the outcome after the last — the one feeding path of batch
+    /// requests and live chunks alike. Lexeme text reaches the engine where
+    /// the input carries it; a kinds input feeds each kind as its own text.
+    pub(crate) fn feed(
+        &self,
+        session: &mut Session<'_>,
+        range: Range<usize>,
+    ) -> Result<FeedOutcome, BackendError> {
         match self {
-            Input::Kinds(k) => k.iter().map(String::as_str).collect(),
-            Input::Lexemes(l) => l.iter().map(|x| x.kind.as_str()).collect(),
+            Input::Kinds(kinds) => {
+                let refs: Vec<&str> = kinds[range].iter().map(String::as_str).collect();
+                session.feed_all(&refs)
+            }
+            Input::Lexemes(lexemes) => session.feed_lexemes(&lexemes[range]),
         }
     }
-}
-
-/// Parses one input into its shared forest: one streaming session, lexeme
-/// texts reaching the engine where the input carries them.
-fn forest_of(
-    backend: &mut dyn derp::api::Parser,
-    input: &Input,
-) -> Result<ParseForest, BackendError> {
-    backend.begin()?;
-    match input {
-        Input::Kinds(kinds) => {
-            for k in kinds {
-                backend.feed(k, k)?;
-            }
-        }
-        Input::Lexemes(lexemes) => {
-            for l in lexemes {
-                backend.feed(&l.kind, &l.text)?;
-            }
-        }
-    }
-    backend.end_forest()
 }
 
 /// Renders up to `k` parse trees of a forest (depth-bounded so cyclic —
 /// infinitely ambiguous — forests terminate; acyclic forests always fit in
 /// their own graph depth).
-fn top_k_trees(forest: &ParseForest, k: usize) -> Vec<String> {
+pub(crate) fn top_k_trees(forest: &ParseForest, k: usize) -> Vec<String> {
     let limits = EnumLimits { max_trees: k, max_depth: forest.depth().saturating_mul(2) + 64 };
     forest.trees(limits).iter().map(|t| t.to_string()).collect()
 }
@@ -217,7 +209,8 @@ fn top_k_trees(forest: &ParseForest, k: usize) -> Vec<String> {
 /// How often (in tokens) a wall-clock budget is re-checked while feeding.
 /// Reading the clock is tens of nanoseconds against microseconds of parse
 /// work per token, but a stride keeps the check off the hot path entirely
-/// for the common short inputs.
+/// for the common short inputs. Without a budget the input is fed in one
+/// call and no stride exists.
 const DEADLINE_STRIDE: usize = 64;
 
 /// Renders a caught panic payload to text for
@@ -233,123 +226,19 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The structured error for a parse cancelled by the wall-clock budget.
-fn time_exceeded(config: &ServiceConfig) -> ServeError {
-    ServeError::BudgetExceeded {
-        kind: BudgetKind::Time,
-        limit: config.time_budget.map_or(0, |d| d.as_millis() as u64),
-    }
-}
-
-/// Feeds every token of `input` through an open-session `begin`/`feed`
-/// loop, cancelling between tokens once `deadline` passes. The caller
-/// closes the session (`end` / `end_forest`); on cancellation the session
-/// is abandoned mid-parse and the pool's checkin `reset` reclaims it.
-fn feed_under_deadline(
-    backend: &mut dyn derp::api::Parser,
-    input: &Input,
-    deadline: Instant,
-    config: &ServiceConfig,
-) -> Result<(), ServeError> {
-    backend.begin()?;
-    let check = |i: usize| -> Result<(), ServeError> {
-        if i.is_multiple_of(DEADLINE_STRIDE) && Instant::now() > deadline {
-            return Err(time_exceeded(config));
-        }
-        Ok(())
-    };
-    match input {
-        Input::Kinds(kinds) => {
-            for (i, k) in kinds.iter().enumerate() {
-                check(i)?;
-                backend.feed(k, k)?;
-            }
-        }
-        Input::Lexemes(lexemes) => {
-            for (i, l) in lexemes.iter().enumerate() {
-                check(i)?;
-                backend.feed(&l.kind, &l.text)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Runs one input through a recovering [`Session`]: malformed tokens are
-/// repaired within [`ServiceConfig::recovery`]'s budget instead of killing
-/// the request, and the spanned [`Diagnostic`]s ride along in the outcome.
-/// A wall-clock budget, when configured, cancels between feed strides.
-fn run_recovering(
-    backend: &mut dyn derp::api::Parser,
-    input: &Input,
-    config: &ServiceConfig,
-    memo: &mut MemoEffectiveness,
-    budget: RecoveryBudget,
-) -> Result<ParseOutcome, ServeError> {
-    let deadline = config.time_budget.map(|d| Instant::now() + d);
-    let mut session = Session::open(&mut *backend)?;
-    session.enable_recovery(budget);
-    let check = |deadline: Option<Instant>| -> Result<(), ServeError> {
-        match deadline {
-            Some(dl) if Instant::now() > dl => Err(time_exceeded(config)),
-            _ => Ok(()),
-        }
-    };
-    match input {
-        Input::Kinds(kinds) => {
-            let refs: Vec<&str> = kinds.iter().map(String::as_str).collect();
-            for chunk in refs.chunks(DEADLINE_STRIDE) {
-                check(deadline)?;
-                session.feed_all(chunk)?;
-            }
-        }
-        Input::Lexemes(lexemes) => {
-            for chunk in lexemes.chunks(DEADLINE_STRIDE) {
-                check(deadline)?;
-                session.feed_lexemes(chunk)?;
-            }
-        }
-    }
-    check(deadline)?;
-    // Counting rides the forest path: a recovered parse has no meaningful
-    // batch `parse_count` shim to fall back on (it would re-parse the raw,
-    // unrepaired input).
-    if config.forests || config.top_k_trees > 0 || config.count_parses {
-        let (forest, diagnostics) = session.finish_forest_diagnostics()?;
-        let m = backend.metrics();
-        memo.absorb(&m);
-        let summary = forest.summary();
-        let trees = (config.top_k_trees > 0).then(|| top_k_trees(&forest, config.top_k_trees));
-        return Ok(ParseOutcome {
-            accepted: !summary.count.is_zero(),
-            parse_count: config.count_parses.then_some(summary.count),
-            forest: config.forests.then_some(summary),
-            trees,
-            stats: config.observability.then(|| SessionStats::for_input(input.len(), &m)),
-            diagnostics: Some(diagnostics),
-        });
-    }
-    let (accepted, diagnostics) = session.finish_with_diagnostics()?;
-    let m = backend.metrics();
-    memo.absorb(&m);
-    Ok(ParseOutcome {
-        accepted,
-        parse_count: None,
-        forest: None,
-        trees: None,
-        stats: config.observability.then(|| SessionStats::for_input(input.len(), &m)),
-        diagnostics: Some(diagnostics),
-    })
-}
-
-/// Runs one input on a checked-out backend, folding each engine run's cache
-/// counters into `memo` (every run resets the engine's metrics, so they must
-/// be read between runs, not after). With forest reporting off, the hot
-/// lexeme path does no per-input allocation here; with it on, one forest
-/// pass serves the verdict, the exact count, the summary, and the top-k
-/// trees together. Per-request budgets are enforced here: the token cap
-/// rejects oversized inputs before any engine work, and the wall-clock
-/// budget cancels runaway parses between tokens.
+/// Runs one input on a checked-out backend through one [`Session`],
+/// folding the run's engine cache counters into `memo` (every run resets
+/// the engine's metrics, so they must be read between runs, not after).
+///
+/// With [`ServiceConfig::recovery`] set the session repairs malformed
+/// tokens and the outcome carries its [`Diagnostic`]s. When forests, trees
+/// or counts are requested the session closes with a forest, and that one
+/// pass serves the verdict, the exact count, the summary and the top-k
+/// trees together; otherwise it closes with the verdict alone. Per-request
+/// budgets are enforced here: the token cap rejects oversized inputs before
+/// any engine work, and the wall-clock budget is checked before each
+/// stride of [`DEADLINE_STRIDE`] tokens. An abandoned session is reclaimed
+/// by the pool's checkin reset.
 fn run_input(
     backend: &mut dyn derp::api::Parser,
     input: &Input,
@@ -362,59 +251,46 @@ fn run_input(
             limit: config.max_tokens_per_input as u64,
         });
     }
+    let deadline = config.time_budget.map(|budget| (Instant::now() + budget, budget));
+    let mut session = Session::open(&mut *backend)?;
     if let Some(budget) = config.recovery {
-        return run_recovering(backend, input, config, memo, budget);
+        session.enable_recovery(budget);
     }
-    let deadline = config.time_budget.map(|d| Instant::now() + d);
-    if config.forests || config.top_k_trees > 0 {
-        let forest = match deadline {
-            None => forest_of(backend, input)?,
-            Some(dl) => {
-                feed_under_deadline(backend, input, dl, config)?;
-                backend.end_forest()?
+    match deadline {
+        None => {
+            input.feed(&mut session, 0..input.len())?;
+        }
+        Some((deadline, budget)) => {
+            for at in (0..input.len()).step_by(DEADLINE_STRIDE) {
+                if Instant::now() > deadline {
+                    let limit = budget.as_millis() as u64;
+                    return Err(ServeError::BudgetExceeded { kind: BudgetKind::Time, limit });
+                }
+                input.feed(&mut session, at..input.len().min(at + DEADLINE_STRIDE))?;
             }
-        };
-        let m = backend.metrics();
-        memo.absorb(&m);
-        let summary = forest.summary();
-        let trees = (config.top_k_trees > 0).then(|| top_k_trees(&forest, config.top_k_trees));
-        return Ok(ParseOutcome {
-            accepted: !summary.count.is_zero(),
-            parse_count: config.count_parses.then_some(summary.count),
-            forest: config.forests.then_some(summary),
-            trees,
-            stats: config.observability.then(|| SessionStats::for_input(input.len(), &m)),
-            diagnostics: None,
-        });
+        }
     }
-    let accepted = match deadline {
-        None => match input {
-            Input::Kinds(_) => backend.recognize(&input.kind_refs())?,
-            Input::Lexemes(l) => backend.recognize_lexemes(l)?,
-        },
-        Some(dl) => {
-            feed_under_deadline(backend, input, dl, config)?;
-            backend.end()?
-        }
-    };
-    let mut m = backend.metrics();
+    let (accepted, forest, diagnostics) =
+        if config.forests || config.top_k_trees > 0 || config.count_parses {
+            let (forest, diagnostics) = session.finish_forest_diagnostics()?;
+            let summary = forest.summary();
+            (!summary.count.is_zero(), Some((forest, summary)), diagnostics)
+        } else {
+            let (accepted, diagnostics) = session.finish_with_diagnostics()?;
+            (accepted, None, diagnostics)
+        };
+    let m = backend.metrics();
     memo.absorb(&m);
-    let parse_count = match config.count_parses {
-        false => None,
-        true => {
-            let count = backend.parse_count(&input.kind_refs())?;
-            m = backend.metrics();
-            memo.absorb(&m);
-            Some(count)
-        }
-    };
+    let summary = forest.as_ref().map(|(_, summary)| *summary);
     Ok(ParseOutcome {
         accepted,
-        parse_count,
-        forest: None,
-        trees: None,
+        parse_count: summary.filter(|_| config.count_parses).map(|s| s.count),
+        forest: summary.filter(|_| config.forests),
+        trees: forest
+            .filter(|_| config.top_k_trees > 0)
+            .map(|(forest, _)| top_k_trees(&forest, config.top_k_trees)),
         stats: config.observability.then(|| SessionStats::for_input(input.len(), &m)),
-        diagnostics: None,
+        diagnostics: config.recovery.is_some().then_some(diagnostics),
     })
 }
 
@@ -582,10 +458,16 @@ pub struct ServiceConfig {
     /// are rejected with [`ServeError::BudgetExceeded`] before any engine
     /// work runs.
     pub max_tokens_per_input: usize,
-    /// Per-request wall-clock budget (`None` = unlimited). A parse still
-    /// running past it is cancelled between tokens with
-    /// [`ServeError::BudgetExceeded`]; the abandoned session is reclaimed
-    /// by the pool's epoch reset, not quarantined.
+    /// Per-request wall-clock budget (`None` = unlimited). With a budget
+    /// set, the input is fed in strides of 64 tokens with a deadline check
+    /// before each, and a parse still running past it is cancelled at the
+    /// next stride with [`ServeError::BudgetExceeded`]; the abandoned
+    /// session is reclaimed by the pool's epoch reset, not quarantined.
+    /// Closing the parse is never cancelled, so an empty input is always
+    /// answered. Stride boundaries also cap error recovery's repair
+    /// lookahead: a repair near a boundary sees only the tokens up to it,
+    /// so with [`recovery`](ServiceConfig::recovery) on, a budgeted request
+    /// can repair differently from an unbudgeted one.
     pub time_budget: Option<Duration>,
     /// Bounded-budget error recovery (`None` = off). When set, inputs run
     /// through `derp`'s recovering [`Session`]: malformed tokens are

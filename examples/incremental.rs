@@ -1,9 +1,9 @@
-//! Incremental parsing with `ParseSession`: feed tokens one at a time and
+//! Incremental parsing with `SessionState`: feed tokens one at a time and
 //! watch the derivative evolve — viability, sentence-hood, graph size.
 //!
 //! Run with: `cargo run --example incremental -- "1+(2*3)+4"`
 
-use derp::core::{FeedOutcome, ParseSession, ParserConfig};
+use derp::core::{ParserConfig, SessionState};
 use derp::grammar::{grammars, Compiled};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -13,47 +13,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut parser = Compiled::compile(&grammars::arith::cfg(), ParserConfig::improved());
     let tokens = parser.tokens_from_lexemes(&lexemes)?;
-    let start = parser.start;
+    let lang = &mut parser.lang;
 
     println!("feeding {:?} token by token:\n", input);
     println!("{:<8} {:<10} {:<10} {:<12} note", "token", "viable?", "sentence?", "live nodes");
-    let mut session = ParseSession::start(&mut parser.lang, start)?;
+    let mut session = SessionState::start(lang, parser.start)?;
     for tok in &tokens {
-        let outcome = session.feed(tok)?;
-        let (viable, sentence, note) = match outcome {
-            FeedOutcome::Viable { prefix_is_sentence } => {
-                ("yes", if prefix_is_sentence { "yes" } else { "no" }, "")
-            }
-            FeedOutcome::Dead => ("no", "no", "← no continuation can succeed"),
+        let viable = session.feed(lang, tok)?;
+        let (sentence, note) = match viable {
+            true if session.prefix_is_sentence(lang) => ("yes", ""),
+            true => ("no", ""),
+            false => ("no", "← no continuation can succeed"),
         };
-        let current = session.current();
         println!(
             "{:<8} {:<10} {:<10} {:<12} {}",
             tok.lexeme(),
-            viable,
+            if viable { "yes" } else { "no" },
             sentence,
             // The live derivative stays small thanks to compaction+pruning.
-            format!("{}", session_live(&session, current)),
+            session.live_nodes(lang),
             note,
         );
-        if outcome == FeedOutcome::Dead {
+        if !viable {
             break;
         }
     }
-    if session.prefix_is_sentence() {
-        let forest = session.forest()?;
-        let d = session.finish();
-        let _ = d;
-        let trees =
-            parser.lang.trees_of(forest, derp::core::EnumLimits { max_trees: 1, max_depth: 4096 });
+    if session.prefix_is_sentence(lang) {
+        let forest = session.forest(lang)?;
+        session.finish(lang);
+        let trees = lang.trees_of(forest, derp::core::EnumLimits { max_trees: 1, max_depth: 4096 });
         println!("\ncomplete expression, parse tree:\n  {}", trees[0]);
     } else {
+        session.finish(lang);
         println!("\nprefix is not (yet) a complete expression");
     }
     Ok(())
-}
-
-fn session_live(session: &ParseSession<'_>, _current: derp::core::NodeId) -> usize {
-    // Live node count of the current derivative (read-only peek).
-    session.live_nodes()
 }

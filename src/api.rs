@@ -1634,11 +1634,7 @@ impl Recognizer for PwdBackend {
         // The core session counts the token even on a budget error, so the
         // guard must too — count first, then feed.
         self.guard.on_feed();
-        match state.feed(&mut self.compiled.lang, &tok) {
-            Ok(crate::core::FeedOutcome::Dead) => Ok(false),
-            Ok(crate::core::FeedOutcome::Viable { .. }) => Ok(true),
-            Err(e) => Err(BackendError::new(label, e)),
-        }
+        state.feed(&mut self.compiled.lang, &tok).map_err(|e| BackendError::new(label, e))
     }
 
     fn tokens_fed(&self) -> usize {
@@ -1732,10 +1728,7 @@ impl Recognizer for PwdBackend {
             let state = self.session.as_ref().expect("session checked above");
             let mut trial = state.clone();
             probes += 1;
-            if matches!(
-                trial.feed(&mut self.compiled.lang, &tok),
-                Ok(crate::core::FeedOutcome::Viable { .. })
-            ) {
+            if matches!(trial.feed(&mut self.compiled.lang, &tok), Ok(true)) {
                 out.push(name);
             }
         }

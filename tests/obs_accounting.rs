@@ -4,7 +4,8 @@
 //! its parts to the last sample and nanosecond, in any merge order — and
 //! span counts are workload-determined: a batch recognition and a
 //! chunked-streaming session of the same input record the same derive
-//! spans, exactly one per fed token.
+//! spans, exactly one per fed token, and differ at most in the
+//! sentence-hood probes the streaming caller asks for.
 //!
 //! The same contract holds one layer up: a `ParseService` batch fans out
 //! over worker threads that each keep local histogram samples and fold
@@ -55,6 +56,18 @@ fn streamed_phases(backend: &mut dyn Parser, lexemes: &[Lexeme]) -> PhaseStats {
     for lx in lexemes {
         session.feed(&lx.kind, &lx.text).expect("grammar kind feeds");
     }
+    let phases = *session.metrics().phases.expect("observability is enabled");
+    session.finish().expect("session finishes");
+    phases
+}
+
+/// Feeds one input through a fresh session in a single `feed_lexemes` call
+/// and returns the recorded phases (snapshot taken while the session is
+/// still open).
+fn one_call_phases(backend: &mut dyn Parser, lexemes: &[Lexeme]) -> PhaseStats {
+    backend.set_obs(true);
+    let mut session = Session::open(backend).expect("no session already open");
+    session.feed_lexemes(lexemes).expect("grammar kinds feed");
     let phases = *session.metrics().phases.expect("observability is enabled");
     session.finish().expect("session finishes");
     phases
@@ -116,24 +129,44 @@ proptest! {
         prop_assert_eq!(forward.get(Phase::Derive).count(), tokens);
     }
 
-    /// Batch vs chunked streaming: the same input run as one batch call
-    /// and as a token-by-token session on identical forks records the same
-    /// number of spans in every engine phase — span counts come from the
-    /// workload, not from how the tokens arrived.
+    /// Batch vs streaming: the same input run as one batch call, as a
+    /// session fed in one call, and as a token-by-token session on
+    /// identical forks records the same number of spans in every engine
+    /// phase — span counts come from the workload, not from how the tokens
+    /// arrived. The one exception is `nullable`: feeding pays for no
+    /// sentence-hood probe, so each token-by-token `Session::feed`, which
+    /// asks for one, may add at most one probe per token.
     #[test]
     fn batch_and_streamed_runs_record_identical_span_counts(seed in 0u64..1000) {
         let inputs = corpus(3, 0xBA7C + seed);
         let proto = prototype();
         for lexemes in &inputs {
             let batch = batch_phases(&mut *proto.fork(), lexemes);
+            let one_call = one_call_phases(&mut *proto.fork(), lexemes);
             let streamed = streamed_phases(&mut *proto.fork(), lexemes);
             for phase in Phase::ALL {
+                prop_assert_eq!(
+                    batch.get(phase).count(),
+                    one_call.get(phase).count(),
+                    "{} span count (batch vs one feed call)", phase
+                );
+                if phase == Phase::Nullable {
+                    continue;
+                }
                 prop_assert_eq!(
                     batch.get(phase).count(),
                     streamed.get(phase).count(),
                     "{} span count (batch vs streamed)", phase
                 );
             }
+            let (batch_probes, streamed_probes) =
+                (batch.get(Phase::Nullable).count(), streamed.get(Phase::Nullable).count());
+            prop_assert!(
+                batch_probes <= streamed_probes
+                    && streamed_probes <= batch_probes + lexemes.len() as u64,
+                "nullable spans: batch {} vs streamed {} over {} tokens",
+                batch_probes, streamed_probes, lexemes.len()
+            );
             prop_assert_eq!(batch.get(Phase::Derive).count(), lexemes.len() as u64);
         }
     }
