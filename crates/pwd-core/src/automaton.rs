@@ -55,7 +55,7 @@
 //! and the walk re-enters the table whenever a memo hit lands it back on an
 //! already-interned node. Freezing loses speed, never answers.
 
-use crate::config::{AutomatonMode, MemoKeying, ParseMode};
+use crate::config::AutomatonMode;
 use crate::expr::{ExprKind, Language, NodeId, NO_LINK};
 use crate::token::TermId;
 use std::collections::HashMap;
@@ -207,10 +207,7 @@ impl Language {
     /// values into nodes, breaking structural recurrence).
     #[inline]
     pub(crate) fn automaton_active(&self) -> bool {
-        self.config.automaton == AutomatonMode::Lazy
-            && self.config.mode == ParseMode::Recognize
-            && self.config.keying == MemoKeying::ByClass
-            && !self.config.naming
+        self.config.automaton == AutomatonMode::Lazy && self.config.class_keyed()
     }
 
     /// The interned state a node (after `Ref` resolution) is known to belong
@@ -465,7 +462,7 @@ impl Language {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ParserConfig;
+    use crate::config::{MemoKeying, ParseMode, ParserConfig};
     use crate::token::Token;
 
     fn recognizer_config() -> ParserConfig {

@@ -234,6 +234,16 @@ impl ParserConfig {
             automaton_max_rows: DEFAULT_AUTOMATON_MAX_ROWS,
         }
     }
+
+    /// Is the derive memo keyed by terminal class outright — class keying
+    /// in recognize mode with Definition-5 naming off? Then no lexeme can
+    /// reach a derivative: memo entries are keyed by [`TermId`](crate::TermId),
+    /// a token's derivative ends in the canonical `ε`, and names (which
+    /// embed token values) are off. So the engine never reads a lexeme, and
+    /// callers need not intern one.
+    pub fn class_keyed(&self) -> bool {
+        self.keying == MemoKeying::ByClass && self.mode == ParseMode::Recognize && !self.naming
+    }
 }
 
 /// Budget and cost model for bounded-effort error recovery.

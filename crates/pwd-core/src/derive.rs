@@ -190,16 +190,6 @@ impl Language {
     // derive
     // ------------------------------------------------------------------
 
-    /// Is the derive memo keyed by terminal class outright? Only sound when
-    /// no lexeme can reach the derivative: recognize mode (no forests) with
-    /// Definition-5 naming off (names embed token values).
-    #[inline]
-    fn class_keyed(&self) -> bool {
-        self.config.keying == MemoKeying::ByClass
-            && self.config.mode == ParseMode::Recognize
-            && !self.config.naming
-    }
-
     /// Are the class-template slots active? In parse mode they carry the
     /// whole class-sharing scheme (memo entries stay value-keyed — forests
     /// embed lexemes); in recognize mode they back the class-keyed memo
@@ -214,7 +204,9 @@ impl Language {
     /// The memo key identifying `tok` under the configured keying.
     #[inline]
     fn derive_key(&self, tok: &Token) -> DeriveKey {
-        if self.class_keyed() {
+        // Keyed by terminal class outright only where no lexeme can reach
+        // the derivative (`ParserConfig::class_keyed`).
+        if self.config.class_keyed() {
             DeriveKey::class(tok.term())
         } else {
             DeriveKey::value(tok.key())

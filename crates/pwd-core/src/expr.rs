@@ -259,6 +259,15 @@ pub struct Language {
     /// Node/forest arena sizes at the start of the first parse, for `reset`.
     pub(crate) initial_nodes: Option<usize>,
     pub(crate) initial_forests: Option<usize>,
+    /// The productivity watermark: every node below this index has a
+    /// settled productivity mark (see [`crate::prune`]), so a session start
+    /// prunes only the nodes above it. `prune_empty` advances it and
+    /// [`reset`](Language::reset) clamps it to the truncated arena.
+    pub(crate) settled: usize,
+    /// Initial-grammar start nodes that passed [`validate`](Language::validate):
+    /// their reachable graph can no longer change, so a session start
+    /// validates each only once.
+    pub(crate) validated: Vec<NodeId>,
     /// Canonical `Term` nodes, one per terminal.
     term_nodes: HashMap<TermId, NodeId>,
     /// Canonical forest nodes: the no-parses forest and the `ε`-tree forest.
@@ -294,6 +303,8 @@ impl Language {
             budget_hit: false,
             initial_nodes: None,
             initial_forests: None,
+            settled: 0,
+            validated: Vec::new(),
             term_nodes: HashMap::new(),
             forest_nothing,
             forest_eps_tree,
@@ -752,8 +763,9 @@ impl Language {
         // automaton boundary (the arena length at the last state intern),
         // so interned state roots and their reachable subgraphs stay alive
         // and every transition row built so far remains warm for the next
-        // parse. Their productivity marks are settled, so the
-        // start-of-parse prune pass never rewrites them, and their
+        // parse. Their productivity marks are settled and below the
+        // productivity watermark, so the start-of-parse prune pass never
+        // visits them, and their
         // epoch-stamped memo state dies with the bump below like any other
         // node's. With the automaton idle both boundaries are 0 and this is
         // the plain initial-grammar truncation. Capacity is retained;
@@ -762,6 +774,7 @@ impl Language {
         // reference counts on shared grammar structure.
         self.nodes.truncate(n.max(self.auto.boundary));
         self.forests.truncate(f.max(self.auto.forest_boundary));
+        self.settled = self.settled.min(self.nodes.len());
         // Truncation reuses node ids, so cached signature digests must die
         // with the nodes they described.
         self.auto.digests.clear();

@@ -33,12 +33,17 @@ pub(crate) const PROD_EMPTY: u8 = 2;
 impl Language {
     /// Computes productivity for every node in `lo..hi` (all nodes below
     /// `lo` must already be settled) and rewrites proven-empty nodes to `∅`.
+    /// When `lo` is at or below the productivity watermark, the watermark
+    /// advances to `hi`.
     ///
     /// Least fixed point: nodes are assumed unproductive and promoted to
     /// productive; whatever is still unproven when the iteration stabilizes
     /// is genuinely empty.
     pub(crate) fn prune_empty(&mut self, lo: usize) {
         let hi = self.nodes.len();
+        if lo <= self.settled {
+            self.settled = hi;
+        }
         if lo >= hi {
             return;
         }
@@ -74,6 +79,12 @@ impl Language {
                 }
             }
         }
+    }
+
+    /// Does every node below the productivity watermark have a settled
+    /// mark? (The invariant a start-of-parse prune relies on.)
+    pub(crate) fn watermark_holds(&self) -> bool {
+        self.nodes[..self.settled].iter().all(|n| n.productive != PROD_UNKNOWN)
     }
 
     /// One evaluation step: is this node provably productive *now*, reading

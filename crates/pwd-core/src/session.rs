@@ -101,13 +101,23 @@ pub struct SessionState {
 impl SessionState {
     /// Starts a session at the given start node, running the once-per-parse
     /// set-up: the §4.3.1 prepass, Definition-5 base names (when naming is
-    /// on) and the initial productivity pass.
+    /// on) and the productivity pass over the nodes above the productivity
+    /// watermark. An initial-grammar start node is validated on its first
+    /// start only, so neither step grows with the automaton state that
+    /// survives [`Language::reset`].
     ///
     /// # Errors
     ///
     /// [`PwdError::UndefinedNonterminal`] for incomplete grammars.
     pub fn start(lang: &mut Language, start: NodeId) -> Result<SessionState, PwdError> {
-        lang.validate(start)?;
+        if !lang.validated.contains(&start) {
+            lang.validate(start)?;
+            // Only initial-grammar nodes keep their graph across resets
+            // (derived ids are reused after truncation).
+            if lang.initial_nodes.is_none_or(|n| start.index() < n) {
+                lang.validated.push(start);
+            }
+        }
         lang.in_parse = false;
         let mut current = start;
         // §4.3.1: apply the right-child rules (and the rest of the rule set)
@@ -123,8 +133,11 @@ impl SessionState {
         let pruning = lang.config.compaction != CompactionMode::None;
         if pruning {
             // Settle productivity for the initial grammar (and prepass
-            // output) before the per-token passes build on it.
-            lang.prune_empty(0);
+            // output) before the per-token passes build on it. Everything
+            // below the watermark — retained automaton states included — is
+            // settled already.
+            debug_assert!(lang.watermark_holds(), "a node below the watermark is unsettled");
+            lang.prune_empty(lang.settled);
         }
         lang.in_parse = true;
         if lang.automaton_active() {

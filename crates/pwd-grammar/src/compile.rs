@@ -20,8 +20,12 @@ pub struct Compiled {
     /// The start node.
     pub start: NodeId,
     term_ids: Vec<TermId>,
-    term_by_name: HashMap<String, TermId>,
+    /// Terminal name → CFG terminal index.
+    term_by_name: HashMap<String, usize>,
     term_names: Vec<String>,
+    /// One token per CFG terminal when the engine reads no lexemes
+    /// ([`ParserConfig::class_keyed`]); empty otherwise.
+    canonical: Vec<Token>,
 }
 
 /// Error produced when a token kind is not a terminal of the grammar.
@@ -69,9 +73,18 @@ impl Compiled {
         let mut lang = Language::new(config);
         let term_ids: Vec<TermId> =
             (0..cfg.terminal_count()).map(|t| lang.terminal(cfg.terminal_name(t as u32))).collect();
-        let term_by_name: HashMap<String, TermId> = (0..cfg.terminal_count())
-            .map(|t| (cfg.terminal_name(t as u32).to_string(), term_ids[t]))
+        let term_by_name: HashMap<String, usize> = (0..cfg.terminal_count())
+            .map(|t| (cfg.terminal_name(t as u32).to_string(), t))
             .collect();
+        // Interned only under the gate, so token keys are numbered as
+        // before everywhere else.
+        let canonical = if lang.config().class_keyed() {
+            (0..cfg.terminal_count())
+                .map(|t| lang.token(term_ids[t], cfg.terminal_name(t as u32)))
+                .collect()
+        } else {
+            Vec::new()
+        };
 
         // Forward-declare every nonterminal so cycles resolve.
         let nts: Vec<NodeId> = (0..cfg.nonterminal_count())
@@ -109,7 +122,7 @@ impl Compiled {
         let start = nts[cfg.start() as usize];
         let term_names =
             (0..cfg.terminal_count()).map(|t| cfg.terminal_name(t as u32).to_string()).collect();
-        Compiled { lang, start, term_ids, term_by_name, term_names }
+        Compiled { lang, start, term_ids, term_by_name, term_names, canonical }
     }
 
     /// Every terminal kind name of the grammar, in CFG index order — the
@@ -120,9 +133,18 @@ impl Compiled {
 
     /// Creates a token of the named terminal kind, or `None` if the kind is
     /// not part of this grammar.
+    ///
+    /// The lexeme is interned only when the engine can read it. Under
+    /// [`ParserConfig::class_keyed`] (class keying, recognize mode, naming
+    /// off) it cannot, so every token of a kind is that kind's one canonical
+    /// token — its lexeme is the kind's name — and the interner stays at
+    /// one token per terminal however much distinct text is parsed.
     pub fn token(&mut self, kind: &str, lexeme: &str) -> Option<Token> {
-        let id = *self.term_by_name.get(kind)?;
-        Some(self.lang.token(id, lexeme))
+        let t = *self.term_by_name.get(kind)?;
+        Some(match self.canonical.get(t) {
+            Some(tok) => tok.clone(),
+            None => self.lang.token(self.term_ids[t], lexeme),
+        })
     }
 
     /// The engine terminal for a CFG terminal index.

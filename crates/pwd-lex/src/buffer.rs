@@ -6,11 +6,12 @@
 //! buffer, in the Wagner–Graham incremental-lexing style:
 //!
 //! 1. **Damage detection.** Every token records its *scan extent* — the
-//!    furthest byte any rule's automaton examined while deciding it
-//!    (including lookahead past the match and the skip-rule scans that
-//!    preceded it). A token whose extent stays at or before the edit start
-//!    cannot be affected by the edit, so a binary search over the running
-//!    maximum of extents finds the first damaged token in `O(log n)`.
+//!    furthest byte the lexer's merged DFA examined while deciding it, up
+//!    to the character on which every rule was dead (including lookahead
+//!    past the match and the skip-rule scans that preceded it). A token
+//!    whose extent stays at or before the edit start cannot be affected by
+//!    the edit, so a binary search over the running maximum of extents
+//!    finds the first damaged token in `O(log n)`.
 //! 2. **Window relex.** Scanning restarts at the last undamaged token's
 //!    end and runs forward through the edited region.
 //! 3. **Resynchronization.** Once the scan head passes the inserted text,
@@ -38,8 +39,9 @@ struct Tok {
     span: Span,
     /// One past the furthest byte examined while producing this token:
     /// covers the whole decision window from the previous token's end,
-    /// including skip-rule scans and failed-rule lookahead. The token's
-    /// (kind, length) is a pure function of the bytes below this extent.
+    /// including skip-rule scans and the lookahead past each match. The
+    /// token's (kind, length) is a pure function of the bytes below this
+    /// extent.
     scan_end: usize,
 }
 
@@ -212,7 +214,6 @@ impl<'l> SourceBuffer<'l> {
                 offset: t.span.start,
             })
             .collect();
-        let fresh_len = fresh.len();
         let mut tail: Vec<Tok> = self.toks[reused_from..]
             .iter()
             .map(|t| Tok {
@@ -230,7 +231,6 @@ impl<'l> SourceBuffer<'l> {
         self.map.splice(start, end, replacement);
         self.rebuild_scan_max(d);
         debug_assert_eq!(self.map.source(), new_text);
-        let _ = fresh_len;
         Ok(TokenEdit { start: d, removed, inserted })
     }
 

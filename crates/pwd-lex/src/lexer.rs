@@ -1,9 +1,12 @@
 //! Generic longest-match (maximal munch) lexing over derivative-built DFAs.
 //!
 //! A [`Lexer`] is an ordered list of rules, each compiling a regex (from
-//! `pwd-regex`) to a DFA. At each input position every rule's automaton runs
-//! in lockstep; the longest match wins, ties broken by rule order. This is
-//! the classic lex discipline, built entirely on Brzozowski derivatives.
+//! `pwd-regex`) to a DFA. [`LexerBuilder::build`] merges those automata
+//! once into a single maximal-munch DFA over the whole rule vector (Owens,
+//! Reppy & Turon 2009, §4.3; see the `scanner` module), so matching at an
+//! input position is one table step per character; the longest match wins,
+//! ties broken by rule order. This is the classic lex discipline, built
+//! entirely on Brzozowski derivatives.
 //!
 //! The primary interface is streaming: [`Lexer::source`] returns a
 //! [`TokenSource`](crate::TokenSource) that scans lazily and hands out
@@ -12,6 +15,7 @@
 //! batch [`Lexer::tokenize`] is a thin shim that drains that stream into
 //! owned [`Lexeme`]s for callers that still want a slice.
 
+use crate::scanner::Scanner;
 use crate::source::{ScannedToken, TokenSource};
 use crate::span::{Position, Span};
 use pwd_regex::{Dfa, Regex};
@@ -78,7 +82,6 @@ impl std::error::Error for LexError {}
 
 struct Rule {
     name: String,
-    dfa: Dfa,
     skip: bool,
 }
 
@@ -103,12 +106,15 @@ struct Rule {
 /// ```
 pub struct Lexer {
     rules: Vec<Rule>,
+    scanner: Scanner,
 }
 
 /// Builder for [`Lexer`].
 #[derive(Default)]
 pub struct LexerBuilder {
     rules: Vec<Rule>,
+    /// Each rule's automaton, in rule order; merged by [`build`](Self::build).
+    dfas: Vec<Dfa>,
 }
 
 impl LexerBuilder {
@@ -123,10 +129,8 @@ impl LexerBuilder {
     ///
     /// Returns the underlying [`pwd_regex::ParseRegexError`] if the pattern
     /// is malformed.
-    pub fn rule(mut self, name: &str, pattern: &str) -> Result<Self, pwd_regex::ParseRegexError> {
-        let re = pwd_regex::parse(pattern)?;
-        self.rules.push(Rule { name: name.to_string(), dfa: Dfa::build(&re), skip: false });
-        Ok(self)
+    pub fn rule(self, name: &str, pattern: &str) -> Result<Self, pwd_regex::ParseRegexError> {
+        Ok(self.push(name, &pwd_regex::parse(pattern)?, false))
     }
 
     /// Adds a rule whose matches are discarded (whitespace, comments).
@@ -135,21 +139,36 @@ impl LexerBuilder {
     ///
     /// Returns the underlying [`pwd_regex::ParseRegexError`] if the pattern
     /// is malformed.
-    pub fn skip(mut self, name: &str, pattern: &str) -> Result<Self, pwd_regex::ParseRegexError> {
-        let re = pwd_regex::parse(pattern)?;
-        self.rules.push(Rule { name: name.to_string(), dfa: Dfa::build(&re), skip: true });
-        Ok(self)
+    pub fn skip(self, name: &str, pattern: &str) -> Result<Self, pwd_regex::ParseRegexError> {
+        Ok(self.push(name, &pwd_regex::parse(pattern)?, true))
     }
 
     /// Adds a rule from an already-built regex.
-    pub fn rule_regex(mut self, name: &str, re: &Regex) -> Self {
-        self.rules.push(Rule { name: name.to_string(), dfa: Dfa::build(re), skip: false });
+    pub fn rule_regex(self, name: &str, re: &Regex) -> Self {
+        self.push(name, re, false)
+    }
+
+    /// Adds `(name, pattern, skip)` rules in order.
+    pub(crate) fn rule_list<'a>(
+        mut self,
+        rules: impl IntoIterator<Item = (&'a str, &'a str, bool)>,
+    ) -> Result<Self, pwd_regex::ParseRegexError> {
+        for (name, pattern, skip) in rules {
+            self = self.push(name, &pwd_regex::parse(pattern)?, skip);
+        }
+        Ok(self)
+    }
+
+    fn push(mut self, name: &str, re: &Regex, skip: bool) -> Self {
+        self.rules.push(Rule { name: name.to_string(), skip });
+        self.dfas.push(Dfa::build(re));
         self
     }
 
-    /// Finalizes the lexer.
+    /// Finalizes the lexer, merging the rules' automata into the one DFA it
+    /// scans with.
     pub fn build(self) -> Lexer {
-        Lexer { rules: self.rules }
+        Lexer { scanner: Scanner::build(&self.dfas), rules: self.rules }
     }
 }
 
@@ -209,31 +228,17 @@ impl Lexer {
         Ok(out)
     }
 
-    /// The longest match of any rule at the head of `rest`:
-    /// `(byte length, rule index)`, ties broken by rule order.
-    fn match_at(&self, rest: &str) -> Option<(usize, usize)> {
-        self.match_at_scanned(rest).0
-    }
-
-    /// [`match_at`](Lexer::match_at) plus the *scan extent*: the furthest
-    /// byte any rule's automaton examined while deciding, whether it matched
-    /// or not. The winner at this position is a pure function of exactly
-    /// `rest[..extent]` — the load-bearing fact for incremental relexing
-    /// ([`SourceBuffer::splice`](crate::SourceBuffer::splice)): an edit that
-    /// stays clear of every decision's scan window cannot change any token.
+    /// The longest non-empty match of any rule at the head of `rest` —
+    /// `(byte length, rule index)`, ties broken by rule order — plus the
+    /// *scan extent*: the bytes the merged DFA examined while deciding,
+    /// until every rule's automaton was dead (the stopping character
+    /// included) or the input ended. The winner at this position is a pure
+    /// function of exactly `rest[..extent]` — the load-bearing fact for
+    /// incremental relexing ([`SourceBuffer::splice`](crate::SourceBuffer::splice)):
+    /// an edit that stays clear of every decision's scan window cannot
+    /// change any token.
     pub(crate) fn match_at_scanned(&self, rest: &str) -> (Option<(usize, usize)>, usize) {
-        let mut best: Option<(usize, usize)> = None;
-        let mut extent = 0;
-        for (i, rule) in self.rules.iter().enumerate() {
-            let (m, scanned) = rule.dfa.longest_match_scanned(rest);
-            extent = extent.max(scanned);
-            if let Some(len) = m {
-                if len > 0 && best.map(|(bl, _)| len > bl).unwrap_or(true) {
-                    best = Some((len, i));
-                }
-            }
-        }
-        (best, extent)
+        self.scanner.scan(rest)
     }
 
     /// Name of rule `i` (the token kind it produces).
@@ -267,7 +272,7 @@ impl TokenSource for SourceTokens<'_, '_> {
     fn next_token(&mut self) -> Option<Result<ScannedToken<'_>, LexError>> {
         while self.pos < self.input.len() {
             let rest = &self.input[self.pos..];
-            let Some((len, i)) = self.lexer.match_at(rest) else {
+            let Some((len, i)) = self.lexer.match_at_scanned(rest).0 else {
                 let err = LexError::at(self.input, self.pos);
                 // Advance past the offending character so error-tolerant
                 // consumers (diagnostics collectors) make progress instead

@@ -45,6 +45,7 @@
 mod buffer;
 mod lexer;
 mod python;
+mod scanner;
 mod source;
 mod span;
 mod timed;

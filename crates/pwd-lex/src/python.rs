@@ -67,30 +67,34 @@ fn escape_pattern(op: &str) -> String {
     op.chars().map(|c| format!("\\{c}")).collect()
 }
 
+/// The flat scanner's rules in priority order, as `(kind, pattern, skip)`.
+/// Both string forms are kind `STRING`.
+pub(crate) fn flat_rules() -> Vec<(&'static str, String, bool)> {
+    let mut rules: Vec<(&'static str, String, bool)> = [
+        ("NAME", r"[A-Za-z_][A-Za-z0-9_]*", false),
+        ("NUMBER", r"[0-9]+(\.[0-9]+)?([eE](\+|-)?[0-9]+)?", false),
+        ("STRING", r#""([^"\\\n]|\\.)*""#, false),
+        ("STRING", r"'([^'\\\n]|\\.)*'", false),
+        ("NL", "\n", false),
+        ("JOIN", "\\\\\n", true),
+        ("COMMENT", r"#[^\n]*", true),
+        ("WS", r"[ \t\r]+", true),
+    ]
+    .into_iter()
+    .map(|(kind, pattern, skip)| (kind, pattern.to_string(), skip))
+    .collect();
+    rules.extend(OPERATORS.iter().map(|op| (*op, escape_pattern(op), false)));
+    rules
+}
+
 fn flat_lexer() -> &'static Lexer {
     static LEXER: OnceLock<Lexer> = OnceLock::new();
     LEXER.get_or_init(|| {
-        let mut b = LexerBuilder::new()
-            .rule("NAME", r"[A-Za-z_][A-Za-z0-9_]*")
+        let rules = flat_rules();
+        LexerBuilder::new()
+            .rule_list(rules.iter().map(|(kind, pattern, skip)| (*kind, pattern.as_str(), *skip)))
             .expect("static pattern")
-            .rule("NUMBER", r"[0-9]+(\.[0-9]+)?([eE](\+|-)?[0-9]+)?")
-            .expect("static pattern")
-            .rule("STRING", r#""([^"\\\n]|\\.)*""#)
-            .expect("static pattern")
-            .rule("STRING", r"'([^'\\\n]|\\.)*'")
-            .expect("static pattern")
-            .rule("NL", "\n")
-            .expect("static pattern")
-            .skip("JOIN", "\\\\\n")
-            .expect("static pattern")
-            .skip("COMMENT", r"#[^\n]*")
-            .expect("static pattern")
-            .skip("WS", r"[ \t\r]+")
-            .expect("static pattern");
-        for op in OPERATORS {
-            b = b.rule(op, &escape_pattern(op)).expect("static operator pattern");
-        }
-        b.build()
+            .build()
     })
 }
 

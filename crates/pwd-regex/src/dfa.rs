@@ -2,7 +2,9 @@
 //!
 //! States are canonicalized regexes; transitions are computed once per
 //! *derivative class* rather than once per character (Owens et al. 2009).
-//! The resulting automata drive the longest-match lexers in `pwd-lex`.
+//! `pwd-lex` builds one automaton per token rule and merges them, through
+//! [`Dfa::transitions`], into the single maximal-munch automaton it scans
+//! with.
 
 use crate::class::CharClass;
 use crate::deriv::{derivative_classes, derive, nullable};
@@ -153,6 +155,25 @@ impl Dfa {
         None
     }
 
+    /// The transition ranges of `state`: `(lo, hi, target)` for every
+    /// inclusive code-point range of every outgoing class. Together they
+    /// cover every `char`, so [`step`](Dfa::step) on any `c` in `lo..=hi`
+    /// goes to `target`. The order is unspecified.
+    ///
+    /// This is the raw material for composite automata: `pwd-lex` merges
+    /// its rules' DFAs into one by cutting the alphabet at every range
+    /// boundary of every state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of range.
+    pub fn transitions(&self, state: StateId) -> impl Iterator<Item = (u32, u32, StateId)> + '_ {
+        self.states[state as usize]
+            .trans
+            .iter()
+            .flat_map(|(cls, t)| cls.ranges().map(move |(lo, hi)| (lo, hi, *t)))
+    }
+
     /// Is `state` accepting?
     pub fn is_accepting(&self, state: StateId) -> bool {
         self.states.get(state as usize).map(|s| s.accepting).unwrap_or(false)
@@ -261,7 +282,7 @@ impl Dfa {
         dfa
     }
 
-    /// Length (in chars) of the longest prefix of `input` accepted by the
+    /// Length in bytes of the longest prefix of `input` accepted by the
     /// automaton, if any prefix (including the empty one) is accepted.
     pub fn longest_match(&self, input: &str) -> Option<usize> {
         self.longest_match_scanned(input).0
@@ -373,6 +394,24 @@ mod tests {
         // After 'x' from start we are in the dead (∅) state.
         let st = dfa.step(dfa.start(), 'x').expect("total transitions");
         assert!(dfa.is_dead(st));
+    }
+
+    #[test]
+    fn transitions_agree_with_step() {
+        let dfa = Dfa::build(&crate::parse(r"[a-c]x|[0-9]+").unwrap());
+        for s in 0..dfa.len() as StateId {
+            for (lo, hi, t) in dfa.transitions(s) {
+                for v in [lo, hi] {
+                    if let Some(c) = char::from_u32(v) {
+                        assert_eq!(dfa.step(s, c), Some(t), "state {s} on {c:?}");
+                    }
+                }
+            }
+            for c in ['a', 'x', '5', 'é', '😀'] {
+                let covered = dfa.transitions(s).any(|(lo, hi, _)| (lo..=hi).contains(&(c as u32)));
+                assert!(covered, "state {s} has no range for {c:?}");
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //!
 //! Within the `derp` reproduction it serves two roles:
 //!
-//! 1. **Lexing substrate** — `pwd-lex` compiles token rules written in this
-//!    crate's syntax to DFAs and scans with maximal munch, mirroring how the
-//!    paper's evaluation pre-tokenizes its Python corpus.
+//! 1. **Lexing substrate** — `pwd-lex` compiles each token rule written in
+//!    this crate's syntax to a [`Dfa`], then merges the rule vector's
+//!    automata into one maximal-munch DFA (Owens et al. §4.3) that it scans
+//!    with, mirroring how the paper's evaluation pre-tokenizes its Python
+//!    corpus.
 //! 2. **Test oracle** — on regular fragments, the context-free engine in
 //!    `pwd-core` must agree with this crate; the integration suite exploits
 //!    that for differential property testing.

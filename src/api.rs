@@ -1622,8 +1622,9 @@ impl Recognizer for PwdBackend {
     fn feed(&mut self, kind: &str, text: &str) -> Result<bool, BackendError> {
         // Interning happens here, at the memo boundary: the streaming lexer
         // hands out borrowed text, and only the engine's interner turns it
-        // into a `TokKey` (value keying) or folds it into a `TermId` path
-        // (class keying).
+        // into a `TokKey` — unless the configuration never reads lexemes,
+        // where the kind's canonical token stands in and nothing is
+        // interned (`Compiled::token`).
         let label = self.label;
         let tok = self.compiled.token(kind, text).ok_or_else(|| {
             BackendError::unknown_kind(label, format!("unknown terminal {kind:?}"))
@@ -2696,6 +2697,30 @@ mod tests {
         a.rollback(&cp).unwrap();
         assert!(a.end().unwrap());
         let _ = b.end().unwrap();
+    }
+
+    #[test]
+    fn class_keyed_recognition_interns_one_token_per_terminal() {
+        // `pwd-dfa` recognizes under class keying, where the engine never
+        // reads a lexeme: distinct documents must not grow the interner.
+        use crate::grammar::{gen, grammars::pl0};
+        let cfg = pl0::cfg();
+        let lexer = pl0::lexer();
+        let mut dfa = PwdBackend::dfa(&cfg);
+        let mut glr = GlrBackend::prepare(&cfg);
+        let mut rejected = 0;
+        for doc in 0..200u64 {
+            let src = gen::pl0_source(40 + (doc as usize * 7) % 160, doc, 0.1);
+            let mut lexemes = lexer.tokenize(&src).expect("generated PL/0 lexes");
+            if doc % 10 == 3 {
+                lexemes.remove(lexemes.len() / 2);
+            }
+            let want = glr.recognize_lexemes(&lexemes).unwrap();
+            rejected += usize::from(!want);
+            assert_eq!(dfa.recognize_lexemes(&lexemes).unwrap(), want, "document {doc}");
+        }
+        assert!(rejected > 0, "both verdicts must occur");
+        assert_eq!(dfa.compiled().lang.token_count(), cfg.terminal_count());
     }
 
     #[test]
