@@ -206,6 +206,9 @@ pub(crate) fn top_k_trees(forest: &ParseForest, k: usize) -> Vec<String> {
     forest.trees(limits).iter().map(|t| t.to_string()).collect()
 }
 
+/// Independently locked shards of the compiled-grammar cache.
+const CACHE_SHARDS: usize = 8;
+
 /// How often (in tokens) a wall-clock budget is re-checked while feeding.
 /// Reading the clock is tens of nanoseconds against microseconds of parse
 /// work per token, but a stride keeps the check off the hot path entirely
@@ -429,8 +432,6 @@ pub struct BatchReport {
 pub struct ServiceConfig {
     /// Fixed number of worker threads batches fan out over (≥ 1).
     pub workers: usize,
-    /// Shards of the compiled-grammar cache (≥ 1).
-    pub shards: usize,
     /// Backend name from the [`derp::api`] roster (`"pwd"` aliases
     /// `"pwd-improved"`); validated lazily at first use.
     pub backend: String,
@@ -481,7 +482,6 @@ impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             workers: std::thread::available_parallelism().map_or(4, usize::from),
-            shards: 8,
             backend: "pwd-improved".to_string(),
             count_parses: false,
             forests: false,
@@ -585,12 +585,11 @@ pub struct ParseService {
 }
 
 impl ParseService {
-    /// Creates a service with the given configuration (worker and shard
-    /// counts are clamped to ≥ 1).
+    /// Creates a service with the given configuration (the worker count is
+    /// clamped to ≥ 1).
     pub fn new(mut config: ServiceConfig) -> ParseService {
         config.workers = config.workers.max(1);
-        config.shards = config.shards.max(1);
-        let cache = GrammarCache::new(config.shards, &config.backend);
+        let cache = GrammarCache::new(CACHE_SHARDS, &config.backend);
         let slots = (0..config.workers).map(|_| Mutex::new(SessionPool::new())).collect();
         let obs = ServeObs::new(config.observability);
         ParseService {

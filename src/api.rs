@@ -15,6 +15,13 @@
 //!             (kind, span))   finish
 //! ```
 //!
+//! Every input shape is a [`TokenSource`] on the way in: a kind slice
+//! ([`KindSource`]), a lexeme slice ([`LexemeSource`]), one token, or the
+//! streaming lexer. So there are two token loops in this module: one in
+//! [`Session`] that every `feed*` method reaches (recovery, incremental
+//! bookkeeping and lex errors handled once, per token), and one raw loop
+//! under the batch shims.
+//!
 //! 1. [`Recognizer::prepare`] — compile a backend from a [`Cfg`];
 //! 2. [`Session::open`] (or [`Session::owned`]) — start an incremental
 //!    parse: `feed` tokens as they arrive (straight from a streaming
@@ -23,8 +30,8 @@
 //!    continuation, `finish` for the verdict;
 //! 3. [`Recognizer::recognize`] / [`Recognizer::recognize_lexemes`] /
 //!    [`Recognizer::recognize_source`] — batch shims, provided once as
-//!    default methods over the streaming hooks (each run starts from a
-//!    clean slate);
+//!    default methods that feed the raw streaming hooks (each run starts
+//!    from a clean slate);
 //! 4. [`Parser::parse_count`] — count derivations, where supported;
 //! 5. [`Recognizer::reset`] — return to the post-compile state (for PWD the
 //!    O(1) epoch bump); [`Recognizer::metrics`] — uniform work counters.
@@ -89,8 +96,9 @@ use crate::core::{ParseMode, ParserConfig, PwdError, RecoveryBudget, SessionStat
 use crate::earley::{EarleyChart, EarleyParser, EarleyStats};
 use crate::glr::{GlrParser, GlrStats};
 use crate::grammar::{build_sppf, Cfg, Compiled};
-use crate::lex::Lexeme;
+use crate::lex::{LexError, Lexeme};
 use crate::recover::{self, Diagnostic, InputToken, RecoveryState};
+use std::collections::VecDeque;
 use std::fmt;
 
 pub use crate::core::StateSignature;
@@ -488,10 +496,7 @@ pub trait Recognizer: Send + Sync {
     /// [`BackendError`] for kinds outside the grammar's alphabet or engine
     /// resource limits; rejection is `Ok(false)`.
     fn recognize(&mut self, kinds: &[&str]) -> Result<bool, BackendError> {
-        self.begin()?;
-        for k in kinds {
-            self.feed(k, k)?;
-        }
+        feed_raw(self, &mut KindSource::new(kinds))?;
         self.end()
     }
 
@@ -505,10 +510,7 @@ pub trait Recognizer: Send + Sync {
     ///
     /// Same as [`recognize`](Recognizer::recognize).
     fn recognize_lexemes(&mut self, lexemes: &[Lexeme]) -> Result<bool, BackendError> {
-        self.begin()?;
-        for l in lexemes {
-            self.feed(&l.kind, &l.text)?;
-        }
+        feed_raw(self, &mut LexemeSource::new(lexemes))?;
         self.end()
     }
 
@@ -522,14 +524,7 @@ pub trait Recognizer: Send + Sync {
     /// [`BackendError`] for lexing errors (wrapped), unknown kinds, and
     /// engine resource limits.
     fn recognize_source(&mut self, src: &mut dyn TokenSource) -> Result<bool, BackendError> {
-        self.begin()?;
-        while let Some(item) = src.next_token() {
-            let t = match item {
-                Ok(t) => t,
-                Err(e) => return Err(BackendError::new(self.name(), e)),
-            };
-            self.feed(t.kind, t.text)?;
-        }
+        feed_raw(self, src)?;
         self.end()
     }
 
@@ -670,10 +665,7 @@ pub trait Parser: Recognizer {
     ///
     /// As [`Recognizer::recognize`]; rejection is the empty forest.
     fn parse_forest(&mut self, kinds: &[&str]) -> Result<ParseForest, BackendError> {
-        self.begin()?;
-        for k in kinds {
-            self.feed(k, k)?;
-        }
+        feed_raw(self, &mut KindSource::new(kinds))?;
         self.end_forest()
     }
 
@@ -713,6 +705,22 @@ pub trait Parser: Recognizer {
     /// for the stateless baselines it clones their tables. This is how a
     /// session pool turns one cached compile into N per-thread sessions.
     fn fork(&self) -> Box<dyn Parser>;
+}
+
+/// The batch shims' one loop: opens a session on `r` and feeds it `src`
+/// dry through the raw hooks; the caller closes. Not a [`Session`]: a
+/// `?Sized` default method cannot coerce `self` to `dyn Parser`, and the
+/// raw hooks skip the session's per-token recovery and incremental checks.
+fn feed_raw<R: Recognizer + ?Sized, S: TokenSource + ?Sized>(
+    r: &mut R,
+    src: &mut S,
+) -> Result<(), BackendError> {
+    r.begin()?;
+    while let Some(item) = src.next_token() {
+        let t = item.map_err(|e| BackendError::new(r.name(), e))?;
+        r.feed(t.kind, t.text)?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -757,17 +765,23 @@ impl BackendRef<'_> {
 /// prefixes (editor lookahead, a REPL line being typed) are fed, and on
 /// retraction rolled back, without re-parsing the committed prefix.
 ///
+/// Every `feed*` method drains its input through one loop over a
+/// [`TokenSource`] (kind slices, lexeme slices and single tokens through
+/// small adapters), and the `finish*` closers share one close path.
+///
 /// **Error recovery** is a per-session opt-in
 /// ([`enable_recovery`](Session::enable_recovery)): with a
-/// [`RecoveryBudget`] installed, every feed path repairs dead feeds
+/// [`RecoveryBudget`] installed, the feed loop repairs dead feeds
 /// (substitute / insert / skip, scored by lookahead survival — see
 /// [`crate::recover`]) instead of going dead, accumulating one spanned
 /// [`Diagnostic`] per repair, surfaced incrementally via
 /// [`diagnostics`](Session::diagnostics) and finally via
 /// [`finish_with_diagnostics`](Session::finish_with_diagnostics) /
 /// [`finish_forest_diagnostics`](Session::finish_forest_diagnostics).
-/// With recovery off (the default) nothing changes — not even a
-/// checkpoint is taken per feed.
+/// Healthy tokens cost one checkpoint each and are never copied; the
+/// lookahead a repair scores against is pulled from the input only when a
+/// token dies. With recovery off (the default) nothing changes — not even
+/// a checkpoint is taken per feed.
 ///
 /// **Incremental reparse** is a second per-session opt-in
 /// ([`enable_incremental`](Session::enable_incremental)): the session then
@@ -953,30 +967,67 @@ impl<'a> Session<'a> {
         self.recovery.as_mut().map_or_else(Vec::new, |r| std::mem::take(&mut r.diagnostics))
     }
 
-    /// Feeds a pre-tokenized slice through the recovery driver, giving
-    /// each token the next few as lookahead for repair scoring.
-    fn feed_recovering_slice(&mut self, toks: &[InputToken<'_>]) -> Result<(), BackendError> {
-        let rs = self.recovery.as_mut().expect("recovery enabled on this path");
-        let la = rs.budget.lookahead;
-        for i in 0..toks.len() {
-            let end = (i + 1 + la).min(toks.len());
-            recover::feed_recovering(self.backend.get(), rs, &toks[i], &toks[i + 1..end])?;
-        }
-        Ok(())
-    }
-
-    /// Runs the end-of-input repair (recovery on, viable, incomplete →
-    /// bounded insertion search) before a closer computes the verdict.
-    fn pre_finish(&mut self) -> Result<(), BackendError> {
-        if let Some(rs) = self.recovery.as_mut() {
-            recover::repair_eof(self.backend.get(), rs)?;
-        }
-        Ok(())
-    }
-
     /// The backend's display name.
     pub fn name(&self) -> &'static str {
         self.backend.get_ref().name()
+    }
+
+    /// The one feed loop: every `feed*` method drains its input through
+    /// here, as a [`TokenSource`] (`spanned` = its spans are worth
+    /// reporting; bare kind feeds carry none). Recovery off, each token is
+    /// fed and, in incremental mode, recorded; a lex error aborts. Recovery
+    /// on, each token takes the fast path (checkpoint + feed); only a token
+    /// that dies is copied, with the next [`RecoveryBudget::lookahead`]
+    /// tokens pulled behind it for repair scoring and fed afterwards, and a
+    /// lex error becomes a diagnostic when the loop reaches it.
+    fn feed_from<S: TokenSource + ?Sized>(
+        &mut self,
+        src: &mut S,
+        spanned: bool,
+    ) -> Result<FeedOutcome, BackendError> {
+        // Tokens (and lex errors) pulled as lookahead, not yet fed.
+        let mut pulled: VecDeque<Result<InputToken<'static>, LexError>> = VecDeque::new();
+        loop {
+            let item = match pulled.pop_front() {
+                Some(item) => item,
+                None => match src.next_token() {
+                    Some(item) => {
+                        item.map(|t| InputToken::new(t.kind, t.text, spanned.then_some(t.span)))
+                    }
+                    None => break,
+                },
+            };
+            let tok = match item {
+                Ok(tok) => tok,
+                Err(e) => match self.recovery.as_mut() {
+                    Some(rs) => {
+                        rs.note_lex_error(&e);
+                        continue;
+                    }
+                    None => return Err(BackendError::new(self.name(), e)),
+                },
+            };
+            let Some(rs) = self.recovery.as_mut() else {
+                self.feed_tracked(&tok.kind, &tok.text)?;
+                continue;
+            };
+            let Some(failure) = recover::feed_recovering(self.backend.get(), rs, &tok)? else {
+                continue;
+            };
+            let tok = tok.into_owned();
+            let mut ready = pulled.iter().filter(|item| item.is_ok()).count();
+            while ready < rs.budget.lookahead {
+                let Some(item) = src.next_token() else { break };
+                ready += usize::from(item.is_ok());
+                pulled.push_back(item.map(|t| {
+                    InputToken::new(t.kind, t.text, spanned.then_some(t.span)).into_owned()
+                }));
+            }
+            let lookahead: Vec<InputToken> =
+                pulled.iter().filter_map(|item| item.as_ref().ok().map(InputToken::view)).collect();
+            recover::repair(self.backend.get(), rs, failure, &tok, &lookahead)?;
+        }
+        self.outcome()
     }
 
     /// Feeds one token through the backend and, in incremental mode,
@@ -985,44 +1036,33 @@ impl<'a> Session<'a> {
     /// exclusive, so recovery paths never need the bookkeeping).
     fn feed_tracked(&mut self, kind: &str, text: &str) -> Result<bool, BackendError> {
         let viable = self.backend.get().feed(kind, text)?;
-        if self.incremental.is_some() {
-            self.note_feed(kind, text)?;
+        if let Some(inc) = self.incremental.as_mut() {
+            inc.history.push((kind.to_string(), text.to_string()));
+            inc.sigs.push(None);
+            let at = inc.history.len();
+            self.note_position(at)?;
         }
         Ok(viable)
     }
 
-    /// Incremental-mode bookkeeping for one successfully fed token:
-    /// remember it, memoize the post-feed state signature, and keep the
-    /// checkpoint ladder bounded and evenly spaced.
-    fn note_feed(&mut self, kind: &str, text: &str) -> Result<(), BackendError> {
-        let sig = self.backend.get().state_signature();
-        let fed = self.backend.get_ref().tokens_fed();
-        let inc = self.incremental.as_mut().expect("incremental enabled on this path");
-        inc.history.push((kind.to_string(), text.to_string()));
-        inc.sigs.push(sig);
-        debug_assert_eq!(inc.history.len(), fed, "splice history tracks the backend exactly");
-        if fed.is_multiple_of(inc.stride) {
-            let cp = self.backend.get().checkpoint()?;
-            let inc = self.incremental.as_mut().expect("checked above");
-            inc.ladder.push((fed, cp));
-            inc.enforce_rung_cap();
-        }
-        Ok(())
-    }
-
     /// Refeeds the already-recorded token at history position `pos` during
-    /// a splice. The history entry is already in place, so this is
-    /// [`feed_tracked`](Session::feed_tracked) minus the push: backend
-    /// feed, in-place signature overwrite, rung-laying.
+    /// a splice: [`feed_tracked`](Session::feed_tracked) minus the push.
     fn refeed_recorded(&mut self, pos: usize) -> Result<(), BackendError> {
         let inc = self.incremental.as_ref().expect("incremental enabled on this path");
         let (kind, text) = inc.history[pos].clone();
         self.backend.get().feed(&kind, &text)?;
+        self.note_position(pos + 1)
+    }
+
+    /// Incremental-mode bookkeeping for the position just fed, `at` in the
+    /// history: memoize its state signature and, on the stride, lay a
+    /// ladder rung there (keeping the ladder bounded and evenly spaced).
+    fn note_position(&mut self, at: usize) -> Result<(), BackendError> {
         let sig = self.backend.get().state_signature();
         let fed = self.backend.get_ref().tokens_fed();
-        debug_assert_eq!(fed, pos + 1, "refeed tracks the backend exactly");
-        let inc = self.incremental.as_mut().expect("checked above");
-        inc.sigs[pos + 1] = sig;
+        debug_assert_eq!(fed, at, "splice history tracks the backend exactly");
+        let inc = self.incremental.as_mut().expect("incremental enabled on this path");
+        inc.sigs[fed] = sig;
         if fed.is_multiple_of(inc.stride) {
             let cp = self.backend.get().checkpoint()?;
             let inc = self.incremental.as_mut().expect("checked above");
@@ -1040,17 +1080,7 @@ impl<'a> Session<'a> {
     ///
     /// See [`Recognizer::feed`].
     pub fn feed(&mut self, kind: &str, text: &str) -> Result<FeedOutcome, BackendError> {
-        let viable = match self.recovery.as_mut() {
-            Some(rs) => {
-                let tok = InputToken::new(kind, text, None);
-                recover::feed_recovering(self.backend.get(), rs, &tok, &[])?
-            }
-            None => self.feed_tracked(kind, text)?,
-        };
-        if !viable {
-            return Ok(FeedOutcome::Dead);
-        }
-        self.outcome()
+        self.feed_from(&mut OneToken(Some((kind, text))), false)
     }
 
     /// Feeds one kind, using the kind as its own text.
@@ -1069,15 +1099,7 @@ impl<'a> Session<'a> {
     ///
     /// See [`Recognizer::feed`].
     pub fn feed_all(&mut self, kinds: &[&str]) -> Result<FeedOutcome, BackendError> {
-        if self.recovery.is_some() {
-            let toks: Vec<InputToken> = kinds.iter().map(|k| InputToken::new(k, k, None)).collect();
-            self.feed_recovering_slice(&toks)?;
-            return self.outcome();
-        }
-        for k in kinds {
-            self.feed_tracked(k, k)?;
-        }
-        self.outcome()
+        self.feed_from(&mut KindSource::new(kinds), false)
     }
 
     /// Feeds a lexeme slice (kind + text per token); returns the outcome
@@ -1087,61 +1109,23 @@ impl<'a> Session<'a> {
     ///
     /// See [`Recognizer::feed`].
     pub fn feed_lexemes(&mut self, lexemes: &[Lexeme]) -> Result<FeedOutcome, BackendError> {
-        if self.recovery.is_some() {
-            let toks: Vec<InputToken> = lexemes
-                .iter()
-                .map(|l| {
-                    InputToken::new(
-                        &l.kind,
-                        &l.text,
-                        Some(Span::new(l.offset, l.offset + l.text.len())),
-                    )
-                })
-                .collect();
-            self.feed_recovering_slice(&toks)?;
-            return self.outcome();
-        }
-        for l in lexemes {
-            self.feed_tracked(&l.kind, &l.text)?;
-        }
-        self.outcome()
+        self.feed_from(&mut LexemeSource::new(lexemes), true)
     }
 
     /// Drains a [`TokenSource`] into the session — the fused lex+parse
     /// path: each token is matched, borrowed, fed, and dropped before the
-    /// next is pulled, with no intermediate vector.
+    /// next is pulled, with no intermediate vector. With recovery on, lex
+    /// errors become diagnostics at their stream position (the streaming
+    /// lexer resynchronizes past the bad bytes itself) instead of aborting
+    /// the parse, and at most [`RecoveryBudget::lookahead`] tokens are
+    /// held at a time.
     ///
     /// # Errors
     ///
-    /// Lexing errors are wrapped in a [`BackendError`]; feeding errors as
-    /// in [`Recognizer::feed`].
+    /// Lexing errors (recovery off) are wrapped in a [`BackendError`];
+    /// feeding errors as in [`Recognizer::feed`].
     pub fn feed_source(&mut self, src: &mut dyn TokenSource) -> Result<FeedOutcome, BackendError> {
-        if self.recovery.is_some() {
-            // Recovery needs lookahead and owned tokens, so this path
-            // trades the zero-copy fusion for a buffered drain. Lex errors
-            // become diagnostics (the streaming lexer resynchronizes past
-            // the bad bytes itself) instead of aborting the parse.
-            let mut toks = Vec::new();
-            while let Some(item) = src.next_token() {
-                match item {
-                    Ok(t) => toks.push(InputToken::owned(t.kind, t.text, Some(t.span))),
-                    Err(e) => {
-                        let rs = self.recovery.as_mut().expect("recovery checked above");
-                        rs.note_lex_error(&e);
-                    }
-                }
-            }
-            self.feed_recovering_slice(&toks)?;
-            return self.outcome();
-        }
-        while let Some(item) = src.next_token() {
-            let t = match item {
-                Ok(t) => t,
-                Err(e) => return Err(BackendError::new(self.name(), e)),
-            };
-            self.feed_tracked(t.kind, t.text)?;
-        }
-        self.outcome()
+        self.feed_from(src, true)
     }
 
     /// The current outcome (without feeding anything).
@@ -1447,8 +1431,7 @@ impl<'a> Session<'a> {
     ///
     /// [`BackendError`] if the backend lost its session (a bug).
     pub fn finish(mut self) -> Result<bool, BackendError> {
-        self.pre_finish()?;
-        self.backend.get().end()
+        self.close(|b| b.end()).0
     }
 
     /// Closes the session and returns the verdict together with every
@@ -1460,22 +1443,15 @@ impl<'a> Session<'a> {
     ///
     /// [`BackendError`] if the backend lost its session (a bug).
     pub fn finish_with_diagnostics(mut self) -> Result<(bool, Vec<Diagnostic>), BackendError> {
-        self.pre_finish()?;
-        let diags = self.take_diagnostics();
-        let verdict = self.backend.get().end()?;
-        Ok((verdict, diags))
+        let (verdict, diags) = self.close(|b| b.end());
+        Ok((verdict?, diags))
     }
 
     /// Closes the session and, if the backend is owned, hands it back for
     /// pooling/reuse (`None` for borrowed sessions — the caller still holds
     /// the backend).
     pub fn finish_and_release(mut self) -> (Result<bool, BackendError>, Option<Box<dyn Parser>>) {
-        let pre = self.pre_finish();
-        let verdict = pre.and(self.backend.get().end());
-        match self.backend {
-            BackendRef::Borrowed(_) => (verdict, None),
-            BackendRef::Owned(b) => (verdict, Some(b)),
-        }
+        (self.close(|b| b.end()).0, self.release())
     }
 
     /// Closes the session and returns the canonical shared parse forest of
@@ -1486,8 +1462,7 @@ impl<'a> Session<'a> {
     ///
     /// See [`Parser::end_forest`].
     pub fn finish_forest(mut self) -> Result<ParseForest, BackendError> {
-        self.pre_finish()?;
-        self.backend.get().end_forest()
+        self.close(|b| b.end_forest()).0
     }
 
     /// Closes the session and returns the canonical forest of the
@@ -1502,10 +1477,8 @@ impl<'a> Session<'a> {
     pub fn finish_forest_diagnostics(
         mut self,
     ) -> Result<(ParseForest, Vec<Diagnostic>), BackendError> {
-        self.pre_finish()?;
-        let diags = self.take_diagnostics();
-        let forest = self.backend.get().end_forest()?;
-        Ok((forest, diags))
+        let (forest, diags) = self.close(|b| b.end_forest());
+        Ok((forest?, diags))
     }
 
     /// Closes the session with a forest and, if the backend is owned, hands
@@ -1513,12 +1486,42 @@ impl<'a> Session<'a> {
     pub fn finish_forest_and_release(
         mut self,
     ) -> (Result<ParseForest, BackendError>, Option<Box<dyn Parser>>) {
-        let pre = self.pre_finish();
-        let forest = pre.and(self.backend.get().end_forest());
+        (self.close(|b| b.end_forest()).0, self.release())
+    }
+
+    /// The one close path behind every `finish*` adapter: the end-of-input
+    /// repair (recovery on, viable, incomplete → bounded insertion search),
+    /// then the backend's closer `end` — run even when the repair fails, so
+    /// the backend never keeps the session open — and the diagnostics.
+    fn close<T>(
+        &mut self,
+        end: impl FnOnce(&mut dyn Parser) -> Result<T, BackendError>,
+    ) -> (Result<T, BackendError>, Vec<Diagnostic>) {
+        let repaired = match self.recovery.as_mut() {
+            Some(rs) => recover::repair_eof(self.backend.get(), rs),
+            None => Ok(()),
+        };
+        let diags = self.take_diagnostics();
+        (repaired.and(end(self.backend.get())), diags)
+    }
+
+    /// The backend, if owned, for pooling/reuse after [`close`](Session::close).
+    fn release(self) -> Option<Box<dyn Parser>> {
         match self.backend {
-            BackendRef::Borrowed(_) => (forest, None),
-            BackendRef::Owned(b) => (forest, Some(b)),
+            BackendRef::Borrowed(_) => None,
+            BackendRef::Owned(b) => Some(b),
         }
+    }
+}
+
+/// A one-token [`TokenSource`]: how [`Session::feed`] reaches the feed
+/// loop.
+struct OneToken<'a>(Option<(&'a str, &'a str)>);
+
+impl TokenSource for OneToken<'_> {
+    fn next_token(&mut self) -> Option<Result<ScannedToken<'_>, LexError>> {
+        let (kind, text) = self.0.take()?;
+        Some(Ok(ScannedToken { kind, text, span: Span::new(0, 0) }))
     }
 }
 
@@ -2927,5 +2930,32 @@ mod tests {
         let m = s.metrics();
         assert!(m.tokens_refed > 0, "{m:?}");
         assert!(m.tokens_reused > 0, "{m:?}");
+    }
+
+    #[test]
+    fn recovering_source_notes_lex_errors_at_their_stream_position() {
+        let mut g = CfgBuilder::new("S");
+        g.terminals(&["NUM", "PLUS"]);
+        g.rule("S", &["NUM"]);
+        g.rule("S", &["S", "PLUS", "NUM"]);
+        let cfg = g.build().unwrap();
+        let lexer = crate::lex::LexerBuilder::new()
+            .rule("NUM", "[0-9]+")
+            .unwrap()
+            .rule("PLUS", "\\+")
+            .unwrap()
+            .skip("WS", " +")
+            .unwrap()
+            .build();
+        let mut backend = PwdBackend::improved(&cfg);
+        let mut s = Session::open(&mut backend).unwrap();
+        s.enable_recovery(RecoveryBudget::default());
+        // Tokens 0-6 are "1 + 2 + 3 + 4"; "§" comes before token 7, the
+        // second "+" of "+ +" is token 10, and "¤" comes before token 14.
+        s.feed_source(&mut lexer.source("1 + 2 + 3 + 4 § + 5 + + 6 + 7 ¤ + 8")).unwrap();
+        let (accepted, diags) = s.finish_with_diagnostics().unwrap();
+        assert!(accepted, "{diags:?}");
+        let indices: Vec<usize> = diags.iter().map(|d| d.token_index).collect();
+        assert_eq!(indices, [7, 10, 14], "{diags:?}");
     }
 }

@@ -111,7 +111,7 @@
 //! # }
 //! ```
 
-use crate::api::{BackendError, Parser};
+use crate::api::{BackendError, Checkpoint, Parser};
 use crate::lex::{Position, SourceMap, Span};
 use std::fmt;
 
@@ -247,11 +247,11 @@ pub fn attach_positions(diagnostics: &mut [Diagnostic], src: &str) {
 }
 
 /// One input token as the recovery driver sees it, plus the source span
-/// when the feed path knows it. Kind and text are [`Cow`]s: the batch
-/// feed paths borrow straight from the caller's lexemes (recovery adds
-/// zero allocations per clean token), while the streaming path — whose
-/// scanned tokens die on the next `next_token` pull — buffers owned
-/// copies.
+/// when the feed path knows it. Kind and text are [`Cow`]s: the session's
+/// feed loop borrows every token straight from its source for the fast
+/// path (recovery adds zero allocations per clean token), and copies only
+/// a dying token and the lookahead pulled behind it — a pulled token's
+/// borrow dies on the next `next_token` call.
 ///
 /// [`Cow`]: std::borrow::Cow
 #[derive(Debug, Clone)]
@@ -270,14 +270,23 @@ impl<'a> InputToken<'a> {
         }
     }
 
-    /// An owning token for feed paths whose source strings don't outlive
-    /// the pull loop.
-    pub(crate) fn owned(kind: &str, text: &str, span: Option<Span>) -> InputToken<'static> {
+    /// Detaches the token from its source (copying only borrowed text).
+    pub(crate) fn into_owned(self) -> InputToken<'static> {
         InputToken {
-            kind: std::borrow::Cow::Owned(kind.to_string()),
-            text: std::borrow::Cow::Owned(text.to_string()),
-            span,
+            kind: std::borrow::Cow::Owned(self.kind.into_owned()),
+            text: std::borrow::Cow::Owned(self.text.into_owned()),
+            span: self.span,
         }
+    }
+
+    /// A borrowed view of this token.
+    pub(crate) fn view(&self) -> InputToken<'_> {
+        InputToken::new(&self.kind, &self.text, self.span)
+    }
+
+    /// `(kind, text)`, as a backend feed takes them.
+    fn pair(&self) -> (&str, &str) {
+        (&self.kind, &self.text)
     }
 }
 
@@ -475,16 +484,23 @@ struct Option_ {
     rank: u8,
 }
 
-/// Feeds one real input token with recovery: the fast path is one
-/// checkpoint plus the ordinary feed; on a dead (or unknown-kind) feed
-/// the repair machinery engages. Returns session viability, like
-/// [`Recognizer::feed`](crate::api::Recognizer::feed).
+/// A token [`feed_recovering`] could not feed: its input index and
+/// whether its kind is outside the grammar.
+pub(crate) struct Failure {
+    index: usize,
+    unknown: bool,
+}
+
+/// Feeds one real input token with recovery's fast path: one checkpoint
+/// plus the ordinary feed (or, once the budget is spent, salvage). A dead
+/// (or unknown-kind) feed is rewound to the pre-feed state and returned as
+/// a [`Failure`], so the caller pulls lookahead only for the tokens that
+/// need it and then calls [`repair`].
 pub(crate) fn feed_recovering(
     backend: &mut dyn Parser,
     rs: &mut RecoveryState,
     tok: &InputToken<'_>,
-    lookahead: &[InputToken<'_>],
-) -> Result<bool, BackendError> {
+) -> Result<Option<Failure>, BackendError> {
     let index = rs.next_index;
     rs.next_index += 1;
     if let Some(span) = tok.span {
@@ -496,17 +512,17 @@ pub(crate) fn feed_recovering(
         // it. Feed what still fits, drop what does not (coalesced into
         // one diagnostic per contiguous region, charged nothing) — one
         // checkpoint + rollback per dropped token, so still linear.
-        return salvage_feed(backend, rs, index, tok);
+        return salvage_feed(backend, rs, index, tok).map(|()| None);
     }
     if !backend.is_viable() {
         // Dead despite recovery (resource errors, callers feeding past a
         // fatal error): degrade to the recovery-off path — a dead feed
         // is cheap and stays dead.
-        return backend.feed(&tok.kind, &tok.text);
+        return backend.feed(&tok.kind, &tok.text).map(|_| None);
     }
     let cp = backend.checkpoint()?;
     let unknown = match backend.feed(&tok.kind, &tok.text) {
-        Ok(true) => return Ok(true),
+        Ok(true) => return Ok(None),
         Ok(false) => {
             // The token killed the language; rewind to the pre-feed
             // derivative (restores viability) and repair from there.
@@ -519,8 +535,21 @@ pub(crate) fn feed_recovering(
         Err(e) if e.is_unknown_kind() => true,
         Err(e) => return Err(e),
     };
+    Ok(Some(Failure { index, unknown }))
+}
+
+/// Repairs the token [`feed_recovering`] could not feed, scoring the
+/// repairs against `lookahead` (the next up to
+/// [`RecoveryBudget::lookahead`] input tokens).
+pub(crate) fn repair(
+    backend: &mut dyn Parser,
+    rs: &mut RecoveryState,
+    failure: Failure,
+    tok: &InputToken<'_>,
+    lookahead: &[InputToken<'_>],
+) -> Result<(), BackendError> {
     let started = std::time::Instant::now();
-    let result = repair_at(backend, rs, index, tok, lookahead, unknown);
+    let result = repair_at(backend, rs, failure.index, tok, lookahead, failure.unknown);
     backend.record_recover_span(started.elapsed().as_nanos() as u64);
     result
 }
@@ -532,19 +561,19 @@ fn salvage_feed(
     rs: &mut RecoveryState,
     index: usize,
     tok: &InputToken<'_>,
-) -> Result<bool, BackendError> {
+) -> Result<(), BackendError> {
     if !backend.is_viable() {
-        return backend.feed(&tok.kind, &tok.text);
+        return backend.feed(&tok.kind, &tok.text).map(|_| ());
     }
     let cp = backend.checkpoint()?;
     match backend.feed(&tok.kind, &tok.text) {
-        Ok(true) => return Ok(true),
+        Ok(true) => return Ok(()),
         Ok(false) => backend.rollback(&cp)?,
         Err(e) if e.is_unknown_kind() => {}
         Err(e) => return Err(e),
     }
     rs.note_dropped(index, tok);
-    Ok(true)
+    Ok(())
 }
 
 /// The repair engine at one failure point: probe candidates, score the
@@ -556,13 +585,13 @@ fn repair_at(
     tok: &InputToken<'_>,
     lookahead: &[InputToken<'_>],
     unknown: bool,
-) -> Result<bool, BackendError> {
+) -> Result<(), BackendError> {
     if !rs.can_afford(min_cost(&rs.budget)) || rs.flailing(index) {
         rs.note_exhausted(index, tok.span);
         return if unknown {
             // Can't even feed it raw; drop it without charge so the
             // salvage path keeps the session alive for the rest.
-            Ok(backend.is_viable())
+            Ok(())
         } else {
             salvage_feed(backend, rs, index, tok)
         };
@@ -646,11 +675,7 @@ fn repair_at(
         // Nothing viable is affordable (skip itself over budget): mark
         // the budget spent and fall into the salvage path.
         rs.note_exhausted(index, tok.span);
-        return if unknown {
-            Ok(backend.is_viable())
-        } else {
-            salvage_feed(backend, rs, index, tok)
-        };
+        return if unknown { Ok(()) } else { salvage_feed(backend, rs, index, tok) };
     };
 
     let found_desc = if unknown {
@@ -689,7 +714,7 @@ fn repair_at(
         severity: Severity::Error,
         message,
     });
-    Ok(true)
+    Ok(())
 }
 
 /// Tail scoring: trial-feed `seq`, then the remaining input tail, then
@@ -706,43 +731,7 @@ fn frontier_bonus(
     max_candidates: usize,
 ) -> Result<usize, BackendError> {
     let cp = backend.checkpoint()?;
-    let mut viable = true;
-    for (kind, text) in seq {
-        match backend.feed(kind, text) {
-            Ok(true) => {}
-            Ok(false) => {
-                viable = false;
-                break;
-            }
-            Err(e) if e.is_unknown_kind() => {
-                viable = false;
-                break;
-            }
-            Err(e) => {
-                let _ = backend.rollback(&cp);
-                return Err(e);
-            }
-        }
-    }
-    if viable {
-        for t in tail {
-            match backend.feed(&t.kind, &t.text) {
-                Ok(true) => {}
-                Ok(false) => {
-                    viable = false;
-                    break;
-                }
-                Err(e) if e.is_unknown_kind() => {
-                    viable = false;
-                    break;
-                }
-                Err(e) => {
-                    let _ = backend.rollback(&cp);
-                    return Err(e);
-                }
-            }
-        }
-    }
+    let viable = trial_feed(backend, &cp, seq, tail.iter())? == seq.len() + tail.len();
     let bonus = if viable
         && (backend.prefix_is_sentence()?
             || find_completion(backend, FRONTIER_PROBE_DEPTH, max_candidates)?.is_some())
@@ -778,40 +767,34 @@ fn probe(
     la_max: usize,
 ) -> Result<Option<usize>, BackendError> {
     let cp = backend.checkpoint()?;
-    let mut viable = true;
-    for (kind, text) in seq {
+    let fed = trial_feed(backend, &cp, seq, lookahead.iter().take(la_max))?;
+    backend.rollback(&cp)?;
+    Ok(fed.checked_sub(seq.len()))
+}
+
+/// The trial feed behind [`probe`] and [`frontier_bonus`]: feeds `seq`,
+/// then `input`, stopping at the first token that dies or has an unknown
+/// kind, and returns how many were fed viably. The caller rewinds to `cp`,
+/// taken before the trial; an engine error rewinds here and propagates.
+fn trial_feed<'t>(
+    backend: &mut dyn Parser,
+    cp: &Checkpoint,
+    seq: &[(&'t str, &'t str)],
+    input: impl Iterator<Item = &'t InputToken<'t>>,
+) -> Result<usize, BackendError> {
+    let mut fed = 0;
+    for (kind, text) in seq.iter().copied().chain(input.map(InputToken::pair)) {
         match backend.feed(kind, text) {
-            Ok(true) => {}
-            Ok(false) => {
-                viable = false;
-                break;
-            }
-            Err(e) if e.is_unknown_kind() => {
-                viable = false;
-                break;
-            }
+            Ok(true) => fed += 1,
+            Ok(false) => break,
+            Err(e) if e.is_unknown_kind() => break,
             Err(e) => {
-                let _ = backend.rollback(&cp);
+                let _ = backend.rollback(cp);
                 return Err(e);
             }
         }
     }
-    let mut la = 0;
-    if viable {
-        for t in lookahead.iter().take(la_max) {
-            match backend.feed(&t.kind, &t.text) {
-                Ok(true) => la += 1,
-                Ok(false) => break,
-                Err(e) if e.is_unknown_kind() => break,
-                Err(e) => {
-                    let _ = backend.rollback(&cp);
-                    return Err(e);
-                }
-            }
-        }
-    }
-    backend.rollback(&cp)?;
-    Ok(viable.then_some(la))
+    Ok(fed)
 }
 
 /// Maximum depth of the end-of-input insertion search. Real truncations
