@@ -138,7 +138,10 @@ impl Language {
 
     /// Normalizes a previously returned forest into an owned, canonical
     /// [`ParseForest`] — the cross-backend comparable form (see
-    /// [`pwd_forest::Forest::extract_canonical`]).
+    /// [`pwd_forest::Forest::extract_canonical`]). Timed under
+    /// [`Phase::Forest`](pwd_obs::Phase::Forest), like the `parse-null`
+    /// that built the raw forest, so the phase covers the whole canonical
+    /// forest build, as it does for the Earley and GLR backends.
     ///
     /// # Errors
     ///
@@ -146,8 +149,11 @@ impl Language {
     /// [`Reduce`](crate::Reduce) function over a highly ambiguous
     /// subforest; grammars compiled from a CFG use structured labels and
     /// always canonicalize.
-    pub fn canonical_forest(&self, forest: ForestId) -> Result<ParseForest, CanonError> {
-        self.forests.extract_canonical(forest)
+    pub fn canonical_forest(&mut self, forest: ForestId) -> Result<ParseForest, CanonError> {
+        let span = self.obs_start();
+        let canon = self.forests.extract_canonical(forest);
+        self.obs_end(pwd_obs::Phase::Forest, span);
+        canon
     }
 
     /// Does a previously returned forest contain at least one finite tree?

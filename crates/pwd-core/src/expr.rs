@@ -264,6 +264,9 @@ pub struct Language {
     /// prunes only the nodes above it. `prune_empty` advances it and
     /// [`reset`](Language::reset) clamps it to the truncated arena.
     pub(crate) settled: usize,
+    /// Reusable reader lists and worklist of the productivity pass (see
+    /// [`crate::prune`]).
+    pub(crate) readers: crate::prune::ReaderLists,
     /// Initial-grammar start nodes that passed [`validate`](Language::validate):
     /// their reachable graph can no longer change, so a session start
     /// validates each only once.
@@ -304,6 +307,7 @@ impl Language {
             initial_nodes: None,
             initial_forests: None,
             settled: 0,
+            readers: Default::default(),
             validated: Vec::new(),
             term_nodes: HashMap::new(),
             forest_nothing,

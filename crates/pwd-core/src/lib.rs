@@ -8,7 +8,9 @@
 //! improvements, each independently switchable for ablation:
 //!
 //! * **Accelerated fixed points** for `nullable?` (§4.2) —
-//!   [`NullStrategy`];
+//!   [`NullStrategy`] — and for the per-token productivity pass that prunes
+//!   empty derivative nodes, a worklist that revisits only the nodes whose
+//!   inputs changed;
 //! * **Improved compaction** applied locally at node-construction time
 //!   (§4.3), including the associativity-canonicalization and
 //!   reduction-floating rules — [`CompactionMode`];

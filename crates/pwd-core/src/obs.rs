@@ -206,11 +206,13 @@ mod tests {
         lang.enable_obs(true);
         assert!(lang.recognize(s, &[a.clone(), b.clone()]).unwrap());
         lang.reset();
-        lang.parse_forest(s, &[a, b]).unwrap();
+        let root = lang.parse_forest(s, &[a, b]).unwrap();
+        lang.canonical_forest(root).unwrap();
         let events = lang.take_trace();
         assert!(!events.is_empty());
         assert!(events.iter().any(|e| e.name == "derive"), "{events:?}");
-        assert!(events.iter().any(|e| e.name == "forest"), "{events:?}");
+        // `parse-null` and canonicalization each record a forest span.
+        assert_eq!(events.iter().filter(|e| e.name == "forest").count(), 2, "{events:?}");
         assert!(lang.take_trace().is_empty(), "drained");
     }
 

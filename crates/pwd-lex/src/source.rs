@@ -14,8 +14,9 @@
 //!   the input lazily, one maximal-munch match per pull;
 //! * [`LexemeSource`] — adapts an already-materialized `&[Lexeme]` slice
 //!   (the legacy batch shape) to the streaming interface;
-//! * [`KindSource`] — adapts a bare `&[&str]` kind sequence (grammar-level
-//!   tests and differential drivers), with token-index spans.
+//! * [`KindSource`] — adapts a bare kind sequence (`&[&str]`, `&[String]`;
+//!   grammar-level tests, differential harnesses and kinds requests), with
+//!   token-index spans.
 //!
 //! The consumer half is a parser `Session` (see `derp::api`): every backend
 //! accepts any `TokenSource`, so the same stream can drive PWD, Earley, or
@@ -86,25 +87,25 @@ impl TokenSource for LexemeSource<'_> {
     }
 }
 
-/// Streams a bare kind sequence (`&[&str]`), using the kind as its own
-/// text. Spans are token indices, not byte offsets — there is no underlying
-/// buffer.
+/// Streams a bare kind sequence (`&[&str]`, `&[String]`, …), using the
+/// kind as its own text. Spans are token indices, not byte offsets — there
+/// is no underlying buffer.
 #[derive(Debug, Clone)]
-pub struct KindSource<'a> {
-    kinds: &'a [&'a str],
+pub struct KindSource<'a, S = &'a str> {
+    kinds: &'a [S],
     pos: usize,
 }
 
-impl<'a> KindSource<'a> {
+impl<'a, S: AsRef<str>> KindSource<'a, S> {
     /// Wraps a kind sequence.
-    pub fn new(kinds: &'a [&'a str]) -> KindSource<'a> {
+    pub fn new(kinds: &'a [S]) -> KindSource<'a, S> {
         KindSource { kinds, pos: 0 }
     }
 }
 
-impl TokenSource for KindSource<'_> {
+impl<S: AsRef<str>> TokenSource for KindSource<'_, S> {
     fn next_token(&mut self) -> Option<Result<ScannedToken<'_>, LexError>> {
-        let k = *self.kinds.get(self.pos)?;
+        let k = self.kinds.get(self.pos)?.as_ref();
         self.pos += 1;
         Some(Ok(ScannedToken { kind: k, text: k, span: Span::new(self.pos - 1, self.pos) }))
     }

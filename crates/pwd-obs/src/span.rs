@@ -14,7 +14,9 @@ pub enum Phase {
     /// Taking the derivative of the current state by one token (includes
     /// the memo probes; per-token granularity).
     Derive,
-    /// A compaction pass over the fresh derivative.
+    /// The clean-up pass over the fresh derivative: emptiness pruning (the
+    /// productivity fixed point) in the improved preset, plus the separate
+    /// compaction pass in the original one.
     Compact,
     /// A nullability fixed-point run (only runs that actually iterate;
     /// definite-bit hits are free and unrecorded).

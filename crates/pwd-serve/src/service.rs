@@ -189,10 +189,7 @@ impl Input {
         range: Range<usize>,
     ) -> Result<FeedOutcome, BackendError> {
         match self {
-            Input::Kinds(kinds) => {
-                let refs: Vec<&str> = kinds[range].iter().map(String::as_str).collect();
-                session.feed_all(&refs)
-            }
+            Input::Kinds(kinds) => session.feed_all(&kinds[range]),
             Input::Lexemes(lexemes) => session.feed_lexemes(&lexemes[range]),
         }
     }

@@ -1098,7 +1098,7 @@ impl<'a> Session<'a> {
     /// # Errors
     ///
     /// See [`Recognizer::feed`].
-    pub fn feed_all(&mut self, kinds: &[&str]) -> Result<FeedOutcome, BackendError> {
+    pub fn feed_all<S: AsRef<str>>(&mut self, kinds: &[S]) -> Result<FeedOutcome, BackendError> {
         self.feed_from(&mut KindSource::new(kinds), false)
     }
 
