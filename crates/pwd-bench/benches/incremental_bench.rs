@@ -28,7 +28,7 @@ use derp::api::{Parser, PwdBackend, Session, SpliceOutcome};
 use pwd_bench::Trajectory;
 use pwd_core::{AutomatonMode, MemoKeying, ParseMode, ParserConfig};
 use pwd_grammar::{gen, grammars};
-use pwd_lex::Lexeme;
+use pwd_lex::{Lexeme, SharedStr};
 use std::time::Instant;
 
 /// Moderate identifier reuse: realistic source, and the class-keyed memo
@@ -47,7 +47,7 @@ fn config(automaton: AutomatonMode) -> ParserConfig {
 /// A replacement text for the token at `at`: another text of the same kind
 /// from elsewhere in the buffer when one exists (a realistic "retype the
 /// identifier" keystroke), else the original text.
-fn replacement_for(lexemes: &[Lexeme], at: usize) -> String {
+fn replacement_for(lexemes: &[Lexeme], at: usize) -> SharedStr {
     let target = &lexemes[at];
     lexemes
         .iter()

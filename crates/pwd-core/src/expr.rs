@@ -521,7 +521,7 @@ impl Language {
     }
 
     /// An `ε_s` node yielding the given constant tree. (Its definite
-    /// nullability follows from its kind; see [`Node::null_defaults`].)
+    /// nullability follows from its kind; see `Node::null_defaults`.)
     pub fn eps_tree(&mut self, tree: Tree) -> NodeId {
         let f = self.forests.alloc(ForestNode::Const(tree));
         self.alloc(ExprKind::Eps(f))

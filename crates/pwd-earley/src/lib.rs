@@ -114,7 +114,7 @@ impl EarleyParser {
             .map(|(i, l)| {
                 self.cfg
                     .terminal_index(&l.kind)
-                    .ok_or_else(|| UnknownKind { kind: l.kind.clone(), position: i })
+                    .ok_or_else(|| UnknownKind { kind: l.kind.to_string(), position: i })
             })
             .collect();
         Ok(self.recognize(&toks?))
@@ -409,8 +409,8 @@ impl EarleyParser {
     }
 
     /// Extracts **one** derivation tree for an accepted input (any
-    /// derivation if ambiguous) — a shim over [`parse_forest`]
-    /// (EarleyParser::parse_forest) now that the chart builds full
+    /// derivation if ambiguous) — a shim over
+    /// [`parse_forest`](EarleyParser::parse_forest) now that the chart builds full
     /// forests. Returns `None` if the input is not in the language.
     pub fn parse_tree(&self, tokens: &[u32]) -> Option<Tree> {
         let forest = self.parse_forest(tokens);

@@ -78,7 +78,6 @@ pub struct GlrParser {
     action: Vec<HashMap<Option<u32>, Vec<Action>>>,
     /// GOTO[state][nonterminal].
     goto_nt: Vec<HashMap<u32, u32>>,
-    term_names: Vec<String>,
 }
 
 /// Statistics from a GLR run.
@@ -194,15 +193,7 @@ impl GlrParser {
             }
         }
 
-        GlrParser {
-            cfg: cfg.clone(),
-            prods,
-            action,
-            goto_nt,
-            term_names: (0..cfg.terminal_count())
-                .map(|t| cfg.terminal_name(t as u32).to_string())
-                .collect(),
-        }
+        GlrParser { cfg: cfg.clone(), prods, action, goto_nt }
     }
 
     /// The source grammar.
@@ -261,7 +252,7 @@ impl GlrParser {
             .enumerate()
             .map(|(i, l)| {
                 self.terminal_index(&l.kind)
-                    .ok_or_else(|| UnknownKind { kind: l.kind.clone(), position: i })
+                    .ok_or_else(|| UnknownKind { kind: l.kind.to_string(), position: i })
             })
             .collect();
         Ok(self.recognize(&toks?))
@@ -292,7 +283,7 @@ impl GlrParser {
     /// the grammar. The single-token lookup streaming feeds use (no
     /// per-token vector).
     pub fn terminal_index(&self, name: &str) -> Option<u32> {
-        self.term_names.iter().position(|t| t == name).map(|i| i as u32)
+        self.cfg.terminal_index(name)
     }
 
     fn run(&self, tokens: &[u32]) -> (bool, GlrStats) {

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A grammar symbol: terminal or nonterminal, by index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,10 +34,15 @@ pub struct Production {
 #[derive(Debug, Clone)]
 pub struct Cfg {
     terminals: Vec<String>,
+    /// Terminal name → index: the one kind lookup the compiled PWD
+    /// grammar and the Earley and GLR parsers all resolve tokens through.
+    term_index: TermMap,
     nonterminals: Vec<String>,
     productions: Vec<Production>,
     by_lhs: Vec<Vec<usize>>,
     start: u32,
+    /// [`Cfg::fingerprint`], hashed once when the grammar is built.
+    fingerprint: u64,
 }
 
 /// Errors from grammar construction.
@@ -69,6 +75,46 @@ impl fmt::Display for CfgError {
 
 impl std::error::Error for CfgError {}
 
+/// The FNV-1a offset basis.
+const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a hash `h`.
+#[inline]
+fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// FNV-1a as a [`Hasher`], for maps keyed by terminal names: a kind name is
+/// a few bytes long, where SipHash's per-lookup setup is most of the cost.
+struct Fnv(u64);
+
+impl Default for Fnv {
+    #[inline]
+    fn default() -> Fnv {
+        Fnv(OFFSET)
+    }
+}
+
+impl Hasher for Fnv {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv_bytes(self.0, bytes);
+    }
+}
+
+/// Terminal name → index.
+type TermMap = HashMap<String, u32, BuildHasherDefault<Fnv>>;
+
 impl Cfg {
     /// The start nonterminal's index.
     pub fn start(&self) -> u32 {
@@ -100,9 +146,19 @@ impl Cfg {
         &self.nonterminals[n as usize]
     }
 
-    /// Index of a terminal by name.
+    /// Every terminal name, in index order.
+    pub fn terminal_names(&self) -> &[String] {
+        &self.terminals
+    }
+
+    /// Index of a terminal by name: the per-token kind lookup of every
+    /// parser built from this grammar (the compiled PWD grammar, Earley and
+    /// GLR), one FNV-1a hash of the name. The map is built once and only
+    /// read, so input cannot lengthen its probes. Inlined: parsers in other
+    /// crates call it once per token.
+    #[inline]
     pub fn terminal_index(&self, name: &str) -> Option<u32> {
-        self.terminals.iter().position(|t| t == name).map(|i| i as u32)
+        self.term_index.get(name).copied()
     }
 
     /// Index of a nonterminal by name.
@@ -136,17 +192,14 @@ impl Cfg {
     ///
     /// The hash is a fixed FNV-1a (not `DefaultHasher`), so values are
     /// stable across processes, platforms, and Rust releases — safe to log
-    /// in bench trajectories and compare between runs.
+    /// in bench trajectories and compare between runs. A grammar is
+    /// immutable, so it is hashed once, when built, and a per-request cache
+    /// lookup only reads it.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-            const PRIME: u64 = 0x0000_0100_0000_01b3;
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-            h
-        }
+        self.fingerprint
+    }
+
+    fn hash_fingerprint(&self) -> u64 {
         fn fnv_u64(h: u64, v: u64) -> u64 {
             fnv_bytes(h, &v.to_le_bytes())
         }
@@ -235,7 +288,7 @@ impl fmt::Display for Cfg {
 pub struct CfgBuilder {
     start: String,
     terminals: Vec<String>,
-    tmap: HashMap<String, u32>,
+    tmap: TermMap,
     nonterminals: Vec<String>,
     nmap: HashMap<String, u32>,
     productions: Vec<Production>,
@@ -247,7 +300,7 @@ impl CfgBuilder {
         CfgBuilder {
             start: start.to_string(),
             terminals: Vec::new(),
-            tmap: HashMap::new(),
+            tmap: TermMap::default(),
             nonterminals: Vec::new(),
             nmap: HashMap::new(),
             productions: Vec::new(),
@@ -332,13 +385,17 @@ impl CfgBuilder {
                 });
             }
         }
-        Ok(Cfg {
+        let mut cfg = Cfg {
             terminals: self.terminals,
+            term_index: self.tmap,
             nonterminals: self.nonterminals,
             productions: self.productions,
             by_lhs,
             start,
-        })
+            fingerprint: 0,
+        };
+        cfg.fingerprint = cfg.hash_fingerprint();
+        Ok(cfg)
     }
 }
 
@@ -367,6 +424,32 @@ mod tests {
         assert_eq!(g.nonterminal_name(g.start()), "E");
         assert_eq!(g.terminal_index("NUM"), Some(4));
         assert_eq!(g.productions_of(g.start()).len(), 2);
+    }
+
+    #[test]
+    fn terminal_index_resolves_exactly_the_alphabet() {
+        let mut g = CfgBuilder::new("S");
+        let mut names: Vec<String> =
+            ["", "a", "ab", "ba", "NUM", "NUMBER", "KW_PROCEDURE", ":=", "abcd", "axcd"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+        names.extend((0..200).map(|i| format!("T{i}_long_terminal_name")));
+        for name in &names {
+            g.terminal(name);
+        }
+        g.rule("S", &["a"]);
+        let g = g.build().unwrap();
+        assert_eq!(g.terminal_names(), &names[..]);
+        for (t, name) in names.iter().enumerate() {
+            assert_eq!(g.terminal_index(name), Some(t as u32), "{name:?}");
+        }
+        for absent in
+            ["b", "NUM ", "NXM", "NUxBeR", "T200_long_terminal_name", "T1_long_terminal_nam", "\0"]
+        {
+            assert_eq!(g.terminal_index(absent), None, "{absent:?}");
+        }
+        assert_eq!(g.terminal_index("S"), None, "nonterminals are not terminals");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 
 use crate::cfg::{Cfg, Symbol};
 use pwd_core::{Language, NodeId, ParserConfig, PwdError, Reduce, TermId, Token};
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A grammar compiled into a [`Language`], ready to parse token streams.
 #[derive(Debug, Clone)]
@@ -20,9 +21,9 @@ pub struct Compiled {
     /// The start node.
     pub start: NodeId,
     term_ids: Vec<TermId>,
-    /// Terminal name → CFG terminal index.
-    term_by_name: HashMap<String, usize>,
-    term_names: Vec<String>,
+    /// The source grammar, for its terminal names and kind lookup (shared
+    /// by every fork).
+    cfg: Arc<Cfg>,
     /// One token per CFG terminal when the engine reads no lexemes
     /// ([`ParserConfig::class_keyed`]); empty otherwise.
     canonical: Vec<Token>,
@@ -73,9 +74,6 @@ impl Compiled {
         let mut lang = Language::new(config);
         let term_ids: Vec<TermId> =
             (0..cfg.terminal_count()).map(|t| lang.terminal(cfg.terminal_name(t as u32))).collect();
-        let term_by_name: HashMap<String, usize> = (0..cfg.terminal_count())
-            .map(|t| (cfg.terminal_name(t as u32).to_string(), t))
-            .collect();
         // Interned only under the gate, so token keys are numbered as
         // before everywhere else.
         let canonical = if lang.config().class_keyed() {
@@ -120,15 +118,13 @@ impl Compiled {
         }
 
         let start = nts[cfg.start() as usize];
-        let term_names =
-            (0..cfg.terminal_count()).map(|t| cfg.terminal_name(t as u32).to_string()).collect();
-        Compiled { lang, start, term_ids, term_by_name, term_names, canonical }
+        Compiled { lang, start, term_ids, cfg: Arc::new(cfg.clone()), canonical }
     }
 
     /// Every terminal kind name of the grammar, in CFG index order — the
     /// candidate alphabet error recovery probes derivatives against.
     pub fn terminal_names(&self) -> &[String] {
-        &self.term_names
+        self.cfg.terminal_names()
     }
 
     /// Creates a token of the named terminal kind, or `None` if the kind is
@@ -140,11 +136,26 @@ impl Compiled {
     /// token — its lexeme is the kind's name — and the interner stays at
     /// one token per terminal however much distinct text is parsed.
     pub fn token(&mut self, kind: &str, lexeme: &str) -> Option<Token> {
-        let t = *self.term_by_name.get(kind)?;
-        Some(match self.canonical.get(t) {
-            Some(tok) => tok.clone(),
-            None => self.lang.token(self.term_ids[t], lexeme),
-        })
+        self.token_ref(kind, lexeme).map(|(tok, _)| tok.into_owned())
+    }
+
+    /// [`token`](Compiled::token) for a caller about to feed the engine:
+    /// the token, borrowed when it is the kind's canonical token (so a feed
+    /// costs no reference-count traffic, and the lexeme is never read),
+    /// together with the engine to feed it to. Inlined: it runs once per
+    /// token fed, from another crate.
+    #[inline]
+    pub fn token_ref(
+        &mut self,
+        kind: &str,
+        lexeme: &str,
+    ) -> Option<(Cow<'_, Token>, &mut Language)> {
+        let t = self.cfg.terminal_index(kind)? as usize;
+        let tok = match self.canonical.get(t) {
+            Some(tok) => Cow::Borrowed(tok),
+            None => Cow::Owned(self.lang.token(self.term_ids[t], lexeme)),
+        };
+        Some((tok, &mut self.lang))
     }
 
     /// The engine terminal for a CFG terminal index.
@@ -161,14 +172,14 @@ impl Compiled {
         &mut self,
         lexemes: &[pwd_lex::Lexeme],
     ) -> Result<Vec<Token>, UnknownTerminal> {
-        lexemes
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                self.token(&l.kind, &l.text)
-                    .ok_or_else(|| UnknownTerminal { kind: l.kind.clone(), position: i })
-            })
-            .collect()
+        let mut out = Vec::with_capacity(lexemes.len());
+        for (i, l) in lexemes.iter().enumerate() {
+            let Some((tok, _)) = self.token_ref(&l.kind, &l.text) else {
+                return Err(UnknownTerminal { kind: l.kind.to_string(), position: i });
+            };
+            out.push(tok.into_owned());
+        }
+        Ok(out)
     }
 
     /// Convenience: recognize a lexeme stream.
@@ -289,6 +300,22 @@ mod tests {
         let err = c.tokens_from_lexemes(&lexemes).unwrap_err();
         assert_eq!(err.kind, "NOPE");
         assert_eq!(err.position, 0);
+    }
+
+    #[test]
+    fn token_ref_borrows_the_canonical_token_and_matches_token() {
+        let config =
+            ParserConfig { mode: pwd_core::ParseMode::Recognize, ..ParserConfig::improved() };
+        let mut c = Compiled::compile(&arith(), config);
+        let owned = c.token("NUM", "7").unwrap();
+        let (tok, _) = c.token_ref("NUM", "8").unwrap();
+        assert!(matches!(tok, Cow::Borrowed(_)), "class-keyed kinds share one token");
+        assert_eq!(*tok, owned);
+        let mut parse = Compiled::compile(&arith(), ParserConfig::improved());
+        let (tok, _) = parse.token_ref("NUM", "8").unwrap();
+        assert!(matches!(tok, Cow::Owned(_)), "parse mode interns each lexeme");
+        assert_eq!(tok.lexeme(), "8");
+        assert!(parse.token_ref("NOPE", "x").is_none());
     }
 
     #[test]

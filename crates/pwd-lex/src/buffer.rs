@@ -27,6 +27,7 @@
 //! untouched — edits are atomic.
 
 use crate::lexer::{LexError, Lexeme, Lexer};
+use crate::shared::SharedStr;
 use crate::span::{SourceMap, Span};
 
 /// One token of the buffer: which rule produced it, where its text lives,
@@ -127,23 +128,23 @@ impl<'l> SourceBuffer<'l> {
         self.toks.len()
     }
 
-    /// The `i`-th token as an owned [`Lexeme`].
+    /// The `i`-th token as an owned [`Lexeme`], whose text is a copy of
+    /// the token's own bytes (one allocation).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn lexeme(&self, i: usize) -> Lexeme {
         let t = &self.toks[i];
-        Lexeme {
-            kind: self.lexer.rule_name(t.rule).to_string(),
-            text: t.span.slice(self.map.source()).to_string(),
-            offset: t.span.start,
-        }
+        let text = SharedStr::from(t.span.slice(self.map.source()));
+        self.lexer.lexeme(t.rule, &text, t.span.start, t.span)
     }
 
-    /// All tokens as owned [`Lexeme`]s (a from-scratch-equivalent view).
+    /// All tokens as owned [`Lexeme`]s (a from-scratch-equivalent view),
+    /// sharing one copy of the buffer's text: two allocations per call.
     pub fn lexemes(&self) -> Vec<Lexeme> {
-        (0..self.toks.len()).map(|i| self.lexeme(i)).collect()
+        let text = SharedStr::from(self.map.source());
+        self.toks.iter().map(|t| self.lexer.lexeme(t.rule, &text, 0, t.span)).collect()
     }
 
     /// Byte span of the `i`-th token.
@@ -206,14 +207,14 @@ impl<'l> SourceBuffer<'l> {
         // repair the newline index.
         let reused_from = reused_from.unwrap_or(self.toks.len());
         let removed = reused_from - d;
-        let inserted: Vec<Lexeme> = fresh
-            .iter()
-            .map(|t| Lexeme {
-                kind: self.lexer.rule_name(t.rule).to_string(),
-                text: new_text[t.span.start..t.span.end].to_string(),
-                offset: t.span.start,
-            })
-            .collect();
+        // The inserted lexemes share one copy of the text they cover.
+        let (lo, hi) = match (fresh.first(), fresh.last()) {
+            (Some(first), Some(last)) => (first.span.start, last.span.end),
+            _ => (0, 0),
+        };
+        let window = SharedStr::from(&new_text[lo..hi]);
+        let inserted: Vec<Lexeme> =
+            fresh.iter().map(|t| self.lexer.lexeme(t.rule, &window, lo, t.span)).collect();
         let mut tail: Vec<Tok> = self.toks[reused_from..]
             .iter()
             .map(|t| Tok {

@@ -12,10 +12,12 @@
 //! [`TokenSource`](crate::TokenSource) that scans lazily and hands out
 //! zero-copy [`ScannedToken`](crate::ScannedToken)s, so a parser session can
 //! consume tokens as they are matched with no intermediate vector. The
-//! batch [`Lexer::tokenize`] is a thin shim that drains that stream into
-//! owned [`Lexeme`]s for callers that still want a slice.
+//! batch [`Lexer::tokenize`] drains the same scan into owned [`Lexeme`]s
+//! for callers that still want a slice: one shared copy of the input and
+//! one vector per call, not two strings per token.
 
 use crate::scanner::Scanner;
+use crate::shared::SharedStr;
 use crate::source::{ScannedToken, TokenSource};
 use crate::span::{Position, Span};
 use pwd_regex::{Dfa, Regex};
@@ -23,12 +25,19 @@ use std::fmt;
 
 /// A lexical token produced by a [`Lexer`]: rule name, matched text, byte
 /// offset.
+///
+/// Both strings are [`SharedStr`] handles: `kind` shares the lexer rule's
+/// name and `text` is a slice of one shared copy of the text it was cut
+/// from, so a lexeme owns no string of its own. It keeps that shared text
+/// alive, and outlives both the input string and the [`Lexer`]. Equality
+/// and hashing compare the strings, never their backing, so a lexed token
+/// equals one built by hand with `"…".into()`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Lexeme {
     /// Name of the rule that matched (the token kind).
-    pub kind: String,
+    pub kind: SharedStr,
     /// The matched text.
-    pub text: String,
+    pub text: SharedStr,
     /// Byte offset of the match start in the input.
     pub offset: usize,
 }
@@ -81,7 +90,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 struct Rule {
-    name: String,
+    name: SharedStr,
     skip: bool,
 }
 
@@ -160,7 +169,7 @@ impl LexerBuilder {
     }
 
     fn push(mut self, name: &str, re: &Regex, skip: bool) -> Self {
-        self.rules.push(Rule { name: name.to_string(), skip });
+        self.rules.push(Rule { name: name.into(), skip });
         self.dfas.push(Dfa::build(re));
         self
     }
@@ -207,24 +216,27 @@ impl Lexer {
     /// Tokenizes the whole input with maximal munch.
     ///
     /// A batch shim over [`source`](Lexer::source): drains the streaming
-    /// scan into owned [`Lexeme`]s. Prefer feeding the source directly to a
-    /// parser session when the vector itself is not needed.
+    /// scan into owned [`Lexeme`]s. Every lexeme's text is a slice of one
+    /// shared copy of `input` and its kind a handle to the rule's name, so
+    /// a call allocates a constant number of times whatever the token
+    /// count: that copy and the vector (reserved at one lexeme per two bytes
+    /// of input, and trimmed once if more than half of it is unused).
+    /// Prefer feeding the source directly to a parser session when the
+    /// vector itself is not needed.
     ///
     /// # Errors
     ///
     /// Returns [`LexError`] at the first position where no rule matches a
     /// non-empty prefix.
     pub fn tokenize(&self, input: &str) -> Result<Vec<Lexeme>, LexError> {
+        let text = SharedStr::from(input);
         let mut src = self.source(input);
-        let mut out = Vec::new();
-        while let Some(item) = src.next_token() {
-            let t = item?;
-            out.push(Lexeme {
-                kind: t.kind.to_string(),
-                text: t.text.to_string(),
-                offset: t.span.start,
-            });
+        let mut out = Vec::with_capacity(lexeme_capacity(input));
+        while let Some(item) = src.next_match() {
+            let (rule, span) = item?;
+            out.push(self.lexeme(rule, &text, 0, span));
         }
+        trim_lexemes(&mut out);
         Ok(out)
     }
 
@@ -244,6 +256,16 @@ impl Lexer {
     /// Name of rule `i` (the token kind it produces).
     pub(crate) fn rule_name(&self, i: usize) -> &str {
         &self.rules[i].name
+    }
+
+    /// The lexeme rule `i` matched at `span`, its text cut from `text`, a
+    /// shared copy of the input from byte `base` on.
+    pub(crate) fn lexeme(&self, i: usize, text: &SharedStr, base: usize, span: Span) -> Lexeme {
+        Lexeme {
+            kind: self.rules[i].name.clone(),
+            text: text.slice(span.start - base..span.end - base),
+            offset: span.start,
+        }
     }
 
     /// Is rule `i` a skip rule (matches discarded)?
@@ -266,10 +288,11 @@ impl SourceTokens<'_, '_> {
     pub fn offset(&self) -> usize {
         self.pos
     }
-}
 
-impl TokenSource for SourceTokens<'_, '_> {
-    fn next_token(&mut self) -> Option<Result<ScannedToken<'_>, LexError>> {
+    /// Scans to the next non-skip match: its rule index and its span. The
+    /// one scan loop behind [`TokenSource::next_token`] and the batch
+    /// tokenizers.
+    pub(crate) fn next_match(&mut self) -> Option<Result<(usize, Span), LexError>> {
         while self.pos < self.input.len() {
             let rest = &self.input[self.pos..];
             let Some((len, i)) = self.lexer.match_at_scanned(rest).0 else {
@@ -282,17 +305,43 @@ impl TokenSource for SourceTokens<'_, '_> {
             };
             let start = self.pos;
             self.pos += len;
-            let rule = &self.lexer.rules[i];
-            if rule.skip {
-                continue;
+            if !self.lexer.rules[i].skip {
+                return Some(Ok((i, Span::new(start, self.pos))));
             }
-            return Some(Ok(ScannedToken {
-                kind: &rule.name,
-                text: &self.input[start..start + len],
-                span: Span::new(start, start + len),
-            }));
         }
         None
+    }
+}
+
+impl TokenSource for SourceTokens<'_, '_> {
+    fn next_token(&mut self) -> Option<Result<ScannedToken<'_>, LexError>> {
+        let (lexer, input) = (self.lexer, self.input);
+        Some(self.next_match()?.map(|(i, span)| ScannedToken {
+            kind: lexer.rule_name(i),
+            text: span.slice(input),
+            span,
+        }))
+    }
+}
+
+/// Lexemes to reserve for `input`: one per two bytes. Every token covers at
+/// least one byte, so a batch tokenization regrows its vector at most once,
+/// and source text (several bytes per token) never. A lexeme is 72 bytes,
+/// so that reserves 36 bytes per input byte; the vector is finished with
+/// [`trim_lexemes`].
+pub(crate) fn lexeme_capacity(input: &str) -> usize {
+    input.len() / 2 + 1
+}
+
+/// Trims a vector reserved by [`lexeme_capacity`] when more than half of it
+/// is unused, so a held token stream keeps at most twice the memory its
+/// lexemes need. Source text runs three to four bytes per token and fills
+/// more than half of its reservation, so its vector is handed out as it is,
+/// with no reallocation; sparse text (long comments or runs of blanks) is
+/// trimmed.
+pub(crate) fn trim_lexemes(out: &mut Vec<Lexeme>) {
+    if out.capacity() > 2 * out.len() {
+        out.shrink_to_fit();
     }
 }
 
@@ -382,7 +431,8 @@ mod tests {
             assert_eq!(t.span.slice(input), t.text, "span must denote the text");
             streamed.push((t.kind.to_string(), t.text.to_string(), t.span.start));
         }
-        let batch: Vec<_> = batch.into_iter().map(|l| (l.kind, l.text, l.offset)).collect();
+        let batch: Vec<_> =
+            batch.into_iter().map(|l| (l.kind.to_string(), l.text.to_string(), l.offset)).collect();
         assert_eq!(streamed, batch);
     }
 
@@ -412,6 +462,61 @@ mod tests {
         assert!(rendered.contains(" --> 2:5"), "{rendered}");
         assert!(rendered.contains("2 | 3 * §4"), "{rendered}");
         assert!(rendered.ends_with("    ^^"), "{rendered}");
+    }
+
+    #[test]
+    fn lexemes_compare_and_hash_by_content_not_backing() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |l: &Lexeme| {
+            let mut h = DefaultHasher::new();
+            l.hash(&mut h);
+            h.finish()
+        };
+        let toks = arith_lexer().tokenize("1 + 23 * (4)").unwrap();
+        let built = Lexeme { kind: "NUM".into(), text: "23".into(), offset: 4 };
+        assert_eq!(toks[2], built, "a slice of the shared input equals its own copy");
+        assert_eq!(hash(&toks[2]), hash(&built));
+        // The same text cut from another input, at the same offset.
+        let other = arith_lexer().tokenize("9 * 23").unwrap();
+        assert_eq!(other[2], built);
+        assert_eq!(hash(&other[2]), hash(&toks[2]));
+        assert_ne!(toks[0], Lexeme { kind: "NUM".into(), text: "2".into(), offset: 0 });
+        assert_eq!(toks[1].kind, "PLUS");
+        assert_eq!(toks[1].text.len(), 1);
+        assert_eq!(format!("{:?}", toks[2]), format!("{built:?}"));
+    }
+
+    #[test]
+    fn lexemes_outlive_their_input_and_lexer() {
+        let toks = {
+            let lexer = arith_lexer();
+            let input = String::from("12 + (345)");
+            lexer.tokenize(&input).unwrap()
+        };
+        let kinds: Vec<&str> = toks.iter().map(|t| t.kind.as_str()).collect();
+        assert_eq!(kinds, ["NUM", "PLUS", "LPAREN", "NUM", "RPAREN"]);
+        assert_eq!(toks[3].text, "345");
+        assert_eq!(toks[3].offset, 6);
+        // A clone shares the same backing and keeps it alive on its own.
+        let kept = toks[0].clone();
+        drop(toks);
+        assert_eq!((kept.kind.as_str(), kept.text.as_str()), ("NUM", "12"));
+    }
+
+    #[test]
+    fn buffer_lexemes_outlive_the_buffer_and_its_lexer() {
+        let (all, one, edit) = {
+            let lexer = arith_lexer();
+            let mut buf = crate::SourceBuffer::new(&lexer, "1 + 2").unwrap();
+            let edit = buf.splice(4, 5, "(34)").unwrap();
+            (buf.lexemes(), buf.lexeme(3), edit)
+        };
+        let texts: Vec<&str> = all.iter().map(|t| t.text.as_str()).collect();
+        assert_eq!(texts, ["1", "+", "(", "34", ")"]);
+        assert_eq!(one, all[3]);
+        assert_eq!(edit.inserted, all[2..]);
+        assert_eq!(edit.inserted[1].offset, 5);
     }
 
     #[test]

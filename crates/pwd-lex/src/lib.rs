@@ -46,6 +46,7 @@ mod buffer;
 mod lexer;
 mod python;
 mod scanner;
+mod shared;
 mod source;
 mod span;
 mod timed;
@@ -53,6 +54,7 @@ mod timed;
 pub use buffer::{SourceBuffer, TokenEdit};
 pub use lexer::{LexError, Lexeme, Lexer, LexerBuilder, SourceTokens};
 pub use python::{tokenize_python, PyLexError, KEYWORDS};
+pub use shared::SharedStr;
 pub use source::{KindSource, LexemeSource, ScannedToken, TokenSource};
 pub use span::{LineMap, Position, SourceMap, Span};
 pub use timed::TimedSource;

@@ -13,7 +13,8 @@
 //! columns, and no Unicode identifiers. None of these affect the parser
 //! workload shape.
 
-use crate::lexer::{LexError, Lexeme, Lexer, LexerBuilder};
+use crate::lexer::{lexeme_capacity, trim_lexemes, LexError, Lexeme, Lexer, LexerBuilder};
+use crate::shared::SharedStr;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -87,24 +88,55 @@ pub(crate) fn flat_rules() -> Vec<(&'static str, String, bool)> {
     rules
 }
 
-fn flat_lexer() -> &'static Lexer {
-    static LEXER: OnceLock<Lexer> = OnceLock::new();
-    LEXER.get_or_init(|| {
+/// The flat scanner, plus the kinds of the layout tokens the indentation
+/// pass synthesizes, shared by every call.
+struct Flat {
+    lexer: Lexer,
+    newline: SharedStr,
+    indent: SharedStr,
+    dedent: SharedStr,
+    endmarker: SharedStr,
+    /// Text of a final NEWLINE the source itself does not end with.
+    line_break: SharedStr,
+}
+
+fn flat() -> &'static Flat {
+    static FLAT: OnceLock<Flat> = OnceLock::new();
+    FLAT.get_or_init(|| {
         let rules = flat_rules();
-        LexerBuilder::new()
-            .rule_list(rules.iter().map(|(kind, pattern, skip)| (*kind, pattern.as_str(), *skip)))
-            .expect("static pattern")
-            .build()
+        Flat {
+            lexer: LexerBuilder::new()
+                .rule_list(
+                    rules.iter().map(|(kind, pattern, skip)| (*kind, pattern.as_str(), *skip)),
+                )
+                .expect("static pattern")
+                .build(),
+            newline: "NEWLINE".into(),
+            indent: "INDENT".into(),
+            dedent: "DEDENT".into(),
+            endmarker: "ENDMARKER".into(),
+            line_break: "\n".into(),
+        }
     })
 }
 
 /// Tokenizes Python-like source into a lexeme stream with synthesized
 /// NEWLINE / INDENT / DEDENT / ENDMARKER tokens, keywords classified.
 ///
+/// One pass over the flat scan. Every lexeme's text is a slice of one
+/// shared copy of `src` (layout tokens take the empty slice at their
+/// offset) and every kind a shared handle, so a call allocates a constant
+/// number of times however many tokens it produces: that copy, the
+/// indentation stack (room for 32 levels) and the vector (reserved at one
+/// lexeme per two bytes, and trimmed once if more than half of it is
+/// unused). Only nesting deeper than 32 levels, or text averaging under two
+/// bytes per token, regrows them.
+///
 /// # Errors
 ///
 /// [`PyLexError::Lex`] for unrecognized characters; [`PyLexError::BadIndent`]
-/// for inconsistent dedents.
+/// for inconsistent dedents (a lex error anywhere in `src` takes
+/// precedence).
 ///
 /// # Examples
 ///
@@ -123,81 +155,93 @@ fn flat_lexer() -> &'static Lexer {
 /// # }
 /// ```
 pub fn tokenize_python(src: &str) -> Result<Vec<Lexeme>, PyLexError> {
-    let flat = flat_lexer().tokenize(src)?;
-    let mut out: Vec<Lexeme> = Vec::with_capacity(flat.len() + 16);
-    let mut indents: Vec<usize> = vec![0];
+    let flat = flat();
+    let text = SharedStr::from(src);
+    let layout = |kind: &SharedStr, at: usize| Lexeme {
+        kind: kind.clone(),
+        text: text.slice(at..at),
+        offset: at,
+    };
+    let mut scan = flat.lexer.source(src);
+    let mut out: Vec<Lexeme> = Vec::with_capacity(lexeme_capacity(src));
+    // Room for deeper nesting than real code reaches, so the stack does
+    // not regrow as blocks nest.
+    let mut indents: Vec<usize> = Vec::with_capacity(32);
+    indents.push(0);
     let mut depth: usize = 0; // bracket nesting for implicit line joining
     let mut at_line_start = true;
     let mut last_nl_end = 0usize; // byte offset just after the last newline
 
-    for lex in flat {
-        match lex.kind.as_str() {
+    while let Some(item) = scan.next_match() {
+        let (rule, span) = item?;
+        match flat.lexer.rule_name(rule) {
             "NL" => {
                 if depth == 0 {
                     // Emit a logical NEWLINE only after actual content.
-                    if out.last().is_some_and(|t| {
-                        t.kind != "NEWLINE" && t.kind != "INDENT" && t.kind != "DEDENT"
-                    }) {
+                    if out.last().is_some_and(|t| !is_layout(t)) {
+                        let nl = text.slice(span.start..span.end);
                         out.push(Lexeme {
-                            kind: "NEWLINE".into(),
-                            text: "\n".into(),
-                            offset: lex.offset,
+                            kind: flat.newline.clone(),
+                            text: nl,
+                            offset: span.start,
                         });
                     }
                     at_line_start = true;
                 }
-                last_nl_end = lex.offset + 1;
+                last_nl_end = span.end;
             }
-            _ => {
+            name => {
                 if at_line_start && depth == 0 {
-                    let col = indent_width(&src[last_nl_end..lex.offset]);
+                    let col = indent_width(&src[last_nl_end..span.start]);
                     let current = *indents.last().expect("indent stack nonempty");
                     if col > current {
                         indents.push(col);
-                        out.push(Lexeme {
-                            kind: "INDENT".into(),
-                            text: String::new(),
-                            offset: lex.offset,
-                        });
+                        out.push(layout(&flat.indent, span.start));
                     } else if col < current {
                         while *indents.last().expect("nonempty") > col {
                             indents.pop();
-                            out.push(Lexeme {
-                                kind: "DEDENT".into(),
-                                text: String::new(),
-                                offset: lex.offset,
-                            });
+                            out.push(layout(&flat.dedent, span.start));
                         }
                         if *indents.last().expect("nonempty") != col {
-                            return Err(PyLexError::BadIndent { offset: lex.offset });
+                            // As if the whole source were scanned first.
+                            while let Some(item) = scan.next_match() {
+                                item?;
+                            }
+                            return Err(PyLexError::BadIndent { offset: span.start });
                         }
                     }
                     at_line_start = false;
                 }
-                match lex.kind.as_str() {
+                match name {
                     "(" | "[" | "{" => depth += 1,
                     ")" | "]" | "}" => depth = depth.saturating_sub(1),
                     _ => {}
                 }
-                let kind = if lex.kind == "NAME" && KEYWORDS.contains(&lex.text.as_str()) {
-                    lex.text.clone()
-                } else {
-                    lex.kind
-                };
-                out.push(Lexeme { kind, text: lex.text, offset: lex.offset });
+                let mut lexeme = flat.lexer.lexeme(rule, &text, 0, span);
+                if name == "NAME" && KEYWORDS.contains(&lexeme.text.as_str()) {
+                    lexeme.kind = lexeme.text.clone();
+                }
+                out.push(lexeme);
             }
         }
     }
     // Final NEWLINE if the file didn't end with one.
-    if out.last().is_some_and(|t| t.kind != "NEWLINE" && t.kind != "INDENT" && t.kind != "DEDENT") {
-        out.push(Lexeme { kind: "NEWLINE".into(), text: "\n".into(), offset: src.len() });
+    if out.last().is_some_and(|t| !is_layout(t)) {
+        let nl = flat.line_break.clone();
+        out.push(Lexeme { kind: flat.newline.clone(), text: nl, offset: src.len() });
     }
     while indents.len() > 1 {
         indents.pop();
-        out.push(Lexeme { kind: "DEDENT".into(), text: String::new(), offset: src.len() });
+        out.push(layout(&flat.dedent, src.len()));
     }
-    out.push(Lexeme { kind: "ENDMARKER".into(), text: String::new(), offset: src.len() });
+    out.push(layout(&flat.endmarker, src.len()));
+    trim_lexemes(&mut out);
     Ok(out)
+}
+
+/// Is `t` a NEWLINE, INDENT or DEDENT?
+fn is_layout(t: &Lexeme) -> bool {
+    t.kind == "NEWLINE" || t.kind == "INDENT" || t.kind == "DEDENT"
 }
 
 /// Width of a whitespace prefix: spaces count 1, tabs advance to the next
@@ -218,7 +262,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<String> {
-        tokenize_python(src).unwrap().into_iter().map(|t| t.kind).collect()
+        tokenize_python(src).unwrap().into_iter().map(|t| t.kind.to_string()).collect()
     }
 
     #[test]
@@ -322,6 +366,36 @@ mod tests {
     fn endmarker_always_present() {
         assert_eq!(kinds(""), ["ENDMARKER"]);
         assert_eq!(kinds("\n\n"), ["ENDMARKER"]);
+    }
+
+    #[test]
+    fn lexemes_outlive_the_source_string() {
+        let toks = {
+            let src = String::from("if x:\n    pass");
+            tokenize_python(&src).unwrap()
+        };
+        let pairs: Vec<(&str, &str, usize)> =
+            toks.iter().map(|t| (t.kind.as_str(), t.text.as_str(), t.offset)).collect();
+        assert_eq!(
+            pairs,
+            [
+                ("if", "if", 0),
+                ("NAME", "x", 3),
+                (":", ":", 4),
+                ("NEWLINE", "\n", 5),
+                ("INDENT", "", 10),
+                ("pass", "pass", 10),
+                ("NEWLINE", "\n", 14),
+                ("DEDENT", "", 14),
+                ("ENDMARKER", "", 14),
+            ]
+        );
+    }
+
+    #[test]
+    fn lex_errors_take_precedence_over_bad_indents() {
+        let src = "if x:\n        pass\n    pass\nz = §\n";
+        assert!(matches!(tokenize_python(src), Err(PyLexError::Lex(_))));
     }
 
     #[test]

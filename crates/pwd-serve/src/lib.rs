@@ -45,14 +45,18 @@
 //!   whose compiled prototype is shared, immutably, by every thread.
 //! * [`pool`] — a **per-worker session pool**. Parsing mutates engine state,
 //!   so each run needs an exclusive session; the pool turns the one shared
-//!   compile into per-thread sessions via [`Parser::fork`] (an arena memcpy,
-//!   not a recompile) and recycles them with
-//!   [`Recognizer::reset`] — for PWD the O(1) epoch bump — instead of
-//!   reallocating arenas between inputs.
+//!   compile into per-thread sessions via
+//!   [`Parser::fork`](derp::api::Parser::fork) (an arena memcpy, not a
+//!   recompile) and recycles them with
+//!   [`Recognizer::reset`](derp::api::Recognizer::reset) — for PWD the O(1)
+//!   epoch bump — instead of reallocating arenas between inputs.
 //! * [`service`] — the **batch front end**. [`ParseService::submit_batch`]
 //!   fans a slice of inputs across a fixed worker pool (work-stealing over
 //!   an atomic cursor, so stragglers do not idle the other workers) and
-//!   collects per-input results *in input order* plus batch metrics.
+//!   collects per-input results *in input order* plus batch metrics. A
+//!   batch's first worker runs on the caller's thread and each further one
+//!   on a scoped thread, so a batch that needs one worker
+//!   ([`ParseService::submit`] always does) spawns none.
 //! * [`live`] — the **streaming front end**. Sessions checked out of the
 //!   same pools, kept alive across calls in a registry, fed chunk by chunk
 //!   with per-chunk outcomes, checkpointed/rolled back for speculative

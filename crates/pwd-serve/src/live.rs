@@ -719,11 +719,7 @@ mod tests {
                 texts
                     .iter()
                     .enumerate()
-                    .map(|(i, t)| Lexeme {
-                        kind: "ID".into(),
-                        text: t.to_string(),
-                        offset: base + i,
-                    })
+                    .map(|(i, t)| Lexeme { kind: "ID".into(), text: (*t).into(), offset: base + i })
                     .collect(),
             )
         };

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::cache::{CacheMetrics, GrammarCache};
+use crate::cache::{CacheMetrics, CachedGrammar, GrammarCache};
 use crate::fault::{Fault, FaultPlan};
 use crate::live::SessionStats;
 use crate::obs::{ObsSamples, ServeObs};
@@ -294,6 +294,11 @@ fn run_input(
     })
 }
 
+/// What one batch worker hands back: `(input index, outcome)` pairs in
+/// the order it ran them, its engine counters, and its observability
+/// samples.
+type WorkerOut = (Vec<(usize, Result<ParseOutcome, ServeError>)>, MemoEffectiveness, ObsSamples);
+
 /// The result of parsing one input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseOutcome {
@@ -427,7 +432,11 @@ pub struct BatchReport {
 /// Configuration of a [`ParseService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Fixed number of worker threads batches fan out over (≥ 1).
+    /// Fixed number of workers batches fan out over (≥ 1). A batch's first
+    /// worker runs on the caller's thread and stack, each further worker on
+    /// a scoped thread of its own; a batch that gets one worker (this is 1,
+    /// or the batch has one input) spawns no thread, and its queue-wait
+    /// sample is about 0.
     pub workers: usize,
     /// Backend name from the [`derp::api`] roster (`"pwd"` aliases
     /// `"pwd-improved"`); validated lazily at first use.
@@ -620,6 +629,10 @@ impl ParseService {
     /// Parses one input (a batch of one; slots are assigned round-robin, so
     /// concurrent single submitters use different pools).
     ///
+    /// A batch of one needs one worker, so it runs on the caller's thread
+    /// and stack, with no thread spawned or joined: its queue-wait sample
+    /// is about 0 (the grammar-cache lookup and the pool lock).
+    ///
     /// # Errors
     ///
     /// [`ServeError`] — service-level failures (unknown backend) and
@@ -636,6 +649,13 @@ impl ParseService {
     /// The grammar is compiled at most once (per service) and shared; each
     /// worker checks sessions out of its own pool, so a warm batch does no
     /// compilation and no arena allocation — only epoch resets.
+    ///
+    /// A batch uses `min(workers, inputs.len())` workers. The first runs on
+    /// the caller's thread and stack, each further one on a scoped thread
+    /// of its own, all behind the same unwind boundary and quarantine. When
+    /// the batch needs one worker — a single input, or
+    /// [`ServiceConfig::workers`] = 1 — no thread is spawned and each
+    /// input's queue-wait sample is about 0.
     ///
     /// # Errors
     ///
@@ -666,7 +686,7 @@ impl ParseService {
 
         let n = inputs.len();
         let workers_used = self.config.workers.min(n).max(1);
-        let config = &self.config;
+        let obs_on = self.obs.enabled();
         let cursor = AtomicUsize::new(0);
         // Full batches take all slots anyway; smaller ones start at a
         // rotating offset so concurrent small batches use different pools.
@@ -676,112 +696,20 @@ impl ParseService {
             0
         };
 
-        let obs_on = self.obs.enabled();
-        type WorkerOut =
-            (Vec<(usize, Result<ParseOutcome, ServeError>)>, MemoEffectiveness, ObsSamples);
+        let worker = |w: usize| {
+            let slot = &self.slots[(slot_base + w) % self.slots.len()];
+            self.run_worker(slot, &entry, inputs, plan, &cursor, t0)
+        };
+        // Worker 0 runs on the caller's thread; workers 1.. each get a
+        // scoped thread, so a one-worker batch spawns nothing.
         let per_worker: Vec<WorkerOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers_used)
-                .map(|w| {
-                    let (entry, cursor) = (&entry, &cursor);
-                    let (panics, quarantined) = (&self.panics_caught, &self.sessions_quarantined);
-                    let slot = &self.slots[(slot_base + w) % self.slots.len()];
-                    scope.spawn(move || {
-                        let mut pool = slot.lock().expect("worker pool poisoned");
-                        let mut out = Vec::new();
-                        let mut memo = MemoEffectiveness::default();
-                        let mut samples = ObsSamples::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let mut session = pool.checkout(entry);
-                            let fault = plan.fault_for(i);
-                            // The unwind boundary. Anything that panics in
-                            // here — a backend bug, or an injected fault —
-                            // becomes one failed request; the session that
-                            // was running it is quarantined below, and the
-                            // worker moves on to the next input.
-                            let run = catch_unwind(AssertUnwindSafe(
-                                || -> Result<ParseOutcome, ServeError> {
-                                    match fault {
-                                        Some(Fault::Panic) => {
-                                            panic!("injected fault: panic on input {i}")
-                                        }
-                                        Some(Fault::BudgetExhaustion) => {
-                                            return Err(ServeError::BudgetExceeded {
-                                                kind: BudgetKind::Tokens,
-                                                limit: 0,
-                                            });
-                                        }
-                                        Some(Fault::LexError) => {
-                                            // A genuine backend rejection: the
-                                            // NUL-framed kind is outside every
-                                            // grammar alphabet, so this travels
-                                            // the real unknown-kind error path.
-                                            let err = session
-                                                .backend()
-                                                .recognize(&["\u{0}injected-lex-error\u{0}"])
-                                                .expect_err("control kind is in no alphabet");
-                                            return Err(ServeError::Backend(err));
-                                        }
-                                        None => {}
-                                    }
-                                    if obs_on {
-                                        // Queue wait = batch arrival to worker
-                                        // pickup; execute = the engine run
-                                        // itself. Engine phase histograms are
-                                        // armed for exactly this input and
-                                        // folded into the worker-local samples.
-                                        let picked = Instant::now();
-                                        session.backend().set_obs(true);
-                                        let res = run_input(
-                                            session.backend(),
-                                            &inputs[i],
-                                            config,
-                                            &mut memo,
-                                        );
-                                        samples
-                                            .queue_wait_ns
-                                            .push(picked.duration_since(t0).as_nanos() as u64);
-                                        samples.execute_ns.push(picked.elapsed().as_nanos() as u64);
-                                        if let Some(p) = session.backend().metrics().phases {
-                                            samples.absorb_phases(&p);
-                                        }
-                                        session.backend().set_obs(false);
-                                        res
-                                    } else {
-                                        run_input(session.backend(), &inputs[i], config, &mut memo)
-                                    }
-                                },
-                            ));
-                            match run {
-                                Ok(res) => {
-                                    pool.checkin(session);
-                                    out.push((i, res));
-                                }
-                                Err(payload) => {
-                                    // Quarantine: a panic may have left the
-                                    // engine's arenas inconsistent, so the
-                                    // session is dropped, never re-pooled.
-                                    drop(session);
-                                    panics.fetch_add(1, Ordering::Relaxed);
-                                    quarantined.fetch_add(1, Ordering::Relaxed);
-                                    let message = panic_text(payload.as_ref());
-                                    out.push((i, Err(ServeError::WorkerPanicked { message })));
-                                }
-                            }
-                        }
-                        (out, memo, samples)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().expect("worker infrastructure panicked outside the unwind boundary")
-                })
-                .collect()
+            let spawned: Vec<_> =
+                (1..workers_used).map(|w| scope.spawn(move || worker(w))).collect();
+            let mut per_worker = vec![worker(0)];
+            per_worker.extend(spawned.into_iter().map(|h| {
+                h.join().expect("worker infrastructure panicked outside the unwind boundary")
+            }));
+            per_worker
         });
 
         let per_worker_inputs: Vec<usize> = per_worker.iter().map(|(c, _, _)| c.len()).collect();
@@ -838,6 +766,95 @@ impl ParseService {
                 memo,
             },
         })
+    }
+
+    /// The worker body of a batch, the one path every batch input takes:
+    /// locks the pool `slot` and takes inputs off the shared `cursor` until
+    /// none are left, running each behind the unwind boundary. A batch
+    /// calls it for worker 0 on the submitting thread and for every further
+    /// worker on a scoped thread. `arrived` is the batch's arrival, the
+    /// start of each input's queue wait.
+    fn run_worker(
+        &self,
+        slot: &Mutex<SessionPool>,
+        entry: &CachedGrammar,
+        inputs: &[Input],
+        plan: &FaultPlan,
+        cursor: &AtomicUsize,
+        arrived: Instant,
+    ) -> WorkerOut {
+        let config = &self.config;
+        let obs_on = self.obs.enabled();
+        let mut pool = slot.lock().expect("worker pool poisoned");
+        let mut out = Vec::new();
+        let mut memo = MemoEffectiveness::default();
+        let mut samples = ObsSamples::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= inputs.len() {
+                break;
+            }
+            let mut session = pool.checkout(entry);
+            let fault = plan.fault_for(i);
+            // The unwind boundary. Anything that panics in here — a backend
+            // bug, or an injected fault — becomes one failed request; the
+            // session that was running it is quarantined below, and the
+            // worker moves on to the next input.
+            let run = catch_unwind(AssertUnwindSafe(|| -> Result<ParseOutcome, ServeError> {
+                match fault {
+                    Some(Fault::Panic) => panic!("injected fault: panic on input {i}"),
+                    Some(Fault::BudgetExhaustion) => {
+                        return Err(ServeError::BudgetExceeded {
+                            kind: BudgetKind::Tokens,
+                            limit: 0,
+                        });
+                    }
+                    Some(Fault::LexError) => {
+                        // A genuine backend rejection: the NUL-framed kind is
+                        // outside every grammar alphabet, so this travels the
+                        // real unknown-kind error path.
+                        let err = session
+                            .backend()
+                            .recognize(&["\u{0}injected-lex-error\u{0}"])
+                            .expect_err("control kind is in no alphabet");
+                        return Err(ServeError::Backend(err));
+                    }
+                    None => {}
+                }
+                if !obs_on {
+                    return run_input(session.backend(), &inputs[i], config, &mut memo);
+                }
+                // Queue wait = batch arrival to worker pickup; execute = the
+                // engine run itself. Engine phase histograms are armed for
+                // exactly this input and folded into the worker-local samples.
+                let picked = Instant::now();
+                session.backend().set_obs(true);
+                let res = run_input(session.backend(), &inputs[i], config, &mut memo);
+                samples.queue_wait_ns.push(picked.duration_since(arrived).as_nanos() as u64);
+                samples.execute_ns.push(picked.elapsed().as_nanos() as u64);
+                if let Some(p) = session.backend().metrics().phases {
+                    samples.absorb_phases(&p);
+                }
+                session.backend().set_obs(false);
+                res
+            }));
+            match run {
+                Ok(res) => {
+                    pool.checkin(session);
+                    out.push((i, res));
+                }
+                Err(payload) => {
+                    // Quarantine: a panic may have left the engine's arenas
+                    // inconsistent, so the session is dropped, never re-pooled.
+                    drop(session);
+                    self.panics_caught.fetch_add(1, Ordering::Relaxed);
+                    self.sessions_quarantined.fetch_add(1, Ordering::Relaxed);
+                    let message = panic_text(payload.as_ref());
+                    out.push((i, Err(ServeError::WorkerPanicked { message })));
+                }
+            }
+        }
+        (out, memo, samples)
     }
 
     /// Checks a backend out of the slot pools for the grammar (compiling it
@@ -1376,7 +1393,7 @@ mod tests {
             (0..40)
                 .flat_map(|i| {
                     [
-                        Lexeme { kind: "ID".into(), text: format!("v{i}"), offset: 2 * i },
+                        Lexeme { kind: "ID".into(), text: format!("v{i}").into(), offset: 2 * i },
                         Lexeme { kind: ";".into(), text: ";".into(), offset: 2 * i + 1 },
                     ]
                 })
@@ -1495,7 +1512,7 @@ mod tests {
                 texts
                     .iter()
                     .enumerate()
-                    .map(|(i, t)| Lexeme { kind: "NUM".into(), text: t.to_string(), offset: i })
+                    .map(|(i, t)| Lexeme { kind: "NUM".into(), text: (*t).into(), offset: i })
                     .collect(),
             )
         };

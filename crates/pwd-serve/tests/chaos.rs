@@ -10,6 +10,10 @@
 //!   batch succeeds end to end on the same (post-quarantine) service;
 //! * the damage is accounted for — panic/quarantine/budget counters in
 //!   [`ParseService::metrics_text`] match the plan exactly.
+//!
+//! Each test runs on a multi-worker service, whose batches spawn scoped
+//! worker threads, and on a one-worker service, whose batches run on the
+//! calling thread behind the same unwind boundary.
 
 use pwd_grammar::CfgBuilder;
 use pwd_serve::{Fault, FaultPlan, Input, ParseService, ServeError, ServiceConfig};
@@ -45,6 +49,12 @@ fn expect_fault_error(err: &ServeError, fault: Fault, input: usize) {
 #[test]
 fn fifty_faults_over_five_thousand_requests_cost_exactly_fifty() {
     quiet_panics();
+    for workers in [8, 1] {
+        fifty_faults_cost_exactly_fifty(workers);
+    }
+}
+
+fn fifty_faults_cost_exactly_fifty(workers: usize) {
     const N: usize = 5000;
     const FAULTS: usize = 50;
     let cfg = catalan();
@@ -52,12 +62,13 @@ fn fifty_faults_over_five_thousand_requests_cost_exactly_fifty() {
     let plan = FaultPlan::scatter(0xC0FFEE, N, FAULTS);
     assert_eq!(plan.len(), FAULTS, "the plan is exact");
 
-    let service = ParseService::new(ServiceConfig { workers: 8, ..Default::default() });
+    let service = ParseService::new(ServiceConfig { workers, ..Default::default() });
     let report = service.submit_batch_with_faults(&cfg, &inputs, &plan).unwrap();
 
     // Every request completed, in order, across all workers.
     assert_eq!(report.outcomes.len(), N);
     assert_eq!(report.metrics.inputs, N);
+    assert_eq!(report.metrics.workers_used, workers);
     assert_eq!(
         report.metrics.per_worker_inputs.iter().sum::<usize>(),
         N,
@@ -123,6 +134,12 @@ fn fifty_faults_over_five_thousand_requests_cost_exactly_fifty() {
 #[test]
 fn faults_and_recovery_coexist() {
     quiet_panics();
+    for workers in [4, 1] {
+        faults_and_recovery_coexist_on(workers);
+    }
+}
+
+fn faults_and_recovery_coexist_on(workers: usize) {
     const N: usize = 500;
     const FAULTS: usize = 10;
     // a b | a b S — so a doubled "a" needs a repair.
@@ -143,12 +160,13 @@ fn faults_and_recovery_coexist() {
         .collect();
     let plan = FaultPlan::scatter(7, N, FAULTS);
     let service = ParseService::new(ServiceConfig {
-        workers: 4,
+        workers,
         recovery: Some(derp::RecoveryBudget::default()),
         observability: true,
         ..Default::default()
     });
     let report = service.submit_batch_with_faults(&cfg, &inputs, &plan).unwrap();
+    assert_eq!(report.metrics.workers_used, workers);
     assert_eq!(report.metrics.errors, FAULTS, "faults fail; malformed inputs are repaired");
     for (i, out) in report.outcomes.iter().enumerate() {
         match plan.fault_for(i) {
@@ -166,4 +184,12 @@ fn faults_and_recovery_coexist() {
         (0..N).filter(|i| i % 7 == 0 && plan.fault_for(*i).is_none()).count() as u64;
     assert_eq!(m.inputs_recovered, expected_recovered);
     assert!(m.diagnostics_emitted >= expected_recovered);
+    let panics = plan.iter().filter(|&(_, f)| f == Fault::Panic).count() as u64;
+    assert_eq!(m.panics_caught, panics);
+    assert_eq!(m.sessions_quarantined, panics, "one quarantine per caught panic");
+
+    // The service survives: a clean follow-up batch fully succeeds.
+    let clean = service.submit_batch(&cfg, &inputs[1..50]).unwrap();
+    assert!(clean.outcomes.iter().all(|o| o.as_ref().unwrap().accepted));
+    assert_eq!(service.metrics().panics_caught, panics);
 }

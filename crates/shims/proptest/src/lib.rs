@@ -175,7 +175,7 @@ impl_tuple_strategy! {
 }
 
 /// String-literal strategies: the literal is a regex pattern and samples are
-/// strings matching it (see [`pattern`] for the supported subset).
+/// strings matching it (see the `pattern` module for the supported subset).
 impl Strategy for &'static str {
     type Value = String;
     fn sample(&self, rng: &mut TestRng) -> String {

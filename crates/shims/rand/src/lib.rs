@@ -2,7 +2,7 @@
 //!
 //! The build environment has no access to a crate registry, so the workspace
 //! vendors this minimal, dependency-free implementation: a seedable
-//! [`StdRng`] driven by SplitMix64/xoshiro256** and the
+//! [`StdRng`](rngs::StdRng) driven by SplitMix64/xoshiro256** and the
 //! [`RngExt::random_range`] / [`RngExt::random_bool`] extension methods the
 //! grammar generators and differential tests call. The statistical quality is
 //! ample for test-case generation; it is **not** a cryptographic RNG and

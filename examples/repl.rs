@@ -108,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     while undo_stack.last().is_some_and(|cp| cp.tokens_fed() > out.rung) {
                         undo_stack.pop();
                     }
-                    line.splice(at..at + remove, lexemes.iter().map(|l| l.text.clone()));
+                    line.splice(at..at + remove, lexemes.iter().map(|l| l.text.to_string()));
                     let converged =
                         out.converged_at.map_or(String::new(), |k| format!(", converged at {k}"));
                     println!(
@@ -128,7 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             for l in &lexemes {
                 undo_stack.push(session.checkpoint()?);
                 session.feed(&l.kind, &l.text)?;
-                line.push(l.text.clone());
+                line.push(l.text.to_string());
             }
         }
         let viable = session.is_viable();

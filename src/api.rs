@@ -614,7 +614,8 @@ pub trait Recognizer: Send + Sync {
     /// returning a checkpoint that admits through the normal
     /// [`rollback`](Recognizer::rollback) path.
     ///
-    /// Only sound after a successful [`splice_restore`] convergence jump,
+    /// Only sound after a successful
+    /// [`splice_restore`](Recognizer::splice_restore) convergence jump,
     /// for old checkpoints at or beyond the convergence point (their states
     /// provably recur on the new timeline, shifted by the edit's length
     /// delta): this is how [`Session::splice_tokens`] keeps the checkpoint
@@ -972,19 +973,28 @@ impl<'a> Session<'a> {
         self.backend.get_ref().name()
     }
 
-    /// The one feed loop: every `feed*` method drains its input through
-    /// here, as a [`TokenSource`] (`spanned` = its spans are worth
-    /// reporting; bare kind feeds carry none). Recovery off, each token is
-    /// fed and, in incremental mode, recorded; a lex error aborts. Recovery
-    /// on, each token takes the fast path (checkpoint + feed); only a token
-    /// that dies is copied, with the next [`RecoveryBudget::lookahead`]
-    /// tokens pulled behind it for repair scoring and fed afterwards, and a
-    /// lex error becomes a diagnostic when the loop reaches it.
+    /// The one way in for feeding: every `feed*` method drains its input
+    /// through here, as a [`TokenSource`] (`spanned` = its spans are worth
+    /// reporting; bare kind feeds carry none), in one of two loops, so each
+    /// token takes exactly one feed path. Recovery off, each borrowed token
+    /// is fed as it stands and, in incremental mode, recorded; a lex error
+    /// aborts. Recovery on, each token takes the fast path (checkpoint +
+    /// feed); only a token that dies is copied, with the next
+    /// [`RecoveryBudget::lookahead`] tokens pulled behind it for repair
+    /// scoring and fed afterwards, and a lex error becomes a diagnostic when
+    /// the loop reaches it.
     fn feed_from<S: TokenSource + ?Sized>(
         &mut self,
         src: &mut S,
         spanned: bool,
     ) -> Result<FeedOutcome, BackendError> {
+        let Some(rs) = self.recovery.as_mut() else {
+            while let Some(item) = src.next_token() {
+                let t = item.map_err(|e| BackendError::new(self.name(), e))?;
+                self.feed_tracked(t.kind, t.text)?;
+            }
+            return self.outcome();
+        };
         // Tokens (and lex errors) pulled as lookahead, not yet fed.
         let mut pulled: VecDeque<Result<InputToken<'static>, LexError>> = VecDeque::new();
         loop {
@@ -999,17 +1009,10 @@ impl<'a> Session<'a> {
             };
             let tok = match item {
                 Ok(tok) => tok,
-                Err(e) => match self.recovery.as_mut() {
-                    Some(rs) => {
-                        rs.note_lex_error(&e);
-                        continue;
-                    }
-                    None => return Err(BackendError::new(self.name(), e)),
-                },
-            };
-            let Some(rs) = self.recovery.as_mut() else {
-                self.feed_tracked(&tok.kind, &tok.text)?;
-                continue;
+                Err(e) => {
+                    rs.note_lex_error(&e);
+                    continue;
+                }
             };
             let Some(failure) = recover::feed_recovering(self.backend.get(), rs, &tok)? else {
                 continue;
@@ -1049,8 +1052,8 @@ impl<'a> Session<'a> {
     /// a splice: [`feed_tracked`](Session::feed_tracked) minus the push.
     fn refeed_recorded(&mut self, pos: usize) -> Result<(), BackendError> {
         let inc = self.incremental.as_ref().expect("incremental enabled on this path");
-        let (kind, text) = inc.history[pos].clone();
-        self.backend.get().feed(&kind, &text)?;
+        let (kind, text) = &inc.history[pos];
+        self.backend.get().feed(kind, text)?;
         self.note_position(pos + 1)
     }
 
@@ -1626,10 +1629,10 @@ impl Recognizer for PwdBackend {
         // Interning happens here, at the memo boundary: the streaming lexer
         // hands out borrowed text, and only the engine's interner turns it
         // into a `TokKey` — unless the configuration never reads lexemes,
-        // where the kind's canonical token stands in and nothing is
-        // interned (`Compiled::token`).
+        // where the kind's canonical token is fed by reference and nothing
+        // is interned (`Compiled::token_ref`).
         let label = self.label;
-        let tok = self.compiled.token(kind, text).ok_or_else(|| {
+        let (tok, lang) = self.compiled.token_ref(kind, text).ok_or_else(|| {
             BackendError::unknown_kind(label, format!("unknown terminal {kind:?}"))
         })?;
         let Some(state) = self.session.as_mut() else {
@@ -1638,7 +1641,7 @@ impl Recognizer for PwdBackend {
         // The core session counts the token even on a budget error, so the
         // guard must too — count first, then feed.
         self.guard.on_feed();
-        state.feed(&mut self.compiled.lang, &tok).map_err(|e| BackendError::new(label, e))
+        state.feed(lang, &tok).map_err(|e| BackendError::new(label, e))
     }
 
     fn tokens_fed(&self) -> usize {

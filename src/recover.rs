@@ -1,5 +1,5 @@
 //! Bounded-budget error recovery and structured diagnostics over the
-//! unified [`Parser`](crate::api::Parser) interface.
+//! unified [`Parser`] interface.
 //!
 //! Classic derivative parsing (and both baselines) answer a malformed
 //! input with a single bit: the session goes dead. This module upgrades

@@ -78,7 +78,7 @@ fn python_tree_fringe_roundtrip() {
         .pop()
         .expect("at least one tree");
     let fringe = tree.fringe();
-    let expected: Vec<String> = lexemes.iter().map(|l| l.text.clone()).collect();
+    let expected: Vec<String> = lexemes.iter().map(|l| l.text.to_string()).collect();
     assert_eq!(fringe, expected, "tree fringe must reproduce the token stream");
 }
 

@@ -160,8 +160,8 @@ fn memo_keyings_are_observationally_identical_on_random_grammars() {
                         .iter()
                         .enumerate()
                         .map(|(i, k)| Lexeme {
-                            kind: k.clone(),
-                            text: format!("{k}_{i}"),
+                            kind: k.as_str().into(),
+                            text: format!("{k}_{i}").into(),
                             offset: i,
                         })
                         .collect();

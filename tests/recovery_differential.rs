@@ -60,8 +60,8 @@ fn mutate(rng: &mut Rng, clean: &[Lexeme]) -> Vec<Lexeme> {
             _ => {
                 let (kind, text) = SUBSTITUTES[rng.below(SUBSTITUTES.len())];
                 if toks[i].kind != kind {
-                    toks[i].kind = kind.to_string();
-                    toks[i].text = text.to_string();
+                    toks[i].kind = kind.into();
+                    toks[i].text = text.into();
                 }
             }
         }

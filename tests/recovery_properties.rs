@@ -89,8 +89,8 @@ fn mutate(rng: &mut Rng, clean: &[Lexeme]) -> Vec<Lexeme> {
             }
             _ => {
                 let kind = KINDS[rng.below(KINDS.len())];
-                toks[i].kind = kind.to_string();
-                toks[i].text = kind.to_string();
+                toks[i].kind = kind.into();
+                toks[i].text = kind.into();
             }
         }
     }
