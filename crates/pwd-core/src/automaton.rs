@@ -106,6 +106,17 @@ pub(crate) struct Automaton {
     frozen: bool,
     /// Scratch buffer for signature streams (reused across interns).
     scratch: Vec<u32>,
+    /// The state each node is interned as, indexed by node (`NO_LINK` for
+    /// none) and grown only as far as the highest interned node, so the
+    /// per-token lookup stays one array read. Not epoch-stamped: state
+    /// identity is a structural fact, and interned roots survive
+    /// [`Language::reset`] (the automaton boundary keeps them alive), so the
+    /// mapping stays warm across parses. A node isomorphic to an existing
+    /// state is mapped without moving the boundary, so `reset` truncates
+    /// this table with the arena. Cleared for one node by
+    /// [`Language::invalidate_parse_state`] on the rare in-place kind
+    /// rewrite.
+    pub(crate) node_states: Vec<u32>,
     /// Digest cache for [`Language::state_signature`]'s interpreted path,
     /// keyed by resolved node id. Sound because a node's *language* never
     /// changes in place during a parse (kind rewrites are language-
@@ -133,6 +144,26 @@ impl Automaton {
     /// Number of explored (non-sentinel) transition entries.
     fn explored(&self) -> usize {
         self.trans.iter().filter(|&&t| t != UNEXPLORED).count()
+    }
+
+    /// The state node `id` (already resolved) is interned as.
+    #[inline]
+    fn state_of(&self, id: NodeId) -> Option<u32> {
+        self.node_states.get(id.index()).copied().filter(|&st| st != NO_LINK)
+    }
+
+    fn set_state(&mut self, id: NodeId, st: u32) {
+        let i = id.index();
+        if self.node_states.len() <= i {
+            self.node_states.resize(i + 1, NO_LINK);
+        }
+        self.node_states[i] = st;
+    }
+
+    /// Unmaps node `id`, returning the state it was interned as.
+    pub(crate) fn take_state(&mut self, id: NodeId) -> Option<u32> {
+        let slot = self.node_states.get_mut(id.index())?;
+        Some(std::mem::replace(slot, NO_LINK)).filter(|&st| st != NO_LINK)
     }
 }
 
@@ -214,8 +245,7 @@ impl Language {
     /// to, if any.
     #[inline]
     pub(crate) fn auto_state_of(&self, id: NodeId) -> Option<u32> {
-        let st = self.node(self.resolve(id)).auto_state;
-        (st != NO_LINK).then_some(st)
+        self.auto.state_of(self.resolve(id))
     }
 
     /// One table-walk step: the cached transition of `state` by `term`, as
@@ -267,7 +297,7 @@ impl Language {
             }
         }
         if let Some(st) = found {
-            self.nodes[id.index()].auto_state = st;
+            self.auto.set_state(id, st);
             self.obs_end(pwd_obs::Phase::AutoRow, span);
             return Some(st);
         }
@@ -290,7 +320,7 @@ impl Language {
         // boundary must cover the whole arena as of now, not just the root.
         self.auto.boundary = self.auto.boundary.max(self.nodes.len());
         self.auto.forest_boundary = self.auto.forest_boundary.max(self.forests.len());
-        self.nodes[id.index()].auto_state = st;
+        self.auto.set_state(id, st);
         self.metrics.auto_rows_built += 1;
         self.obs_end(pwd_obs::Phase::AutoRow, span);
         Some(st)
@@ -429,9 +459,6 @@ impl Language {
     /// escape hatch for the (never expected) case of an interned root's kind
     /// being rewritten in place; rows are rebuilt lazily afterwards.
     pub(crate) fn auto_clear(&mut self) {
-        for node in &mut self.nodes {
-            node.auto_state = NO_LINK;
-        }
         self.auto = Automaton::default();
     }
 

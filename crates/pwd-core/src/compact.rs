@@ -26,9 +26,13 @@ use crate::expr::{ExprKind, Language, NodeId};
 use pwd_forest::{ForestNode, Reduce};
 use std::collections::HashMap;
 
-/// Fuel bound on the reassociation rule's recursion, which protects against
-/// pathological left-spine cycles built through `Ref` chains. Beyond the
-/// fuel, construction falls back to an uncompacted node (always sound).
+/// Fuel bound on the recursion of the reassociation, map-first and
+/// map-second rules: one budget per top-level `◦` construction, shared by
+/// every recursive call it makes, so it bounds work, not just depth. A
+/// left-spine cycle built through `Ref` chains (`N = N ◦ (N ◦ c)`) sends
+/// both halves of a reassociation back into the cycle, so a per-call depth
+/// bound would still allow 2⁶⁴ steps. Once the fuel is spent, construction
+/// falls back to an uncompacted node (always sound).
 const CAT_FUEL: u32 = 64;
 
 /// Result of smart construction: either a brand-new kind to allocate/patch,
@@ -112,7 +116,7 @@ impl Language {
     /// Builds `a ◦ b`, compacting per the engine configuration.
     pub fn cat(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let compact = self.construction_compacts();
-        let built = self.cat_built(a, b, compact, CAT_FUEL);
+        let built = self.cat_built(a, b, compact);
         self.build(built)
     }
 
@@ -208,10 +212,17 @@ impl Language {
         }
     }
 
-    pub(crate) fn cat_built(&mut self, a: NodeId, b: NodeId, compact: bool, fuel: u32) -> Built {
+    pub(crate) fn cat_built(&mut self, a: NodeId, b: NodeId, compact: bool) -> Built {
+        let mut fuel = CAT_FUEL;
+        self.cat_built_fueled(a, b, compact, &mut fuel)
+    }
+
+    /// [`cat_built`](Language::cat_built) drawing on a shared `fuel`
+    /// budget: each rule that recurses spends one unit.
+    fn cat_built_fueled(&mut self, a: NodeId, b: NodeId, compact: bool, fuel: &mut u32) -> Built {
         let a = self.resolve(a);
         let b = self.resolve(b);
-        if !compact || fuel == 0 {
+        if !compact || *fuel == 0 {
             return Built::New(ExprKind::Cat(a, b));
         }
         // Left-child rules (always allowed).
@@ -229,16 +240,18 @@ impl Language {
             // (p1 ◦ p2) ◦ p3 ⇒ (p1 ◦ (p2 ◦ p3)) ↪ reassoc   (§4.3.2)
             ExprKind::Cat(a1, a2) => {
                 self.metrics.compactions_applied += 1;
-                let inner = self.cat_built(a2, b, compact, fuel - 1);
+                *fuel -= 1;
+                let inner = self.cat_built_fueled(a2, b, compact, fuel);
                 let inner = self.build(inner);
-                let outer = self.cat_built(a1, inner, compact, fuel - 1);
+                let outer = self.cat_built_fueled(a1, inner, compact, fuel);
                 let outer = self.build(outer);
                 return self.red_built(outer, Reduce::reassoc(), compact);
             }
             // (p1 ↪ f) ◦ p2 ⇒ (p1 ◦ p2) ↪ map-first f      (§4.3.2)
             ExprKind::Red(x, f) => {
                 self.metrics.compactions_applied += 1;
-                let inner = self.cat_built(x, b, compact, fuel - 1);
+                *fuel -= 1;
+                let inner = self.cat_built_fueled(x, b, compact, fuel);
                 let inner = self.build(inner);
                 return self.red_built(inner, Reduce::map_first(f), compact);
             }
@@ -261,7 +274,8 @@ impl Language {
                 // p1 ◦ (p2 ↪ f) ⇒ (p1 ◦ p2) ↪ map-second f
                 ExprKind::Red(y, g) => {
                     self.metrics.compactions_applied += 1;
-                    let inner = self.cat_built(a, y, compact, fuel - 1);
+                    *fuel -= 1;
+                    let inner = self.cat_built_fueled(a, y, compact, fuel);
                     let inner = self.build(inner);
                     return self.red_built(inner, Reduce::map_second(g), compact);
                 }
@@ -390,7 +404,7 @@ impl Language {
                 map.insert(id, ph);
                 let ca = self.compact_node(a, map);
                 let cb = self.compact_node(b, map);
-                let built = self.cat_built(ca, cb, true, CAT_FUEL);
+                let built = self.cat_built(ca, cb, true);
                 self.patch(ph, built, ExprKind::Cat(ca, cb));
                 ph
             }
@@ -583,6 +597,31 @@ mod tests {
         // The pass must terminate and produce a graph that still contains a
         // cycle (reachable set is finite and nonempty).
         assert!(lang.reachable_count(out) >= 2);
+    }
+
+    /// `N = N ◦ (N ◦ c)`, built with the public builders: a bare `◦` body
+    /// whose left spine cycles back to `N`. The session-start prepass
+    /// compacts every sequence that begins with `N` by reassociating
+    /// through that cycle, and each step recurses into both halves, so a
+    /// fuel bound per call (not per construction) lets one `◦` take 2⁶⁴
+    /// steps and allocate a node for each. `N` has no base case, so every
+    /// derivative is empty.
+    #[test]
+    fn left_spine_cycle_compacts_in_bounded_work() {
+        let mut lang = improved();
+        let c = lang.terminal("c");
+        let tc = lang.term_node(c);
+        let n = lang.forward();
+        let nc = lang.cat(n, tc);
+        let body = lang.cat(n, nc);
+        let start = lang.seq(&[n, tc, tc]);
+        lang.define(n, body);
+        let before = lang.node_count();
+        let mut session = crate::SessionState::start(&mut lang, start).unwrap();
+        let grown = lang.node_count() - before;
+        assert!(grown < 2_000, "the prepass allocated {grown} nodes");
+        let tok = lang.token(c, "c");
+        assert!(!session.feed(&mut lang, &tok).unwrap(), "N has no base case");
     }
 
     #[test]

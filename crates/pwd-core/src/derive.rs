@@ -301,7 +301,7 @@ impl Language {
                     let ph_cat = self.placeholder(id, tok, false);
                     let (da, ta) = self.derive_node_t(a, tok);
                     let (db, tb) = self.derive_node_t(b, tok);
-                    let built_cat = self.cat_built_for_derive(da, b, compact);
+                    let built_cat = self.cat_built(da, b, compact);
                     self.patch(ph_cat, built_cat, ExprKind::Cat(da, b));
                     let second = match self.config.mode {
                         // Recognizer (Figure 2): … ∪ D_c(L₂)
@@ -314,7 +314,7 @@ impl Language {
                                 let built = self.delta_built(a, false);
                                 self.build(built)
                             };
-                            let built = self.cat_built_for_derive(dl, db, compact);
+                            let built = self.cat_built(dl, db, compact);
                             self.build(built)
                         }
                     };
@@ -326,7 +326,7 @@ impl Language {
                     let ph = self.placeholder(id, tok, false);
                     self.memo_put(id, key, ph);
                     let (da, ta) = self.derive_node_t(a, tok);
-                    let built = self.cat_built_for_derive(da, b, compact);
+                    let built = self.cat_built(da, b, compact);
                     self.patch(ph, built, ExprKind::Cat(da, b));
                     (ph, ta)
                 }
@@ -352,17 +352,6 @@ impl Language {
             self.template_put(id, tok.term(), r, taint);
         }
         (r, taint)
-    }
-
-    /// `cat_built` with the derive-time fuel; kept separate so the fuel
-    /// constant stays private to the compaction module.
-    fn cat_built_for_derive(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        compact: bool,
-    ) -> crate::compact::Built {
-        self.cat_built(a, b, compact, 64)
     }
 
     /// A pending placeholder for a node being derived, named per Definition
@@ -497,9 +486,7 @@ impl Language {
             seen[id.index()] = true;
             if !self.names.has_base(id) {
                 let label = self
-                    .node(id)
-                    .label
-                    .as_deref()
+                    .label(id)
                     .map(str::to_owned)
                     .unwrap_or_else(|| format!("N{}", self.names.base_count()));
                 self.names.assign_base(id, label);

@@ -51,7 +51,7 @@ impl Language {
                 ExprKind::Ref(_) => unreachable!("resolved"),
             };
             let mut label = text;
-            if let Some(l) = &node.label {
+            if let Some(l) = self.label(id) {
                 label = format!("{l}: {label}");
             }
             if let Some(name) = self.node_name(id) {

@@ -76,6 +76,36 @@ pub(crate) struct MemoEntry {
     pub(crate) next: u32,
 }
 
+/// A node's memo state beyond its inline single entry ([`Language::memo_more`]):
+/// the second slot `DualEntry` and `FullHash` keep, and the head of the
+/// node's `FullHash` overflow list in [`Language::memo_pool`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemoMore {
+    pub(crate) key2: DeriveKey,
+    pub(crate) val2: NodeId,
+    pub(crate) over: u32,
+}
+
+impl MemoMore {
+    pub(crate) const EMPTY: MemoMore =
+        MemoMore { key2: DeriveKey::NONE, val2: NodeId(0), over: NO_LINK };
+}
+
+/// Where an initial-grammar node's dense per-class template row sits in
+/// [`Language::class_pool`] ([`Language::tmpl_rows`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TmplRow {
+    /// Start of the row (`NO_LINK` when the node has none).
+    pub(crate) start: u32,
+    /// Length of the row: the terminal count when it was allocated
+    /// (terminals interned later are simply not templated).
+    pub(crate) len: u32,
+}
+
+impl TmplRow {
+    pub(crate) const NONE: TmplRow = TmplRow { start: NO_LINK, len: 0 };
+}
+
 /// One entry of the pooled per-class template rows ([`Language::class_pool`]):
 /// the derivative an initial-grammar node last produced for one terminal
 /// class, plus its lexeme taint. Valid while `epoch` is current.
@@ -86,89 +116,69 @@ pub(crate) struct ClassEntry {
     pub(crate) taint: bool,
 }
 
-/// One grammar node plus its per-node mutable state: nullability lattice
-/// value, derive memo, parse-null memo, productivity mark. Storing this state
-/// *in the node* (not in hash tables) is the §4.4 optimization, generalized
-/// here to every per-parse side table.
+/// One grammar node plus the per-parse state every derived node uses: the
+/// single-entry derive memo, the nullability lattice value and fixed-point
+/// bookkeeping, the parse-null memo and the productivity mark. Storing this
+/// state *in the node* (not in hash tables) is the §4.4 optimization,
+/// generalized here to every per-parse slot a derived node needs.
 ///
-/// All per-parse fields are `Copy` and guarded by an epoch stamp: a field
-/// group is only meaningful while its `*_epoch` equals the owning
-/// [`Language`]'s current parse epoch. [`Language::reset`] therefore never
-/// touches nodes — bumping the epoch invalidates everything at once.
+/// Slots that only some nodes or some configurations use live in side
+/// tables on [`Language`], indexed by node and grown on demand: labels
+/// ([`Language::labels`]), the `DualEntry`/`FullHash` second slot and
+/// overflow list ([`Language::memo_more`]), initial-grammar template rows
+/// ([`Language::tmpl_rows`]) and automaton states. A parse-mode Python
+/// token derives about 235 nodes, so every inline byte counts: the node is
+/// at most 48 bytes (asserted below).
+///
+/// The memo, nullability and null-parse fields share one epoch stamp: they
+/// are only meaningful while `epoch` equals the owning [`Language`]'s
+/// current parse epoch, and [`Language::parse_state_mut`] is their one
+/// write path, which re-initializes all three groups when the stamp is
+/// stale. [`Language::reset`] therefore never touches surviving nodes —
+/// bumping the epoch invalidates everything at once.
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
     pub(crate) kind: ExprKind,
-    pub(crate) label: Option<Arc<str>>,
+    /// The parse epoch the fields below (all but `productive`) were written
+    /// under.
+    pub(crate) epoch: u32,
+    // --- derive memo (§4.4): the single entry, `DeriveKey::NONE` if empty ---
+    pub(crate) memo_key: DeriveKey,
+    pub(crate) memo_val: NodeId,
+    /// The parse-null memo.
+    pub(crate) null_parse: Option<ForestId>,
+    // --- nullability (§4.2) ---
+    /// The fixed-point run that last visited this node.
+    pub(crate) null_visited_run: u32,
+    /// Head of this node's dependency list in [`Language::dep_pool`], valid
+    /// while `null_visited_run` equals the current run label (a visit
+    /// starts the list afresh).
+    pub(crate) deps_head: u32,
+    pub(crate) null_value: bool,
+    pub(crate) null_definite: bool,
     /// Productivity lattice value (see [`crate::prune`]). Not epoch-stamped:
     /// for initial-grammar nodes productivity is a language-level fact that
     /// stays valid across parses, and derived nodes die at reset.
     pub(crate) productive: u8,
-    // --- nullability state (§4.2), valid while `null_epoch` is current ---
-    pub(crate) null_epoch: u32,
-    pub(crate) null_value: bool,
-    pub(crate) null_definite: bool,
-    pub(crate) null_visited_run: u32,
-    /// Head of this node's dependency list in [`Language::dep_pool`], valid
-    /// while `deps_run` equals the current fixed-point run label.
-    pub(crate) deps_head: u32,
-    pub(crate) deps_run: u32,
-    // --- derive memo (§4.4), valid while `memo_epoch` is current ---
-    pub(crate) memo_epoch: u32,
-    pub(crate) memo_key: Option<DeriveKey>,
-    pub(crate) memo_val: NodeId,
-    /// Second slot: the overflow entry for `DualEntry` (§4.4's abandoned
-    /// experiment) and the second inline entry for `FullHash`.
-    pub(crate) memo_key2: Option<DeriveKey>,
-    pub(crate) memo_val2: NodeId,
-    /// Head of this node's overflow list in [`Language::memo_pool`]
-    /// (`FullHash` only; entries beyond the two inline slots).
-    pub(crate) memo_over: u32,
-    // --- class-template row (lexeme sharing), entries individually
-    // --- epoch-stamped ---
-    /// Start of this node's dense per-class template row in
-    /// [`Language::class_pool`] (`NO_LINK` when the node has none).
-    /// Initial-grammar nodes — the ones every token's derivation revisits —
-    /// get a row on their first record, indexed by `TermId` and never
-    /// evicted; derived nodes are transient and carry no template state.
-    pub(crate) tmpl_row: u32,
-    /// Length of the row (the terminal count at allocation time; terminals
-    /// interned later are simply not templated).
-    pub(crate) tmpl_row_len: u32,
-    // --- parse-null memo, valid while `null_parse_epoch` is current ---
-    pub(crate) null_parse_epoch: u32,
-    pub(crate) null_parse: Option<ForestId>,
-    /// The lazy-automaton state this node is interned as, `NO_LINK` if none.
-    /// Not epoch-stamped: state identity is a structural fact, and interned
-    /// roots survive [`Language::reset`] (the automaton boundary keeps them
-    /// alive), so the mapping stays warm across parses. Cleared by
-    /// [`Language::invalidate_parse_state`] on the rare in-place kind
-    /// rewrite.
-    pub(crate) auto_state: u32,
 }
+
+// Node size is the parse-mode arena's size per derived node: a field added
+// here costs every one of them.
+const _: () = assert!(std::mem::size_of::<Node>() <= 48);
 
 impl Node {
     fn new(kind: ExprKind) -> Node {
         Node {
             kind,
-            label: None,
-            productive: 0,
-            null_epoch: 0,
-            null_value: false,
-            null_definite: false,
+            epoch: 0,
+            memo_key: DeriveKey::NONE,
+            memo_val: NodeId(0),
+            null_parse: None,
             null_visited_run: 0,
             deps_head: NO_LINK,
-            deps_run: 0,
-            memo_epoch: 0,
-            memo_key: None,
-            memo_val: NodeId(0),
-            memo_key2: None,
-            memo_val2: NodeId(0),
-            memo_over: NO_LINK,
-            tmpl_row: NO_LINK,
-            tmpl_row_len: 0,
-            null_parse_epoch: 0,
-            null_parse: None,
-            auto_state: NO_LINK,
+            null_value: false,
+            null_definite: false,
+            productive: 0,
         }
     }
 
@@ -230,6 +240,20 @@ pub struct Language {
     /// Pooled storage for `FullHash` memo overflow lists (replaces the global
     /// `(node, token)` hash map: the hot path never hashes).
     pub(crate) memo_pool: Vec<MemoEntry>,
+    /// Display labels ([`set_label`](Language::set_label)), indexed by node
+    /// and grown only as far as the highest labelled node.
+    pub(crate) labels: Vec<Option<Arc<str>>>,
+    /// Each node's memo state beyond its inline entry, indexed by node and
+    /// grown only by `DualEntry` and `FullHash` (empty under `SingleEntry`).
+    /// An entry is per-parse state like [`memo_pool`](Language::memo_pool):
+    /// [`reset`](Language::reset) clears the table, and
+    /// [`invalidate_parse_state`](Language::invalidate_parse_state) empties
+    /// the node's entry, so it is live whenever the node's stamp is.
+    pub(crate) memo_more: Vec<MemoMore>,
+    /// Each initial-grammar node's template row in
+    /// [`class_pool`](Language::class_pool), indexed by node. Only nodes
+    /// below the initial boundary get a row, so this never grows past it.
+    pub(crate) tmpl_rows: Vec<TmplRow>,
     /// Pooled storage for the dense per-class template rows of
     /// initial-grammar nodes. Row *allocation* is warm state that survives
     /// [`reset`](Language::reset) (rows belong to initial nodes, which
@@ -267,6 +291,9 @@ pub struct Language {
     /// Reusable reader lists and worklist of the productivity pass (see
     /// [`crate::prune`]).
     pub(crate) readers: crate::prune::ReaderLists,
+    /// Reusable queue and visit list of the nullability fixed point (see
+    /// [`crate::nullable`]).
+    pub(crate) null_lists: crate::nullable::RunLists,
     /// Initial-grammar start nodes that passed [`validate`](Language::validate):
     /// their reachable graph can no longer change, so a session start
     /// validates each only once.
@@ -298,6 +325,9 @@ impl Language {
             run_label: 0,
             dep_pool: Vec::new(),
             memo_pool: Vec::new(),
+            labels: Vec::new(),
+            memo_more: Vec::new(),
+            tmpl_rows: Vec::new(),
             class_pool: Vec::new(),
             prepass_cache: Vec::new(),
             auto: crate::automaton::Automaton::default(),
@@ -308,6 +338,7 @@ impl Language {
             initial_forests: None,
             settled: 0,
             readers: Default::default(),
+            null_lists: Default::default(),
             validated: Vec::new(),
             term_nodes: HashMap::new(),
             forest_nothing,
@@ -419,25 +450,27 @@ impl Language {
     #[inline]
     pub(crate) fn null_state(&self, id: NodeId) -> (bool, bool) {
         let n = &self.nodes[id.index()];
-        if n.null_epoch == self.epoch {
+        if n.epoch == self.epoch {
             (n.null_value, n.null_definite)
         } else {
             Node::null_defaults(&n.kind)
         }
     }
 
-    /// Mutable access to a node's nullability state, re-initializing it for
-    /// the current epoch first if it is stale. This is the only write path
-    /// for nullability fields, so stale state can never leak across parses.
+    /// Mutable access to a node's epoch-stamped state (memo, nullability,
+    /// null-parse), re-initializing all of it for the current epoch first
+    /// if it is stale. This is the only write path for those fields, so
+    /// stale state can never leak across parses.
     #[inline]
-    pub(crate) fn null_mut(&mut self, id: NodeId) -> &mut Node {
+    pub(crate) fn parse_state_mut(&mut self, id: NodeId) -> &mut Node {
         let epoch = self.epoch;
         let n = &mut self.nodes[id.index()];
-        if n.null_epoch != epoch {
-            n.null_epoch = epoch;
+        if n.epoch != epoch {
+            n.epoch = epoch;
+            n.memo_key = DeriveKey::NONE;
+            n.null_parse = None;
             n.null_visited_run = 0;
             n.deps_head = NO_LINK;
-            n.deps_run = 0;
             let (value, definite) = Node::null_defaults(&n.kind);
             n.null_value = value;
             n.null_definite = definite;
@@ -449,7 +482,7 @@ impl Language {
     #[inline]
     pub(crate) fn null_parse_get(&self, id: NodeId) -> Option<ForestId> {
         let n = &self.nodes[id.index()];
-        if n.null_parse_epoch == self.epoch {
+        if n.epoch == self.epoch {
             n.null_parse
         } else {
             None
@@ -459,36 +492,36 @@ impl Language {
     /// Memoizes the node's null-parse forest for the current epoch.
     #[inline]
     pub(crate) fn null_parse_set(&mut self, id: NodeId, f: ForestId) {
-        let epoch = self.epoch;
-        let n = &mut self.nodes[id.index()];
-        n.null_parse_epoch = epoch;
-        n.null_parse = Some(f);
+        self.parse_state_mut(id).null_parse = Some(f);
     }
 
-    /// Invalidates every epoch-stamped field of one node. Called whenever a
-    /// node's `kind` is rewritten in place (placeholder patching, `define`,
-    /// emptiness pruning) so derived state is recomputed for the new kind.
+    /// Invalidates every epoch-stamped field of one node, with its memo
+    /// side-table entry, template row entries and automaton state. Called
+    /// whenever a node's `kind` is rewritten in place (placeholder patching,
+    /// `define`, emptiness pruning) so derived state is recomputed for the
+    /// new kind.
     #[inline]
     pub(crate) fn invalidate_parse_state(&mut self, id: NodeId) {
-        let n = &mut self.nodes[id.index()];
-        n.null_epoch = 0;
-        n.memo_epoch = 0;
-        n.null_parse_epoch = 0;
-        let auto_state = n.auto_state;
-        n.auto_state = NO_LINK;
-        let (row, len) = (n.tmpl_row, n.tmpl_row_len);
-        if row != NO_LINK {
-            // Kind rewrites are rare (placeholder patching, pruning), so an
-            // O(classes) row sweep here keeps the hot-path reads stamp-only.
-            for e in &mut self.class_pool[row as usize..(row + len) as usize] {
-                e.epoch = 0;
+        let i = id.index();
+        self.nodes[i].epoch = 0;
+        if let Some(more) = self.memo_more.get_mut(i) {
+            *more = MemoMore::EMPTY;
+        }
+        if let Some(&TmplRow { start, len }) = self.tmpl_rows.get(i) {
+            if start != NO_LINK {
+                // Kind rewrites are rare (placeholder patching, pruning), so
+                // an O(classes) row sweep here keeps the hot-path reads
+                // stamp-only.
+                for e in &mut self.class_pool[start as usize..(start + len) as usize] {
+                    e.epoch = 0;
+                }
             }
         }
-        if auto_state != NO_LINK {
+        if let Some(state) = self.auto.take_state(id) {
             // States are interned post-prune on frozen structure, so a kind
             // rewrite on an interned root should be impossible — but if one
             // ever happens, drop the automaton rather than serve stale rows.
-            self.auto_node_invalidated(id, auto_state);
+            self.auto_node_invalidated(id, state);
         }
         // Cached signature digests of this node's ancestors embed the old
         // kind; drop them all rather than track reachability.
@@ -560,12 +593,16 @@ impl Language {
 
     /// Attaches a display label (e.g. a non-terminal name) to a node.
     pub fn set_label(&mut self, id: NodeId, label: &str) {
-        self.node_mut(id).label = Some(Arc::from(label));
+        let i = id.index();
+        if self.labels.len() <= i {
+            self.labels.resize(i + 1, None);
+        }
+        self.labels[i] = Some(Arc::from(label));
     }
 
     /// The display label of a node, if any.
     pub fn label(&self, id: NodeId) -> Option<&str> {
-        self.node(id).label.as_deref()
+        self.labels.get(id.index())?.as_deref()
     }
 
     /// Is this node (after resolution) the empty language *syntactically*?
@@ -598,7 +635,7 @@ impl Language {
             match &self.node(id).kind {
                 ExprKind::Forward => {
                     return Err(PwdError::UndefinedNonterminal {
-                        label: self.node(id).label.as_deref().map(str::to_owned),
+                        label: self.label(id).map(str::to_owned),
                     });
                 }
                 ExprKind::Alt(a, b) | ExprKind::Cat(a, b) => {
@@ -704,7 +741,7 @@ impl Language {
                 ExprKind::Pending => "pend",
                 ExprKind::Ref(_) => "ref",
             };
-            match &n.label {
+            match self.label(id) {
                 Some(l) => format!("{age}:{kind}:{l}"),
                 None => format!("{age}:{kind}"),
             }
@@ -755,10 +792,10 @@ impl Language {
     /// (derive memos, nullability values, null-parse forests) is stamped
     /// with the epoch it was written under, so bumping the counter
     /// invalidates all of it at once. No per-node clearing loop runs, no
-    /// hash table is rehashed, and no buffer is deallocated — arenas and
-    /// pools keep their capacity for the next parse. (The paper clears its
-    /// memo hash tables between benchmark rounds; this achieves the same
-    /// effect in O(1).)
+    /// hash table is rehashed, and no buffer is deallocated — arenas, side
+    /// tables and pools are truncated with their capacity kept for the next
+    /// parse. (The paper clears its memo hash tables between benchmark
+    /// rounds; this achieves the same effect in O(1).)
     pub fn reset(&mut self) {
         let (Some(n), Some(f)) = (self.initial_nodes, self.initial_forests) else {
             return; // never parsed; nothing to reset
@@ -776,15 +813,26 @@ impl Language {
         // derived nodes own no per-parse heap (their dependency and memo
         // lists live in the shared pools below), so this drops only
         // reference counts on shared grammar structure.
-        self.nodes.truncate(n.max(self.auto.boundary));
+        let keep = n.max(self.auto.boundary);
+        self.nodes.truncate(keep);
         self.forests.truncate(f.max(self.auto.forest_boundary));
         self.settled = self.settled.min(self.nodes.len());
-        // Truncation reuses node ids, so cached signature digests must die
-        // with the nodes they described.
+        // Truncation reuses node ids, so every per-node side table is cut
+        // back with the arena (a reused id must not inherit a dead node's
+        // label or automaton state), and cached signature digests die with
+        // the nodes they described. Every table but `labels` (rarely set on
+        // a derived node) holds `Copy` entries, so this stays O(1) in the
+        // number of derived nodes.
+        self.labels.truncate(keep);
+        self.tmpl_rows.truncate(keep);
+        self.auto.node_states.truncate(keep);
         self.auto.digests.clear();
         // O(1): the pool entries are `Copy`, so `clear` is a length store.
+        // Memo side entries are per-parse state for every node, survivors
+        // included, so they go with the overflow lists they point into.
         self.dep_pool.clear();
         self.memo_pool.clear();
+        self.memo_more.clear();
         // `class_pool` is intentionally NOT cleared: template rows belong to
         // initial-grammar nodes, which survive the truncation, and their
         // entries are epoch-stamped. Prepass results whose nodes just died
@@ -794,9 +842,7 @@ impl Language {
             // Epoch wrap (once every 2³² resets): hard-invalidate all stamps
             // so no node from epoch 1 can alias the new epoch 1.
             for node in &mut self.nodes {
-                node.null_epoch = 0;
-                node.memo_epoch = 0;
-                node.null_parse_epoch = 0;
+                node.epoch = 0;
             }
             for entry in &mut self.class_pool {
                 entry.epoch = 0;
@@ -847,7 +893,7 @@ impl Language {
             ExprKind::Pending => "pending".to_string(),
             ExprKind::Ref(_) => unreachable!("resolved"),
         };
-        match &n.label {
+        match self.label(r) {
             Some(l) => format!("{l}: {head}"),
             None => head,
         }
@@ -923,6 +969,68 @@ mod tests {
         lang.define(l, body);
         // Nodes: Term(c), Cat, Alt — the forward resolves away.
         assert_eq!(lang.reachable_count(l), 3);
+    }
+
+    /// `reset` truncates the arena, and the next parse reuses the ids of
+    /// the nodes it dropped, so every per-node side table must be cut back
+    /// with it: a label on a derived node, a `FullHash` second slot and
+    /// overflow list, and the automaton state of a non-canonical derived
+    /// node above the automaton boundary must all be gone when the id comes
+    /// back.
+    #[test]
+    fn reused_ids_see_no_side_table_state_after_reset() {
+        use crate::config::{MemoStrategy, ParseMode};
+        use crate::token::TokKey;
+        let mut lang = Language::new(ParserConfig {
+            mode: ParseMode::Recognize,
+            memo: MemoStrategy::FullHash,
+            ..ParserConfig::improved()
+        });
+        assert!(lang.automaton_active());
+        // S = a b | a S b
+        let a = lang.terminal("a");
+        let b = lang.terminal("b");
+        let (ta, tb) = (lang.term_node(a), lang.term_node(b));
+        let s = lang.forward();
+        let ab = lang.cat(ta, tb);
+        let asb = lang.seq(&[ta, s, tb]);
+        let body = lang.alt(ab, asb);
+        lang.define(s, body);
+        let tok_a = lang.token(a, "a");
+        let key = |k: u32| DeriveKey::value(TokKey(k));
+
+        let mut session = crate::SessionState::start(&mut lang, s).unwrap();
+        assert!(session.feed(&mut lang, &tok_a).unwrap());
+        // A copy of the current state's root is isomorphic to it, so it is
+        // mapped to that state without moving the automaton boundary.
+        let root = session.current();
+        let x = lang.alloc(lang.node(root).kind.clone());
+        let state = lang.auto_intern(x);
+        assert!(state.is_some() && state == lang.auto_state_of(root));
+        assert!(x.index() >= lang.auto.boundary, "x must die at reset");
+        lang.set_label(x, "derived");
+        for k in 0..3 {
+            lang.memo_put(x, key(k), NodeId(k));
+        }
+        assert_eq!(lang.memo_get(x, key(2)), Some(NodeId(2)), "an overflow entry");
+        session.finish(&mut lang);
+
+        lang.reset();
+        assert!(lang.node_count() <= x.index());
+        let session = crate::SessionState::start(&mut lang, s).unwrap();
+        let mut y = lang.empty_node();
+        while y.index() < x.index() {
+            y = lang.cat(ta, tb);
+        }
+        assert_eq!(y, x, "the next parse reuses the id");
+        assert_eq!(lang.label(y), None);
+        assert_eq!(lang.auto_state_of(y), None);
+        lang.memo_put(y, key(7), NodeId(7));
+        assert_eq!(lang.memo_get(y, key(1)), None, "a dead second slot");
+        assert_eq!(lang.memo_get(y, key(2)), None, "a dead overflow list");
+        assert_eq!(lang.memo_get(y, key(7)), Some(NodeId(7)));
+        assert_eq!(lang.memo_entry_counts(), vec![1]);
+        session.finish(&mut lang);
     }
 
     #[test]

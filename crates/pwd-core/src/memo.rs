@@ -5,16 +5,19 @@
 //!
 //! * [`MemoStrategy::FullHash`](crate::MemoStrategy::FullHash) — the
 //!   remember-everything semantics of Might et al. (2011)'s nested hash
-//!   tables, realized here **without a hash table**: two inline slots on
-//!   each node plus a pooled per-node overflow list. Figure 10's observation
-//!   (nearly every node holds exactly one entry) is what makes the linear
-//!   overflow scan cheap.
+//!   tables, realized here **without a hash table**: the node's inline
+//!   slot, a second slot in the per-node side table `Language::memo_more`,
+//!   and a pooled per-node overflow list. Figure 10's observation (nearly
+//!   every node holds exactly one entry) is what makes the linear overflow
+//!   scan cheap.
 //! * [`MemoStrategy::SingleEntry`](crate::MemoStrategy::SingleEntry) — the
 //!   paper's improvement: fields on each node acting as a one-entry cache
 //!   that evicts on conflict. Forgetful (Figure 11), but avoids all hashing
-//!   on the hot path (Figure 12).
+//!   on the hot path (Figure 12). The inline slot is all it uses, so it
+//!   never touches the side table.
 //! * [`MemoStrategy::DualEntry`](crate::MemoStrategy::DualEntry) — the §4.4
-//!   extension the paper tried and abandoned; kept for the ablation benches.
+//!   extension the paper tried and abandoned, its second slot in the side
+//!   table; kept for the ablation benches.
 //!
 //! # Entry identity: value keys vs class keys
 //!
@@ -46,10 +49,11 @@
 //!   only tainted ones — so allocation is confined to the patch path from
 //!   the root to the new leaves instead of the whole graph.
 //!
-//! Both layers are guarded by per-node epoch stamps, so
-//! [`Language::reset`] invalidates every strategy's state (and all
-//! templates) with one counter bump — nothing re-hashes, clears, or walks
-//! anything between parses.
+//! Both layers are guarded by epoch stamps (the node's one stamp for its
+//! memo slot, one per template entry), so [`Language::reset`] invalidates
+//! every strategy's state (and all templates) with one counter bump plus
+//! length stores on the pooled tables — nothing re-hashes or walks anything
+//! between parses.
 //!
 //! # Tier three: the lazy derivative automaton
 //!
@@ -67,121 +71,88 @@
 //! the table freezes or a transition is still unexplored.
 
 use crate::config::MemoStrategy;
-use crate::expr::{ClassEntry, Language, MemoEntry, Node, NodeId, NO_LINK};
+use crate::expr::{ClassEntry, Language, MemoEntry, MemoMore, NodeId, TmplRow, NO_LINK};
 use crate::token::{DeriveKey, TermId};
 
 impl Language {
-    /// Mutable access to a node's memo state, re-initializing it for the
-    /// current epoch first if it is stale.
-    #[inline]
-    fn memo_mut(&mut self, id: NodeId) -> &mut Node {
-        let epoch = self.epoch;
-        let n = &mut self.nodes[id.index()];
-        if n.memo_epoch != epoch {
-            n.memo_epoch = epoch;
-            n.memo_key = None;
-            n.memo_key2 = None;
-            n.memo_over = NO_LINK;
-        }
-        n
-    }
-
     /// Looks up the memoized derivative of `id` by token `key`.
     pub(crate) fn memo_get(&self, id: NodeId, key: DeriveKey) -> Option<NodeId> {
         let n = self.node(id);
-        if n.memo_epoch != self.epoch {
+        if n.epoch != self.epoch {
             return None;
         }
-        match self.config.memo {
-            MemoStrategy::SingleEntry => {
-                if n.memo_key == Some(key) {
-                    Some(n.memo_val)
-                } else {
-                    None
-                }
-            }
-            MemoStrategy::DualEntry => {
-                if n.memo_key == Some(key) {
-                    Some(n.memo_val)
-                } else if n.memo_key2 == Some(key) {
-                    Some(n.memo_val2)
-                } else {
-                    None
-                }
-            }
-            MemoStrategy::FullHash => {
-                if n.memo_key == Some(key) {
-                    return Some(n.memo_val);
-                }
-                if n.memo_key2 == Some(key) {
-                    return Some(n.memo_val2);
-                }
-                let mut cur = n.memo_over;
-                while cur != NO_LINK {
-                    let e = &self.memo_pool[cur as usize];
-                    if e.key == key {
-                        return Some(e.val);
-                    }
-                    cur = e.next;
-                }
-                None
-            }
+        if n.memo_key == key {
+            return Some(n.memo_val);
         }
+        if self.config.memo == MemoStrategy::SingleEntry {
+            return None;
+        }
+        let more = self.memo_more.get(id.index())?;
+        if more.key2 == key {
+            return Some(more.val2);
+        }
+        // `over` is only ever set under `FullHash`.
+        let mut cur = more.over;
+        while cur != NO_LINK {
+            let e = &self.memo_pool[cur as usize];
+            if e.key == key {
+                return Some(e.val);
+            }
+            cur = e.next;
+        }
+        None
+    }
+
+    /// The node's memo side entry, added empty if the table does not reach
+    /// it yet.
+    fn memo_more_mut(&mut self, id: NodeId) -> &mut MemoMore {
+        let i = id.index();
+        if self.memo_more.len() <= i {
+            self.memo_more.resize(i + 1, MemoMore::EMPTY);
+        }
+        &mut self.memo_more[i]
     }
 
     /// Records the derivative of `id` by token `key`.
+    ///
+    /// The inline slot fills first and, within an epoch, is never emptied
+    /// again, so an empty inline slot means the side entry is empty too.
     pub(crate) fn memo_put(&mut self, id: NodeId, key: DeriveKey, val: NodeId) {
-        match self.config.memo {
+        let strategy = self.config.memo;
+        let n = self.parse_state_mut(id);
+        let old = n.memo_key;
+        if old == DeriveKey::NONE || old == key {
+            n.memo_key = key;
+            n.memo_val = val;
+            return;
+        }
+        let evicted = match strategy {
             MemoStrategy::SingleEntry => {
-                let evicted = {
-                    let n = self.memo_mut(id);
-                    let evicted = n.memo_key.is_some() && n.memo_key != Some(key);
-                    n.memo_key = Some(key);
-                    n.memo_val = val;
-                    evicted
-                };
-                if evicted {
-                    self.metrics.memo_evictions += 1;
-                }
+                n.memo_key = key;
+                n.memo_val = val;
+                true
             }
             MemoStrategy::DualEntry => {
-                let evicted = {
-                    let n = self.memo_mut(id);
-                    if n.memo_key == Some(key) {
-                        n.memo_val = val;
-                        false
-                    } else {
-                        // Demote the newest entry to the second slot,
-                        // dropping the oldest.
-                        let evicted = n.memo_key2.is_some() && n.memo_key2 != Some(key);
-                        n.memo_key2 = n.memo_key;
-                        n.memo_val2 = n.memo_val;
-                        n.memo_key = Some(key);
-                        n.memo_val = val;
-                        evicted
-                    }
-                };
-                if evicted {
-                    self.metrics.memo_evictions += 1;
-                }
+                // Demote the newest entry to the second slot, dropping the
+                // oldest.
+                let old_val = std::mem::replace(&mut n.memo_val, val);
+                n.memo_key = key;
+                let more = self.memo_more_mut(id);
+                let evicted = more.key2 != DeriveKey::NONE && more.key2 != key;
+                more.key2 = old;
+                more.val2 = old_val;
+                evicted
             }
             MemoStrategy::FullHash => {
-                let over_head = {
-                    let n = self.memo_mut(id);
-                    if n.memo_key.is_none() || n.memo_key == Some(key) {
-                        n.memo_key = Some(key);
-                        n.memo_val = val;
-                        return;
-                    }
-                    if n.memo_key2.is_none() || n.memo_key2 == Some(key) {
-                        n.memo_key2 = Some(key);
-                        n.memo_val2 = val;
-                        return;
-                    }
-                    n.memo_over
-                };
+                let more = self.memo_more_mut(id);
+                if more.key2 == DeriveKey::NONE || more.key2 == key {
+                    more.key2 = key;
+                    more.val2 = val;
+                    return;
+                }
                 // Update in place if present; otherwise push a new entry.
-                let mut cur = over_head;
+                let head = more.over;
+                let mut cur = head;
                 while cur != NO_LINK {
                     let e = &mut self.memo_pool[cur as usize];
                     if e.key == key {
@@ -191,9 +162,13 @@ impl Language {
                     cur = e.next;
                 }
                 let idx = self.memo_pool.len() as u32;
-                self.memo_pool.push(MemoEntry { key, val, next: over_head });
-                self.nodes[id.index()].memo_over = idx;
+                self.memo_pool.push(MemoEntry { key, val, next: head });
+                self.memo_more[id.index()].over = idx;
+                false
             }
+        };
+        if evicted {
+            self.metrics.memo_evictions += 1;
         }
     }
 
@@ -209,9 +184,9 @@ impl Language {
     /// once per class), so for them the bookkeeping costs more than the
     /// sharing recovers.
     pub(crate) fn template_get(&self, id: NodeId, term: TermId) -> Option<(NodeId, bool)> {
-        let n = self.node(id);
-        if n.tmpl_row != NO_LINK && (term.index() as u32) < n.tmpl_row_len {
-            let e = &self.class_pool[n.tmpl_row as usize + term.index()];
+        let row = self.tmpl_rows.get(id.index())?;
+        if row.start != NO_LINK && (term.index() as u32) < row.len {
+            let e = &self.class_pool[row.start as usize + term.index()];
             if e.epoch == self.epoch {
                 return Some((e.val, e.taint));
             }
@@ -238,37 +213,39 @@ impl Language {
         }
         let epoch = self.epoch;
         let terms = self.interner.term_count() as u32;
-        if self.nodes[id.index()].tmpl_row == NO_LINK && terms > 0 {
+        let i = id.index();
+        if self.tmpl_rows.len() <= i {
+            self.tmpl_rows.resize(i + 1, TmplRow::NONE);
+        }
+        if self.tmpl_rows[i].start == NO_LINK && terms > 0 {
             let start = self.class_pool.len() as u32;
             self.class_pool.extend(std::iter::repeat_n(
                 ClassEntry { epoch: 0, val: NodeId(0), taint: false },
                 terms as usize,
             ));
-            let n = &mut self.nodes[id.index()];
-            n.tmpl_row = start;
-            n.tmpl_row_len = terms;
+            self.tmpl_rows[i] = TmplRow { start, len: terms };
         }
-        let n = self.node(id);
-        if n.tmpl_row != NO_LINK && (term.index() as u32) < n.tmpl_row_len {
-            let slot = n.tmpl_row as usize + term.index();
+        let row = self.tmpl_rows[i];
+        if row.start != NO_LINK && (term.index() as u32) < row.len {
+            let slot = row.start as usize + term.index();
             self.class_pool[slot] = ClassEntry { epoch, val, taint };
             self.metrics.templates_recorded += 1;
         }
     }
 
-    /// Number of memo entries a node currently holds (0 if its state is from
-    /// an earlier epoch).
-    fn memo_entries_of(&self, n: &Node) -> u32 {
-        if n.memo_epoch != self.epoch {
+    /// Number of memo entries node `i` currently holds (0 if its state is
+    /// from an earlier epoch).
+    fn memo_entries_of(&self, i: usize) -> u32 {
+        let n = &self.nodes[i];
+        if n.epoch != self.epoch || n.memo_key == DeriveKey::NONE {
             return 0;
         }
-        let mut count = u32::from(n.memo_key.is_some()) + u32::from(n.memo_key2.is_some());
-        if self.config.memo == MemoStrategy::FullHash {
-            let mut cur = n.memo_over;
-            while cur != NO_LINK {
-                count += 1;
-                cur = self.memo_pool[cur as usize].next;
-            }
+        let Some(more) = self.memo_more.get(i) else { return 1 };
+        let mut count = 1 + u32::from(more.key2 != DeriveKey::NONE);
+        let mut cur = more.over;
+        while cur != NO_LINK {
+            count += 1;
+            cur = self.memo_pool[cur as usize].next;
         }
         count
     }
@@ -279,7 +256,7 @@ impl Language {
     /// Under `SingleEntry` every occupied node reports exactly 1 by
     /// construction, so the census is only informative under `FullHash`.
     pub fn memo_entry_counts(&self) -> Vec<u32> {
-        self.nodes.iter().map(|n| self.memo_entries_of(n)).filter(|&c| c > 0).collect()
+        (0..self.nodes.len()).map(|i| self.memo_entries_of(i)).filter(|&c| c > 0).collect()
     }
 
     /// Fraction of memoized nodes holding exactly one entry (the quantity
@@ -326,7 +303,8 @@ mod tests {
         let mut lang = Language::new(ParserConfig::original_2011());
         let a = lang.terminal("a");
         let n = lang.term_node(a);
-        // Enough keys to overflow both inline slots into the pool.
+        // Enough keys to overflow the inline slot and the second slot into
+        // the pool.
         for k in 0..6u32 {
             lang.memo_put(n, key(k), NodeId(k));
         }

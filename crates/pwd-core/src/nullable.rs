@@ -20,16 +20,29 @@
 //! from birth.
 //!
 //! All lattice values live in epoch-stamped node fields and the dependency
-//! lists live in one pooled arena ([`Language::dep_pool`]), stamped with the
-//! run label that recorded them: a [`Language::reset`] (epoch bump) or a new
-//! fixed-point run invalidates them without any clearing sweep. Dependencies
-//! recorded by an *earlier* run are deliberately dropped — under `Worklist`
-//! nothing is definite so parents recompute on their next query anyway, and
-//! under `Labeled` a completed run has promoted everything it examined, so a
-//! cross-run wake-up can never fire.
+//! lists live in one pooled arena ([`Language::dep_pool`]). A node's list
+//! is valid while its visit label is the current run's, and a run's first
+//! visit starts it afresh: a [`Language::reset`] (epoch bump) or a new
+//! fixed-point run invalidates every list without any clearing sweep.
+//! Dependencies recorded by an *earlier* run are deliberately dropped —
+//! under `Worklist` nothing is definite so parents recompute on their next
+//! query anyway, and under `Labeled` a completed run has promoted everything
+//! it examined, so a cross-run wake-up can never fire. The run's queue and
+//! visit list are pooled too ([`RunLists`]), so a run allocates nothing once
+//! they have grown to the largest run seen.
 
 use crate::config::NullStrategy;
 use crate::expr::{DepEntry, ExprKind, Language, NodeId, NO_LINK};
+
+/// The nullability fixed point's buffers. They live on [`Language`], empty
+/// between runs but keeping their capacity.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RunLists {
+    /// Nodes just discovered nullable whose dependents are still to wake.
+    queue: Vec<NodeId>,
+    /// Nodes the run examined (promoted to definite under `Labeled`).
+    visited: Vec<NodeId>,
+}
 
 impl Language {
     /// Is the language of `id` nullable (does it accept the empty word)?
@@ -81,7 +94,7 @@ impl Language {
         let id = self.resolve(id);
         let run = self.run_label;
         {
-            let n = self.null_mut(id);
+            let n = self.parse_state_mut(id);
             if n.null_definite {
                 return n.null_value;
             }
@@ -90,7 +103,7 @@ impl Language {
             }
             n.null_visited_run = run;
         }
-        let v = match self.node(id).kind.clone() {
+        let v = match self.node(id).kind {
             ExprKind::Empty | ExprKind::Term(_) | ExprKind::Pending | ExprKind::Forward => false,
             ExprKind::Eps(_) => true,
             ExprKind::Alt(a, b) => {
@@ -109,7 +122,7 @@ impl Language {
             ExprKind::Ref(_) => unreachable!("resolved"),
         };
         if v && !self.null_state(id).0 {
-            let n = self.null_mut(id);
+            let n = self.parse_state_mut(id);
             n.null_value = true;
             n.null_definite = true; // monotone: true is final
             *changed = true;
@@ -131,8 +144,7 @@ impl Language {
         self.metrics.nullable_runs += 1;
         let span = self.obs_start();
         self.run_label += 1;
-        let mut queue: Vec<NodeId> = Vec::new();
-        let mut visited: Vec<NodeId> = Vec::new();
+        let RunLists { mut queue, mut visited } = std::mem::take(&mut self.null_lists);
         self.fix_visit(id, &mut queue, &mut visited);
         // Propagate discovered-nullable facts along recorded dependencies.
         while let Some(n) = queue.pop() {
@@ -146,10 +158,12 @@ impl Language {
         if promote {
             // §4.2: the run is complete, so everything it examined is at a
             // fixed point; assumed-not-nullable becomes definitely-not.
-            for v in visited {
-                self.null_mut(v).null_definite = true;
+            for &v in &visited {
+                self.parse_state_mut(v).null_definite = true;
             }
         }
+        visited.clear();
+        self.null_lists = RunLists { queue, visited };
         self.obs_end(pwd_obs::Phase::Nullable, span);
         self.null_state(id).0
     }
@@ -164,7 +178,7 @@ impl Language {
         let id = self.resolve(id);
         let run = self.run_label;
         {
-            let n = self.null_mut(id);
+            let n = self.parse_state_mut(id);
             if n.null_definite {
                 return n.null_value;
             }
@@ -174,9 +188,10 @@ impl Language {
                 return n.null_value;
             }
             n.null_visited_run = run;
+            n.deps_head = NO_LINK; // a list from an earlier run is abandoned
         }
         visited.push(id);
-        let v = match self.node(id).kind.clone() {
+        let v = match self.node(id).kind {
             ExprKind::Empty | ExprKind::Term(_) => false,
             ExprKind::Eps(_) => true,
             ExprKind::Pending | ExprKind::Forward => {
@@ -229,39 +244,35 @@ impl Language {
     }
 
     /// Records `parent` in `child`'s dependency list for the current run.
+    /// Only a child this run has visited (and left non-definite) gets one,
+    /// so its list was started afresh by that visit.
     fn push_dep(&mut self, child: NodeId, parent: NodeId) {
         let run = self.run_label;
-        let head = {
-            let n = self.null_mut(child);
-            if n.deps_run != run {
-                // A stale list from an earlier run: abandon it in the pool.
-                n.deps_head = NO_LINK;
-                n.deps_run = run;
-            }
-            n.deps_head
-        };
+        let n = self.parse_state_mut(child);
+        debug_assert_eq!(n.null_visited_run, run, "dependency on an unvisited node");
+        let head = n.deps_head;
         // Cheap de-duplication of immediate re-subscription.
         if head != NO_LINK && self.dep_pool[head as usize].parent == parent {
             return;
         }
         let idx = self.dep_pool.len() as u32;
         self.dep_pool.push(DepEntry { parent, next: head });
-        self.null_mut(child).deps_head = idx;
+        self.parse_state_mut(child).deps_head = idx;
     }
 
     /// Detaches and returns the head of `id`'s current-run dependency list
     /// (`NO_LINK` if it has none or the list is from an earlier run).
     fn take_deps(&mut self, id: NodeId) -> u32 {
         let run = self.run_label;
-        let n = self.null_mut(id);
-        if n.deps_run != run {
+        let n = self.parse_state_mut(id);
+        if n.null_visited_run != run {
             return NO_LINK;
         }
         std::mem::replace(&mut n.deps_head, NO_LINK)
     }
 
     fn set_nullable(&mut self, id: NodeId, queue: &mut Vec<NodeId>) {
-        let n = self.null_mut(id);
+        let n = self.parse_state_mut(id);
         if !n.null_value {
             n.null_value = true;
             n.null_definite = true;
@@ -277,7 +288,7 @@ impl Language {
         if self.null_state(id).0 {
             return;
         }
-        let v = match self.node(id).kind.clone() {
+        let v = match self.node(id).kind {
             ExprKind::Alt(a, b) => self.val(a) || self.val(b),
             ExprKind::Cat(a, b) => self.val(a) && self.val(b),
             ExprKind::Red(x, _) | ExprKind::Delta(x) => self.val(x),

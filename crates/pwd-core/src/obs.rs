@@ -108,17 +108,24 @@ impl Language {
             .unwrap_or_default()
     }
 
-    /// Approximate resident bytes of the engine's arenas: grammar nodes,
-    /// forest nodes, and the pooled memo/dependency/template storage. An
-    /// O(1) estimate from arena lengths (not a malloc census), intended for
-    /// session-size accounting and capacity dashboards.
+    /// Approximate resident bytes of the engine's arenas: grammar nodes and
+    /// their per-node side tables (labels, memo second slots, template
+    /// rows, automaton states), forest nodes, and the pooled
+    /// memo/dependency/template storage. An O(1) estimate from arena
+    /// lengths (not a malloc census; label text is not counted), intended
+    /// for session-size accounting and capacity dashboards.
     pub fn arena_bytes(&self) -> usize {
+        use crate::expr::{ClassEntry, DepEntry, MemoEntry, MemoMore, Node, TmplRow};
         use std::mem::size_of;
-        self.nodes.len() * size_of::<crate::expr::Node>()
+        self.nodes.len() * size_of::<Node>()
+            + self.labels.len() * size_of::<Option<std::sync::Arc<str>>>()
+            + self.memo_more.len() * size_of::<MemoMore>()
+            + self.tmpl_rows.len() * size_of::<TmplRow>()
+            + self.auto.node_states.len() * size_of::<u32>()
             + self.forests.len() * size_of::<pwd_forest::ForestNode>()
-            + self.dep_pool.len() * size_of::<crate::expr::DepEntry>()
-            + self.memo_pool.len() * size_of::<crate::expr::MemoEntry>()
-            + self.class_pool.len() * size_of::<crate::expr::ClassEntry>()
+            + self.dep_pool.len() * size_of::<DepEntry>()
+            + self.memo_pool.len() * size_of::<MemoEntry>()
+            + self.class_pool.len() * size_of::<ClassEntry>()
     }
 
     /// Starts a span clock — `None` (and no clock read) when observability

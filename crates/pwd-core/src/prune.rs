@@ -244,6 +244,7 @@ impl Language {
 #[cfg(test)]
 mod tests {
     use super::{PROD_EMPTY, PROD_UNKNOWN, PROD_YES};
+    use crate::expr::ExprKind;
     use crate::{CompactionMode, Language, NodeId, ParseMode, ParserConfig, SessionState, Token};
     use proptest::TestRng;
 
@@ -428,10 +429,10 @@ mod tests {
     /// A seeded random grammar over `a b c`, built through `Language`'s
     /// public constructors: up to six non-terminals declared with `forward`
     /// and closed with `define`, each a union of up to three sequences of
-    /// up to three symbols. Some non-terminals have no base case (zombies
-    /// from the start); some are aliases of a later one, so cycles run
-    /// through `Ref` chains. Returns the language, its start symbol and the
-    /// tokens.
+    /// up to three symbols or a bare sequence led by a non-terminal. Some
+    /// non-terminals have no base case (zombies from the start); some are
+    /// aliases of a later one, so cycles run through `Ref` chains. Returns
+    /// the language, its start symbol and the tokens.
     fn random_grammar(seed: u64, config: ParserConfig) -> (Language, NodeId, Vec<Token>) {
         let mut rng = TestRng::seed_from_u64(seed);
         let mut lang = Language::new(config);
@@ -450,6 +451,21 @@ mod tests {
                 bodies.push(nts[i + 1 + rng.below((k - i - 1) as u64) as usize]);
                 continue;
             }
+            if rng.below(4) == 0 {
+                // A bare `◦` body led by a non-terminal, so left-spine `◦`
+                // cycles such as `N = N ◦ (N ◦ c)` arise: on them the
+                // §4.3.2 reassociation rule recurses into both halves, and
+                // only the shared compaction fuel keeps that linear.
+                let mut items = vec![nts[rng.below(k as u64) as usize]];
+                for _ in 0..1 + rng.below(2) {
+                    items.push(random_symbol(&mut rng, &mut lang, &terms, &nts));
+                }
+                let body = lang.seq(&items);
+                if matches!(lang.kind(body), ExprKind::Cat(..)) {
+                    bodies.push(body);
+                    continue;
+                }
+            }
             let mut alts = Vec::new();
             for _ in 0..1 + rng.below(3) {
                 let items: Vec<NodeId> = (0..rng.below(4))
@@ -457,12 +473,9 @@ mod tests {
                     .collect();
                 alts.push(lang.seq(&items));
             }
-            // A left-recursive alternative that adds no base case keeps
-            // every body a union, whatever compaction made of the rest. A
-            // body that is a bare non-terminal could close a `Ref` cycle,
-            // and one that is a bare `◦` could close a left-spine `◦` cycle,
-            // on which the §4.3.2 reassociation rule recurses into both
-            // halves until its fuel runs out (2⁶⁴ steps).
+            // Otherwise a left-recursive alternative that adds no base case
+            // keeps the body a union, whatever compaction made of the rest:
+            // a body that is a bare non-terminal could close a `Ref` cycle.
             let rec = lang.cat(nts[i], terms[0]);
             if alts.iter().all(|&a| lang.is_empty_node(a)) {
                 alts.push(lang.cat(nts[i], terms[1]));

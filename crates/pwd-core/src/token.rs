@@ -52,6 +52,10 @@ impl TokKey {
 pub(crate) struct DeriveKey(u32);
 
 impl DeriveKey {
+    /// The key of an empty memo slot. No terminal or token value is ever
+    /// interned at index `u32::MAX`, so it never equals a real key.
+    pub(crate) const NONE: DeriveKey = DeriveKey(u32::MAX);
+
     /// Value keying: one memo entry per distinct `(kind, lexeme)`.
     pub(crate) fn value(key: TokKey) -> DeriveKey {
         DeriveKey(key.0)

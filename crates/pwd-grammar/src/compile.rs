@@ -215,6 +215,25 @@ mod tests {
         g.build().unwrap()
     }
 
+    /// The parse-mode arena per token on the paper's workload, at the end
+    /// of a 1,358-token Python module's parse: it guards both the
+    /// grammar-node size and the nodes each token derives (about 235, at
+    /// 48 bytes each, plus the forest and the pools). It reads about
+    /// 13.6 KB; carrying every per-parse slot in a 112-byte node read about
+    /// 29 KB.
+    #[test]
+    fn python_parse_arena_stays_under_16_kb_per_token() {
+        let src = crate::gen::python_source(1_000, 71);
+        let lexemes = pwd_lex::tokenize_python(&src).expect("generated Python lexes");
+        let mut c = Compiled::compile(&crate::grammars::python::cfg(), ParserConfig::improved());
+        let tokens = c.tokens_from_lexemes(&lexemes).expect("grammar kinds intern");
+        let start = c.start;
+        let forest = c.lang.parse_forest(start, &tokens).expect("the module parses");
+        assert!(c.lang.has_tree(forest));
+        let per_token = c.lang.arena_bytes() / tokens.len();
+        assert!(per_token < 16_000, "{per_token} arena bytes per token");
+    }
+
     fn toks(c: &mut Compiled, spec: &str) -> Vec<Token> {
         // spec: space-separated "kind" or "kind:lexeme"
         spec.split_whitespace()

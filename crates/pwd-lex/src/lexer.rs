@@ -218,9 +218,11 @@ impl Lexer {
     /// A batch shim over [`source`](Lexer::source): drains the streaming
     /// scan into owned [`Lexeme`]s. Every lexeme's text is a slice of one
     /// shared copy of `input` and its kind a handle to the rule's name, so
-    /// a call allocates a constant number of times whatever the token
-    /// count: that copy and the vector (reserved at one lexeme per two bytes
-    /// of input, and trimmed once if more than half of it is unused).
+    /// a call on up to 128 KiB of input allocates a constant number of times
+    /// whatever the token count: that copy and the vector (reserved at one
+    /// lexeme per two bytes of input, at most 65,536 lexemes, and trimmed
+    /// once if more than half of it is unused). Past that, the vector
+    /// regrows by doubling as tokens arrive.
     /// Prefer feeding the source directly to a parser session when the
     /// vector itself is not needed.
     ///
@@ -324,13 +326,20 @@ impl TokenSource for SourceTokens<'_, '_> {
     }
 }
 
-/// Lexemes to reserve for `input`: one per two bytes. Every token covers at
-/// least one byte, so a batch tokenization regrows its vector at most once,
-/// and source text (several bytes per token) never. A lexeme is 72 bytes,
-/// so that reserves 36 bytes per input byte; the vector is finished with
+/// The most lexemes a batch tokenization reserves up front: 65,536, or
+/// 4.5 MiB of vector. Larger inputs grow the vector by doubling from there
+/// as their tokens arrive (one lexeme per two bytes of a 100 MB input would
+/// be 3.6 GB in one request, which strict overcommit refuses).
+const MAX_RESERVED_LEXEMES: usize = 1 << 16;
+
+/// Lexemes to reserve for `input`: one per two bytes, capped at
+/// [`MAX_RESERVED_LEXEMES`]. Every token covers at least one byte, so a
+/// batch tokenization of up to 128 KiB regrows its vector at most once, and
+/// source text (several bytes per token) never. A lexeme is 72 bytes, so
+/// that reserves 36 bytes per input byte; the vector is finished with
 /// [`trim_lexemes`].
 pub(crate) fn lexeme_capacity(input: &str) -> usize {
-    input.len() / 2 + 1
+    (input.len() / 2 + 1).min(MAX_RESERVED_LEXEMES)
 }
 
 /// Trims a vector reserved by [`lexeme_capacity`] when more than half of it

@@ -128,9 +128,10 @@ fn flat() -> &'static Flat {
 /// offset) and every kind a shared handle, so a call allocates a constant
 /// number of times however many tokens it produces: that copy, the
 /// indentation stack (room for 32 levels) and the vector (reserved at one
-/// lexeme per two bytes, and trimmed once if more than half of it is
-/// unused). Only nesting deeper than 32 levels, or text averaging under two
-/// bytes per token, regrows them.
+/// lexeme per two bytes, at most 65,536 lexemes, and trimmed once if more
+/// than half of it is unused). Only nesting deeper than 32 levels, text
+/// averaging under two bytes per token, or more than 65,536 tokens regrows
+/// them (the vector by doubling).
 ///
 /// # Errors
 ///

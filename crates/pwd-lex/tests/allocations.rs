@@ -3,9 +3,10 @@
 //! Every lexeme shares its rule's name and one copy of the lexed text, so
 //! `Lexer::tokenize`, `SourceBuffer::lexemes` and `tokenize_python`
 //! allocate the same number of times for a document of a hundred tokens as
-//! for one of four thousand. A counting global allocator measures it; its
-//! counter is thread-local, so tests running in parallel do not disturb
-//! each other's counts.
+//! for one of four thousand, and no request is larger than a bounded
+//! vector reservation or the text itself. A counting global allocator
+//! measures it; its counters are thread-local, so tests running in parallel
+//! do not disturb each other's counts.
 
 use pwd_grammar::gen;
 use pwd_grammar::grammars::pl0;
@@ -18,11 +19,13 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(size: usize) {
     // `try_with`: a thread being torn down may still allocate.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(size)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -30,19 +33,19 @@ fn count_one() {
 // `Cell` with a constant initializer, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller's guarantees for `alloc` are `System`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` and `layout` come from this allocator, which got
         // them from `System`; the caller's guarantees are `System`'s.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -63,6 +66,14 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Runs `f`, returning its result and the size of the largest allocation
+/// or reallocation it requested.
+fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|n| n.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
 }
 
 #[test]
@@ -124,4 +135,19 @@ fn python_tokenize_allocates_independently_of_length() {
     for lexemes in [&small_lexemes, &large_lexemes] {
         assert!(lexemes.capacity() <= 2 * lexemes.len(), "source text fills half its vector");
     }
+}
+
+#[test]
+fn a_blank_megabyte_reserves_a_bounded_vector() {
+    // One lexeme per two bytes would be 36 MB; the reservation stops at
+    // 65,536 lexemes, and the text copy (1 MiB) is smaller still.
+    let bound = 65_536 * std::mem::size_of::<pwd_lex::Lexeme>();
+    let blank = " ".repeat(1 << 20);
+    tokenize_python("x = 1\n").expect("lexes");
+    let lexer = pl0::lexer();
+    let (lexemes, largest) = largest_request(|| lexer.tokenize(&blank).expect("lexes"));
+    assert!(lexemes.is_empty());
+    assert!(largest <= bound, "Lexer::tokenize asked for {largest} bytes at once");
+    let (_, largest) = largest_request(|| tokenize_python(&blank).expect("lexes"));
+    assert!(largest <= bound, "tokenize_python asked for {largest} bytes at once");
 }
