@@ -20,6 +20,17 @@
 //! (undefined) are treated as opaque, exactly as §4.3.3 prescribes: "if
 //! inspecting a child would result in a cycle, `derive` does not attempt to
 //! compact".
+//!
+//! The reassociation, map-first and map-second rules recurse, and a left
+//! operand can lead back to itself: deriving a left-recursive rule builds
+//! zombie cycles such as `X = Y ↪ f`, `Y = X ◦ Z`, with no base case, which
+//! the token's emptiness pass ([`crate::prune`]) later rewrites to `∅`.
+//! One `◦` construction therefore records its walk path, the left operands
+//! whose reassociation or map-first rule is still running, and builds the
+//! uncompacted `a ◦ b` when the walk reaches a left operand already on it.
+//! Such an operand lies on a cycle of `◦` children and `↪` bodies with no
+//! `∪`, whose least fixed point is `∅`, so the cut loses no useful
+//! compaction. [`CAT_FUEL`] bounds the DAG-shaped rest.
 
 use crate::config::CompactionMode;
 use crate::expr::{ExprKind, Language, NodeId};
@@ -28,12 +39,24 @@ use std::collections::HashMap;
 
 /// Fuel bound on the recursion of the reassociation, map-first and
 /// map-second rules: one budget per top-level `◦` construction, shared by
-/// every recursive call it makes, so it bounds work, not just depth. A
-/// left-spine cycle built through `Ref` chains (`N = N ◦ (N ◦ c)`) sends
-/// both halves of a reassociation back into the cycle, so a per-call depth
-/// bound would still allow 2⁶⁴ steps. Once the fuel is spent, construction
-/// falls back to an uncompacted node (always sound).
+/// every recursive call it makes, so it bounds work, not just depth. A cycle
+/// stops at its first revisit (see the module docs), so the fuel bounds
+/// DAG-shaped work: with `A₁ = a ◦ a` and `Aₖ₊₁ = Aₖ ◦ Aₖ`, both halves of
+/// every reassociation recurse, and a per-call depth bound would let
+/// `A₆₄ ◦ b` take 2⁶⁴ steps. Once the fuel is spent, construction falls back
+/// to an uncompacted node (always sound).
 const CAT_FUEL: u32 = 64;
+
+/// One entry of a `◦` construction's walk path: a left operand whose
+/// reassociation or map-first rule is still running, linked to the entry
+/// below it. Each entry is a local of the rule's own call, so a
+/// construction that never recurses has no path and the walk allocates
+/// nothing; every entry spends a unit of fuel, so the path holds at most
+/// [`CAT_FUEL`] entries.
+struct WalkPath<'p> {
+    node: NodeId,
+    below: Option<&'p WalkPath<'p>>,
+}
 
 /// Result of smart construction: either a brand-new kind to allocate/patch,
 /// or an existing node to reuse.
@@ -214,12 +237,20 @@ impl Language {
 
     pub(crate) fn cat_built(&mut self, a: NodeId, b: NodeId, compact: bool) -> Built {
         let mut fuel = CAT_FUEL;
-        self.cat_built_fueled(a, b, compact, &mut fuel)
+        self.cat_built_fueled(a, b, compact, &mut fuel, None)
     }
 
     /// [`cat_built`](Language::cat_built) drawing on a shared `fuel`
-    /// budget: each rule that recurses spends one unit.
-    fn cat_built_fueled(&mut self, a: NodeId, b: NodeId, compact: bool, fuel: &mut u32) -> Built {
+    /// budget (each rule that recurses spends one unit) below the walk
+    /// `path`.
+    fn cat_built_fueled(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        compact: bool,
+        fuel: &mut u32,
+        path: Option<&WalkPath<'_>>,
+    ) -> Built {
         let a = self.resolve(a);
         let b = self.resolve(b);
         if !compact || *fuel == 0 {
@@ -237,13 +268,22 @@ impl Language {
                 self.metrics.compactions_applied += 1;
                 return self.red_built(b, Reduce::pair_left(s), compact);
             }
+            // A left operand already on the path lies on a zombie cycle
+            // (module docs): build `a ◦ b` as it stands, as when the fuel
+            // runs out.
+            ExprKind::Cat(..) | ExprKind::Red(..)
+                if std::iter::successors(path, |p| p.below).any(|p| p.node == a) =>
+            {
+                return Built::New(ExprKind::Cat(a, b));
+            }
             // (p1 ◦ p2) ◦ p3 ⇒ (p1 ◦ (p2 ◦ p3)) ↪ reassoc   (§4.3.2)
             ExprKind::Cat(a1, a2) => {
                 self.metrics.compactions_applied += 1;
                 *fuel -= 1;
-                let inner = self.cat_built_fueled(a2, b, compact, fuel);
+                let path = Some(&WalkPath { node: a, below: path });
+                let inner = self.cat_built_fueled(a2, b, compact, fuel, path);
                 let inner = self.build(inner);
-                let outer = self.cat_built_fueled(a1, inner, compact, fuel);
+                let outer = self.cat_built_fueled(a1, inner, compact, fuel, path);
                 let outer = self.build(outer);
                 return self.red_built(outer, Reduce::reassoc(), compact);
             }
@@ -251,7 +291,8 @@ impl Language {
             ExprKind::Red(x, f) => {
                 self.metrics.compactions_applied += 1;
                 *fuel -= 1;
-                let inner = self.cat_built_fueled(x, b, compact, fuel);
+                let path = Some(&WalkPath { node: a, below: path });
+                let inner = self.cat_built_fueled(x, b, compact, fuel, path);
                 let inner = self.build(inner);
                 return self.red_built(inner, Reduce::map_first(f), compact);
             }
@@ -271,11 +312,12 @@ impl Language {
                     self.metrics.compactions_applied += 1;
                     return self.red_built(a, Reduce::pair_right(s), compact);
                 }
-                // p1 ◦ (p2 ↪ f) ⇒ (p1 ◦ p2) ↪ map-second f
+                // p1 ◦ (p2 ↪ f) ⇒ (p1 ◦ p2) ↪ map-second f (the left
+                // operand stays, so the path does not grow)
                 ExprKind::Red(y, g) => {
                     self.metrics.compactions_applied += 1;
                     *fuel -= 1;
-                    let inner = self.cat_built_fueled(a, y, compact, fuel);
+                    let inner = self.cat_built_fueled(a, y, compact, fuel, path);
                     let inner = self.build(inner);
                     return self.red_built(inner, Reduce::map_second(g), compact);
                 }
@@ -331,13 +373,20 @@ impl Language {
             ExprKind::Pending | ExprKind::Forward => return Built::New(ExprKind::Delta(x)),
             _ => {}
         }
-        // δ(L) for a fully built L: force it to ε_{parse-null(L)} or ∅ right
+        // Outside a parse (grammar construction, the §4.3.1 prepass) `L`
+        // may reach placeholders that are not patched yet, such as a cycle
+        // through the `δ` itself, so its nullability is not known: keep
+        // the `δ` as a node.
+        if !self.in_parse {
+            return Built::New(ExprKind::Delta(x));
+        }
+        // δ(L) during a parse: force it to ε_{parse-null(L)} or ∅ right
         // away. Without this rule, nullable sequence derivatives accumulate
         // unbounded δ-prefix chains (`Cat(δ(a₁), Cat(δ(a₂), …))`) and the
         // graph grows with every token; with it, the derivative graph stays
         // proportional to the grammar, which is what makes PWD linear in
-        // practice (§2.6). L is from an earlier derivative generation, so
-        // its nullability and null-parse forest are already final.
+        // practice (§2.6). L is from an earlier, settled derivative
+        // generation, so its nullability and null-parse forest are final.
         self.metrics.compactions_applied += 1;
         if self.nullable(x) {
             let forest = self.parse_null(x);
@@ -622,6 +671,53 @@ mod tests {
         assert!(grown < 2_000, "the prepass allocated {grown} nodes");
         let tok = lang.token(c, "c");
         assert!(!session.feed(&mut lang, &tok).unwrap(), "N has no base case");
+    }
+
+    /// `X = Y ↪ f`, `Y = X ◦ z`: the zombie cycle deriving a left-recursive
+    /// rule builds, made with the public builders. Map-first on `X` and
+    /// reassociation on `Y` lead back to `X`, so `X ◦ b` would go round the
+    /// cycle until the fuel runs out (97 nodes); the walk stops at the
+    /// first revisit instead.
+    #[test]
+    fn zombie_cycle_walk_stops_at_the_first_revisit() {
+        let mut lang = improved();
+        let z = lang.terminal("z");
+        let tz = lang.term_node(z);
+        let b = lang.terminal("b");
+        let tb = lang.term_node(b);
+        let x = lang.forward();
+        let y = lang.cat(x, tz);
+        let body = lang.reduce(y, Reduce::func("f", |t| t));
+        lang.define(x, body);
+        let before = lang.node_count();
+        let xb = lang.cat(x, tb);
+        let grown = lang.node_count() - before;
+        assert!(grown <= 8, "one ◦ on a zombie cycle allocated {grown} nodes");
+        assert!(lang.reachable_count(xb) >= 2);
+    }
+
+    /// `X = δ(X ◦ d) ∪ c`: a `δ` on a cycle through its own operand, built
+    /// with the crate-private `delta`. Neither building it nor the §4.3.1
+    /// prepass may ask for the nullability of `X ◦ d` while `X` is still a
+    /// placeholder. `δ(X ◦ d)` is `∅` (`d` is a token), so `X = {c}`.
+    #[test]
+    fn delta_in_a_cycle_through_its_operand() {
+        for config in [ParserConfig::improved(), ParserConfig::original_2011()] {
+            let mut lang = Language::new(config);
+            let c = lang.terminal("c");
+            let tc = lang.term_node(c);
+            let d = lang.terminal("d");
+            let td = lang.term_node(d);
+            let x = lang.forward();
+            let xd = lang.cat(x, td);
+            let dl = lang.delta(xd);
+            let body = lang.alt(dl, tc);
+            lang.define(x, body);
+            let (tok_c, tok_d) = (lang.token(c, "c"), lang.token(d, "d"));
+            assert!(lang.recognize(x, std::slice::from_ref(&tok_c)).unwrap(), "{config:?}: c");
+            lang.reset();
+            assert!(!lang.recognize(x, &[tok_c, tok_d]).unwrap(), "{config:?}: c d");
+        }
     }
 
     #[test]

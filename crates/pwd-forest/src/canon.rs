@@ -272,14 +272,16 @@ impl<'a> Canon<'a> {
             let e = self.out.empty();
             return Ok(self.memo.finish(f.0, &mut self.out, e));
         }
-        let result = match self.src.get(f).clone() {
+        // The source outlives `self`, so its node is read in place.
+        let src: &'a Forest = self.src;
+        let result = match src.get(f) {
             ForestNode::Empty | ForestNode::Cycle => Ok(self.out.empty()),
             ForestNode::Eps => Ok(self.out.eps()),
-            ForestNode::Leaf(l) => Ok(self.out.leaf(&l.kind, &l.text)),
-            ForestNode::Const(t) => Ok(self.embed(&t)),
+            ForestNode::Leaf(l) => Ok(self.out.leaf_shared(l)),
+            ForestNode::Const(t) => Ok(self.embed(t)),
             ForestNode::Pair(a, b) => {
-                let na = self.norm(a)?;
-                let nb = self.norm(b)?;
+                let na = self.norm(*a)?;
+                let nb = self.norm(*b)?;
                 Ok(self.out.pair(na, nb))
             }
             ForestNode::Amb(alts) => {
@@ -288,8 +290,8 @@ impl<'a> Canon<'a> {
                 Ok(self.out.amb(normed?))
             }
             ForestNode::Map(red, x) => {
-                let nx = self.norm(x)?;
-                self.sym_apply(&red, nx)
+                let nx = self.norm(*x)?;
+                self.sym_apply(red, nx)
             }
         };
         let r = match result {
@@ -309,7 +311,7 @@ impl<'a> Canon<'a> {
     fn embed(&mut self, t: &Tree) -> ForestId {
         match t {
             Tree::Empty => self.out.eps(),
-            Tree::Leaf(l) => self.out.leaf(&l.kind, &l.text),
+            Tree::Leaf(l) => self.out.leaf_shared(l),
             Tree::Pair(a, b) => {
                 let na = self.embed(a);
                 let nb = self.embed(b);
@@ -318,7 +320,7 @@ impl<'a> Canon<'a> {
             Tree::Node(label, kids) => {
                 let ids: Vec<ForestId> = kids.iter().map(|k| self.embed(k)).collect();
                 let spine = self.out.right_spine(&ids);
-                self.out.label(label, kids.len(), spine)
+                self.out.label_shared(label, kids.len(), spine)
             }
         }
     }
@@ -395,13 +397,13 @@ impl<'a> Canon<'a> {
             ReduceKind::Label(name, arity) => {
                 if *arity == 0 {
                     let e = self.out.eps();
-                    return Ok(self.out.label(name, 0, e));
+                    return Ok(self.out.label_shared(name, 0, e));
                 }
                 let lists = self.spine(cf, *arity);
                 let mut alts = Vec::with_capacity(lists.len());
                 for ls in lists {
                     let sp = self.out.right_spine(&ls);
-                    alts.push(self.out.label(name, *arity, sp));
+                    alts.push(self.out.label_shared(name, *arity, sp));
                 }
                 Ok(self.out.amb(alts))
             }

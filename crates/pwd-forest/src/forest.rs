@@ -206,13 +206,14 @@ impl Forest {
     // Canonical (hash-consing) constructors
     // ------------------------------------------------------------------
 
-    fn consed(&mut self, key: ConsKey, node: ForestNode) -> ForestId {
+    /// The node consed under `key`, built by `node` only on a miss.
+    fn consed(&mut self, key: ConsKey, node: impl FnOnce() -> ForestNode) -> ForestId {
         if let Some(cons) = &self.cons {
             if let Some(&id) = cons.get(&key) {
                 return id;
             }
         }
-        let id = self.alloc(node);
+        let id = self.alloc(node());
         if let Some(cons) = &mut self.cons {
             cons.insert(key, id);
         }
@@ -221,23 +222,28 @@ impl Forest {
 
     /// The canonical no-parses node.
     pub fn empty(&mut self) -> ForestId {
-        self.consed(ConsKey::Empty, ForestNode::Empty)
+        self.consed(ConsKey::Empty, || ForestNode::Empty)
     }
 
     /// The canonical `ε`-tree node.
     pub fn eps(&mut self) -> ForestId {
-        self.consed(ConsKey::Eps, ForestNode::Eps)
+        self.consed(ConsKey::Eps, || ForestNode::Eps)
     }
 
     /// A token leaf node (consed by kind + text).
     pub fn leaf(&mut self, kind: &str, text: &str) -> ForestId {
-        let leaf = Leaf::new(kind, text);
-        self.consed(ConsKey::Leaf(leaf.clone()), ForestNode::Leaf(leaf))
+        self.leaf_shared(&Leaf::new(kind, text))
+    }
+
+    /// [`leaf`](Forest::leaf) for a leaf that already holds its names: the
+    /// key and the node share its `Arc<str>`s, so nothing is copied.
+    pub(crate) fn leaf_shared(&mut self, leaf: &Leaf) -> ForestId {
+        self.consed(ConsKey::Leaf(leaf.clone()), || ForestNode::Leaf(leaf.clone()))
     }
 
     /// A constant-tree node.
     pub fn constant(&mut self, tree: Tree) -> ForestId {
-        self.consed(ConsKey::Const(tree.clone()), ForestNode::Const(tree))
+        self.consed(ConsKey::Const(tree.clone()), || ForestNode::Const(tree))
     }
 
     /// The cross product of two forests. Annihilates on an empty side.
@@ -245,7 +251,7 @@ impl Forest {
         if matches!(self.get(a), ForestNode::Empty) || matches!(self.get(b), ForestNode::Empty) {
             return self.empty();
         }
-        self.consed(ConsKey::Pair(a.0, b.0), ForestNode::Pair(a, b))
+        self.consed(ConsKey::Pair(a.0, b.0), || ForestNode::Pair(a, b))
     }
 
     /// An ambiguity node over `alts`, canonicalized: nested `Amb`s are
@@ -268,7 +274,8 @@ impl Forest {
             0 => self.empty(),
             1 => flat[0],
             _ => {
-                self.consed(ConsKey::Amb(flat.iter().map(|a| a.0).collect()), ForestNode::Amb(flat))
+                let key = ConsKey::Amb(flat.iter().map(|a| a.0).collect());
+                self.consed(key, || ForestNode::Amb(flat))
             }
         }
     }
@@ -276,11 +283,23 @@ impl Forest {
     /// A production-label node: `Map(Label(name, arity), spine)`, consed by
     /// `(name, arity, spine)`. Annihilates on an empty spine forest.
     pub fn label(&mut self, name: &str, arity: usize, spine: ForestId) -> ForestId {
+        self.label_shared(&Arc::from(name), arity, spine)
+    }
+
+    /// [`label`](Forest::label) for a name that is already shared: the key
+    /// shares it, and the reduction is built only on a miss.
+    pub(crate) fn label_shared(
+        &mut self,
+        name: &Arc<str>,
+        arity: usize,
+        spine: ForestId,
+    ) -> ForestId {
         if matches!(self.get(spine), ForestNode::Empty) {
             return self.empty();
         }
-        let key = ConsKey::Label(Arc::from(name), arity, spine.0);
-        self.consed(key, ForestNode::Map(Reduce::label(name, arity), spine))
+        self.consed(ConsKey::Label(name.clone(), arity, spine.0), || {
+            ForestNode::Map(Reduce(Arc::new(ReduceKind::Label(name.clone(), arity))), spine)
+        })
     }
 
     /// A generic reduction node (not consed — arbitrary reductions have no
