@@ -58,6 +58,25 @@ struct WalkPath<'p> {
     below: Option<&'p WalkPath<'p>>,
 }
 
+/// The engine's one reassociation reduction, cloned by every reassociating
+/// compaction instead of allocating an `Arc` each time. Cloning the engine
+/// makes a fresh one, so engines (pooled workers among them) never share its
+/// reference count.
+#[derive(Debug)]
+pub(crate) struct ReassocReduction(Reduce);
+
+impl Default for ReassocReduction {
+    fn default() -> ReassocReduction {
+        ReassocReduction(Reduce::reassoc())
+    }
+}
+
+impl Clone for ReassocReduction {
+    fn clone(&self) -> ReassocReduction {
+        ReassocReduction::default()
+    }
+}
+
 /// Result of smart construction: either a brand-new kind to allocate/patch,
 /// or an existing node to reuse.
 #[derive(Debug, Clone)]
@@ -285,7 +304,8 @@ impl Language {
                 let inner = self.build(inner);
                 let outer = self.cat_built_fueled(a1, inner, compact, fuel, path);
                 let outer = self.build(outer);
-                return self.red_built(outer, Reduce::reassoc(), compact);
+                let reassoc = self.reassoc.0.clone();
+                return self.red_built(outer, reassoc, compact);
             }
             // (p1 ↪ f) ◦ p2 ⇒ (p1 ◦ p2) ↪ map-first f      (§4.3.2)
             ExprKind::Red(x, f) => {

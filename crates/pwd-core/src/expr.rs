@@ -300,6 +300,8 @@ pub struct Language {
     pub(crate) validated: Vec<NodeId>,
     /// Canonical `Term` nodes, one per terminal.
     term_nodes: HashMap<TermId, NodeId>,
+    /// The reduction every reassociating compaction shares.
+    pub(crate) reassoc: crate::compact::ReassocReduction,
     /// Canonical forest nodes: the no-parses forest and the `ε`-tree forest.
     pub(crate) forest_nothing: ForestId,
     pub(crate) forest_eps_tree: ForestId,
@@ -341,6 +343,7 @@ impl Language {
             null_lists: Default::default(),
             validated: Vec::new(),
             term_nodes: HashMap::new(),
+            reassoc: Default::default(),
             forest_nothing,
             forest_eps_tree,
         }

@@ -259,15 +259,24 @@ impl Forest {
     /// survivors ordered by structural hash — so the same *set* of
     /// alternatives always conses to the same node. Zero alternatives
     /// collapse to [`empty`](Forest::empty), one to the alternative itself.
-    pub fn amb(&mut self, alts: Vec<ForestId>) -> ForestId {
-        let mut flat: Vec<ForestId> = Vec::with_capacity(alts.len());
-        for a in alts {
+    pub fn amb(&mut self, mut flat: Vec<ForestId>) -> ForestId {
+        // Flatten in place: survivors move to the front, nested
+        // alternatives are appended behind the arguments, then the dropped
+        // slots between the two close up.
+        let given = flat.len();
+        let mut kept = 0;
+        for i in 0..given {
+            let a = flat[i];
             match self.get(a) {
                 ForestNode::Empty => {}
-                ForestNode::Amb(inner) => flat.extend(inner.iter().copied()),
-                _ => flat.push(a),
+                ForestNode::Amb(inner) => flat.extend_from_slice(inner),
+                _ => {
+                    flat[kept] = a;
+                    kept += 1;
+                }
             }
         }
+        flat.drain(kept..given);
         flat.sort_by_key(|&a| (self.node_hash(a), a.0));
         flat.dedup();
         match flat.len() {

@@ -19,32 +19,71 @@
 //!    against the old boundaries shifted by the edit's length delta; on
 //!    the first hit the old suffix tokens are reused verbatim (offsets
 //!    shifted) — the remaining text is byte-identical there, and maximal
-//!    munch is a pure function of the text ahead of a boundary.
+//!    munch is a pure function of the text ahead of a boundary. The commit
+//!    is in place: the text is edited where it lies (before the relex,
+//!    which scans the edited text), the fresh tokens are spliced over the
+//!    damaged ones, and one pass shifts the reused suffix's starts and
+//!    running scan maximum. A token's start is the one field an edit
+//!    before it moves (its rule, length and scan reach are stored relative
+//!    to it, in a separate array), so the pass touches 8 bytes per token;
+//!    it stops recomputing the maximum as soon as that meets the old one,
+//!    and does nothing more when the edit keeps the length. Nothing the
+//!    size of the buffer is copied or rebuilt.
 //!
 //! The returned [`TokenEdit`] describes the change as a token-level splice
 //! (`start`, `removed`, `inserted`), exactly the shape a parser-session
-//! splice consumes. A failed relex (no rule matches) leaves the buffer
-//! untouched — edits are atomic.
+//! splice consumes. A failed relex (no rule matches) puts the removed bytes
+//! back and leaves the tokens untouched — edits are atomic.
 
 use crate::lexer::{LexError, Lexeme, Lexer};
 use crate::shared::SharedStr;
 use crate::span::{SourceMap, Span};
 
-/// One token of the buffer: which rule produced it, where its text lives,
-/// and how far its match decision looked.
+/// One token of the buffer apart from where it starts: which rule produced
+/// it, how long it is, and how far its match decision looked. All three are
+/// relative to the token's start, so an edit before the token leaves them
+/// as they are and only its start moves.
 #[derive(Debug, Clone, Copy)]
-struct Tok {
+struct Shape {
     /// Index of the producing rule in the owning [`Lexer`].
-    rule: usize,
-    /// Byte range of the matched text.
-    span: Span,
-    /// One past the furthest byte examined while producing this token:
-    /// covers the whole decision window from the previous token's end,
-    /// including skip-rule scans and the lookahead past each match. The
-    /// token's (kind, length) is a pure function of the bytes below this
-    /// extent.
-    scan_end: usize,
+    rule: u32,
+    /// Length of the matched text in bytes.
+    len: u32,
+    /// One past the furthest byte examined while producing this token,
+    /// counted from its start: the decision window runs from the previous
+    /// token's end, including skip-rule scans and the lookahead past each
+    /// match. The token's (kind, length) is a pure function of the bytes
+    /// below its start plus this reach.
+    reach: u32,
 }
+
+/// Tokens in struct-of-arrays form: where each starts — the one field an
+/// edit before a token shifts, kept apart so that the shift is one dense
+/// pass — and the rest of it.
+#[derive(Debug, Default)]
+struct Toks {
+    starts: Vec<u32>,
+    shapes: Vec<Shape>,
+}
+
+impl Toks {
+    fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    fn span(&self, i: usize) -> Span {
+        let start = self.starts[i];
+        Span::new(start as usize, (start + self.shapes[i].len) as usize)
+    }
+
+    /// The `i`-th token's scan extent: one past the furthest byte examined.
+    fn scan_end(&self, i: usize) -> u32 {
+        self.starts[i] + self.shapes[i].reach
+    }
+}
+
+/// Offsets are stored as `u32`; a scan extent reaches one past the end.
+const MAX_TEXT: usize = u32::MAX as usize - 1;
 
 /// The token-level description of what a [`SourceBuffer::splice`] changed:
 /// replace `removed` tokens starting at index `start` with `inserted`.
@@ -90,11 +129,12 @@ pub struct TokenEdit {
 pub struct SourceBuffer<'l> {
     lexer: &'l Lexer,
     map: SourceMap,
-    toks: Vec<Tok>,
-    /// `prefix_scan_max[i]` = max of `toks[..=i].scan_end` — monotone, so
-    /// damage detection can binary-search it even though individual scan
-    /// extents are not sorted (lookahead length varies per token).
-    prefix_scan_max: Vec<usize>,
+    toks: Toks,
+    /// `prefix_scan_max[i]` = max of the scan extents of tokens `..=i` —
+    /// monotone, so damage detection can binary-search it even though
+    /// individual scan extents are not sorted (lookahead length varies per
+    /// token).
+    prefix_scan_max: Vec<u32>,
 }
 
 impl<'l> SourceBuffer<'l> {
@@ -105,11 +145,16 @@ impl<'l> SourceBuffer<'l> {
     /// Returns [`LexError`] at the first position where no rule matches; the
     /// buffer is only constructed for fully lexable text, which is what lets
     /// [`splice`](SourceBuffer::splice) be atomic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `text` is 4 GiB or longer (offsets are stored as `u32`).
     pub fn new(lexer: &'l Lexer, text: &str) -> Result<SourceBuffer<'l>, LexError> {
+        assert!(text.len() <= MAX_TEXT, "a SourceBuffer holds less than 4 GiB of text");
         let (toks, _) = relex(lexer, text, 0, None)?;
-        let mut buf =
-            SourceBuffer { lexer, map: SourceMap::new(text), toks, prefix_scan_max: Vec::new() };
-        buf.rebuild_scan_max(0);
+        let prefix_scan_max = vec![0; toks.len()];
+        let mut buf = SourceBuffer { lexer, map: SourceMap::new(text), toks, prefix_scan_max };
+        buf.shift_from(0, buf.toks.len(), 0);
         Ok(buf)
     }
 
@@ -135,16 +180,15 @@ impl<'l> SourceBuffer<'l> {
     ///
     /// Panics if `i` is out of range.
     pub fn lexeme(&self, i: usize) -> Lexeme {
-        let t = &self.toks[i];
-        let text = SharedStr::from(t.span.slice(self.map.source()));
-        self.lexer.lexeme(t.rule, &text, t.span.start, t.span)
+        let span = self.toks.span(i);
+        let text = SharedStr::from(span.slice(self.map.source()));
+        self.lexer.lexeme(self.toks.shapes[i].rule as usize, &text, span.start, span)
     }
 
     /// All tokens as owned [`Lexeme`]s (a from-scratch-equivalent view),
     /// sharing one copy of the buffer's text: two allocations per call.
     pub fn lexemes(&self) -> Vec<Lexeme> {
-        let text = SharedStr::from(self.map.source());
-        self.toks.iter().map(|t| self.lexer.lexeme(t.rule, &text, 0, t.span)).collect()
+        lexemes_of(self.lexer, &self.toks, &SharedStr::from(self.map.source()), 0)
     }
 
     /// Byte span of the `i`-th token.
@@ -153,7 +197,7 @@ impl<'l> SourceBuffer<'l> {
     ///
     /// Panics if `i` is out of range.
     pub fn token_span(&self, i: usize) -> Span {
-        self.toks[i].span
+        self.toks.span(i)
     }
 
     /// Replaces the byte range `start..end` with `replacement`, relexing
@@ -171,7 +215,7 @@ impl<'l> SourceBuffer<'l> {
     /// # Panics
     ///
     /// Panics if `start..end` is out of bounds, inverted, or splits a UTF-8
-    /// character.
+    /// character, or if the edited text would be 4 GiB or longer.
     pub fn splice(
         &mut self,
         start: usize,
@@ -179,69 +223,89 @@ impl<'l> SourceBuffer<'l> {
         replacement: &str,
     ) -> Result<TokenEdit, LexError> {
         assert!(start <= end && end <= self.map.source().len(), "splice range out of bounds");
+        assert!(
+            self.map.source().len() - (end - start) + replacement.len() <= MAX_TEXT,
+            "a SourceBuffer holds less than 4 GiB of text"
+        );
         let delta = replacement.len() as isize - (end - start) as isize;
 
         // 1. Damage detection: tokens whose decision window ends at or
         // before the edit start are untouched. `prefix_scan_max` is
         // monotone, so the first damaged index is a partition point.
-        let d = self.prefix_scan_max.partition_point(|&m| m <= start);
-        let relex_from = if d == 0 { 0 } else { self.toks[d - 1].span.end };
+        let d = self.prefix_scan_max.partition_point(|&m| m as usize <= start);
+        let relex_from = if d == 0 { 0 } else { self.toks.span(d - 1).end };
 
-        // 2. Build the edited text and relex forward from the last
-        // undamaged boundary. Nothing is committed until relexing succeeds.
-        let mut new_text =
-            String::with_capacity((self.map.source().len() as isize + delta) as usize);
-        new_text.push_str(&self.map.source()[..start]);
-        new_text.push_str(replacement);
-        new_text.push_str(&self.map.source()[end..]);
-
+        // 2. Edit the text in place and relex forward from the last
+        // undamaged boundary. The tokens are untouched until relexing
+        // succeeds; a failure puts the removed bytes back.
+        let removed_text = self.map.source()[start..end].to_owned();
+        self.map.splice(start, end, replacement);
         let resync = ResyncIndex {
             toks: &self.toks,
             first: d,
             new_edit_end: start + replacement.len(),
             delta,
         };
-        let (fresh, reused_from) = relex(self.lexer, &new_text, relex_from, Some(&resync))?;
+        let (fresh, reused_from) =
+            match relex(self.lexer, self.map.source(), relex_from, Some(&resync)) {
+                Ok(relexed) => relexed,
+                Err(e) => {
+                    self.map.splice(start, start + replacement.len(), &removed_text);
+                    return Err(e);
+                }
+            };
 
-        // 3. Commit: splice the token vector, shift the reused suffix, and
-        // repair the newline index.
+        // 3. Commit in place: splice the fresh tokens over the damaged ones
+        // and shift the reused suffix.
         let reused_from = reused_from.unwrap_or(self.toks.len());
         let removed = reused_from - d;
         // The inserted lexemes share one copy of the text they cover.
-        let (lo, hi) = match (fresh.first(), fresh.last()) {
-            (Some(first), Some(last)) => (first.span.start, last.span.end),
-            _ => (0, 0),
+        let (lo, hi) = match fresh.len() {
+            0 => (0, 0),
+            n => (fresh.span(0).start, fresh.span(n - 1).end),
         };
-        let window = SharedStr::from(&new_text[lo..hi]);
-        let inserted: Vec<Lexeme> =
-            fresh.iter().map(|t| self.lexer.lexeme(t.rule, &window, lo, t.span)).collect();
-        let mut tail: Vec<Tok> = self.toks[reused_from..]
-            .iter()
-            .map(|t| Tok {
-                rule: t.rule,
-                span: Span::new(
-                    (t.span.start as isize + delta) as usize,
-                    (t.span.end as isize + delta) as usize,
-                ),
-                scan_end: (t.scan_end as isize + delta) as usize,
-            })
-            .collect();
-        self.toks.truncate(d);
-        self.toks.extend(fresh);
-        self.toks.append(&mut tail);
-        self.map.splice(start, end, replacement);
-        self.rebuild_scan_max(d);
-        debug_assert_eq!(self.map.source(), new_text);
+        let window = SharedStr::from(&self.map.source()[lo..hi]);
+        let inserted = lexemes_of(self.lexer, &fresh, &window, lo);
+        let reused = d + fresh.len();
+        self.prefix_scan_max.splice(d..reused_from, std::iter::repeat_n(0, fresh.len()));
+        self.toks.starts.splice(d..reused_from, fresh.starts);
+        self.toks.shapes.splice(d..reused_from, fresh.shapes);
+        self.shift_from(d, reused, (replacement.len() as u32).wrapping_sub((end - start) as u32));
         Ok(TokenEdit { start: d, removed, inserted })
     }
 
-    /// Recomputes `prefix_scan_max` from index `from` onward.
-    fn rebuild_scan_max(&mut self, from: usize) {
-        self.prefix_scan_max.truncate(from);
+    /// Brings `prefix_scan_max` up to date from the fresh tokens at
+    /// `from..reused` on and shifts the starts of the reused suffix at
+    /// `reused..` by `delta` bytes: the one pass over the suffix a splice
+    /// makes. `delta` is the length change modulo 2^32; every shifted value
+    /// fits in `u32`, so wrapping addition lands on it exactly.
+    fn shift_from(&mut self, from: usize, reused: usize, delta: u32) {
         let mut running = if from == 0 { 0 } else { self.prefix_scan_max[from - 1] };
-        for t in &self.toks[from..] {
-            running = running.max(t.scan_end);
-            self.prefix_scan_max.push(running);
+        for (i, m) in (from..reused).zip(&mut self.prefix_scan_max[from..reused]) {
+            running = running.max(self.toks.scan_end(i));
+            *m = running;
+        }
+        // Recompute the running maximum until it meets the old one shifted:
+        // both follow the same recurrence over the same shifted extents
+        // from there on, so every later entry is the old one shifted.
+        let mut j = reused;
+        while j < self.toks.len() {
+            self.toks.starts[j] = self.toks.starts[j].wrapping_add(delta);
+            running = running.max(self.toks.scan_end(j));
+            let old = self.prefix_scan_max[j].wrapping_add(delta);
+            self.prefix_scan_max[j] = running;
+            j += 1;
+            if running == old {
+                break;
+            }
+        }
+        if delta != 0 {
+            for s in &mut self.toks.starts[j..] {
+                *s = s.wrapping_add(delta);
+            }
+            for m in &mut self.prefix_scan_max[j..] {
+                *m = m.wrapping_add(delta);
+            }
         }
     }
 }
@@ -251,7 +315,7 @@ impl<'l> SourceBuffer<'l> {
 /// decision-window boundary (shifted by `delta`) means the rest of the old
 /// stream can be reused verbatim.
 struct ResyncIndex<'a> {
-    toks: &'a [Tok],
+    toks: &'a Toks,
     /// First damaged token index — reuse may only start at or after it.
     first: usize,
     /// End of the replacement text in new-text coordinates.
@@ -272,14 +336,29 @@ impl ResyncIndex<'_> {
             return None;
         }
         let p_old = p_old as usize;
-        // Old token j's decision window starts at toks[j-1].span.end (token
+        // Old token j's decision window starts at token j-1's end (token
         // ends are strictly increasing, so binary search applies). Landing
         // there with byte-identical text ahead means maximal munch replays
         // the old decisions exactly.
-        let k = self.toks.binary_search_by(|t| t.span.end.cmp(&p_old)).ok()?;
-        let j = k + 1;
-        (j > self.first && j <= self.toks.len()).then_some(j)
+        let (mut k, mut hi) = (0, self.toks.len());
+        while k < hi {
+            let mid = k + (hi - k) / 2;
+            if self.toks.span(mid).end < p_old {
+                k = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let hit = k < self.toks.len() && self.toks.span(k).end == p_old;
+        (hit && k + 1 > self.first).then_some(k + 1)
     }
+}
+
+/// The lexemes of `toks`, sharing `text`, which starts at byte `offset`.
+fn lexemes_of(lexer: &Lexer, toks: &Toks, text: &SharedStr, offset: usize) -> Vec<Lexeme> {
+    (0..toks.len())
+        .map(|i| lexer.lexeme(toks.shapes[i].rule as usize, text, offset, toks.span(i)))
+        .collect()
 }
 
 /// Scans `text` from byte `pos` to the end (or to a resync point), tracking
@@ -290,8 +369,8 @@ fn relex(
     text: &str,
     mut pos: usize,
     resync: Option<&ResyncIndex<'_>>,
-) -> Result<(Vec<Tok>, Option<usize>), LexError> {
-    let mut out = Vec::new();
+) -> Result<(Toks, Option<usize>), LexError> {
+    let mut out = Toks::default();
     // Furthest byte examined since the last emitted token's end: skip-rule
     // scans and failed lookahead in the gap all charge the *next* token,
     // whose decision they precede.
@@ -319,7 +398,12 @@ fn relex(
             pos += len;
             continue;
         }
-        out.push(Tok { rule: i, span: Span::new(pos, pos + len), scan_end: window_max });
+        out.starts.push(pos as u32);
+        out.shapes.push(Shape {
+            rule: i as u32,
+            len: len as u32,
+            reach: (window_max - pos) as u32,
+        });
         pos += len;
         window_max = pos;
     }
@@ -547,14 +631,25 @@ mod tests {
                 for _ in 0..rng.below(4) {
                     repl.push_str(alphabet[rng.below(alphabet.len())]);
                 }
-                match buf.splice(start, end, &repl) {
-                    Ok(_) => assert_matches_scratch(&lexer, &buf),
-                    Err(_) => {
-                        // Atomic: the buffer must still agree with scratch.
-                        assert_matches_scratch(&lexer, &buf);
-                    }
+                let before = (buf.text().to_owned(), buf.lexemes(), buf.map().lines());
+                let spliced = buf.splice(start, end, &repl);
+                if spliced.is_err() {
+                    // Atomic: the in-place edit was undone exactly.
+                    assert_eq!((buf.text().to_owned(), buf.lexemes(), buf.map().lines()), before);
                 }
+                assert_matches_scratch(&lexer, &buf);
+                assert_scan_max_is_running_max(&buf);
             }
+        }
+    }
+
+    /// The in-place commit keeps one running maximum per token.
+    fn assert_scan_max_is_running_max(buf: &SourceBuffer<'_>) {
+        assert_eq!(buf.prefix_scan_max.len(), buf.token_count(), "text: {:?}", buf.text());
+        let mut running = 0;
+        for (i, &m) in buf.prefix_scan_max.iter().enumerate() {
+            running = running.max(buf.toks.scan_end(i));
+            assert_eq!(m, running, "token {i}, text: {:?}", buf.text());
         }
     }
 

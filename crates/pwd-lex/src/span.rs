@@ -156,15 +156,11 @@ impl SourceMap {
         // is the position *after* a preceding newline, which survives.
         let lo = self.line_starts.partition_point(|&s| s <= start);
         let hi = self.line_starts.partition_point(|&s| s <= end);
-        let mut tail: Vec<usize> =
-            self.line_starts[hi..].iter().map(|&s| (s as isize + delta) as usize).collect();
-        self.line_starts.truncate(lo);
-        for (i, b) in replacement.bytes().enumerate() {
-            if b == b'\n' {
-                self.line_starts.push(start + i + 1);
-            }
+        for s in &mut self.line_starts[hi..] {
+            *s = s.wrapping_add_signed(delta);
         }
-        self.line_starts.append(&mut tail);
+        let added = replacement.match_indices('\n').map(|(i, _)| start + i + 1);
+        self.line_starts.splice(lo..hi, added);
         self.src.replace_range(start..end, replacement);
     }
 

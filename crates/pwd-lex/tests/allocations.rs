@@ -1,12 +1,15 @@
-//! Batch tokenization allocates a constant number of times per call.
+//! Batch tokenization allocates a constant number of times per call, and a
+//! keystroke as many times as its edit needs.
 //!
 //! Every lexeme shares its rule's name and one copy of the lexed text, so
 //! `Lexer::tokenize`, `SourceBuffer::lexemes` and `tokenize_python`
 //! allocate the same number of times for a document of a hundred tokens as
 //! for one of four thousand, and no request is larger than a bounded
-//! vector reservation or the text itself. A counting global allocator
-//! measures it; its counters are thread-local, so tests running in parallel
-//! do not disturb each other's counts.
+//! vector reservation or the text itself. `SourceBuffer::splice` edits the
+//! buffer in place, so its allocations and their sizes follow the edit, not
+//! the buffer. A counting global allocator measures it; its counters are
+//! thread-local, so tests running in parallel do not disturb each other's
+//! counts.
 
 use pwd_grammar::gen;
 use pwd_grammar::grammars::pl0;
@@ -150,4 +153,32 @@ fn a_blank_megabyte_reserves_a_bounded_vector() {
     assert!(largest <= bound, "Lexer::tokenize asked for {largest} bytes at once");
     let (_, largest) = largest_request(|| tokenize_python(&blank).expect("lexes"));
     assert!(largest <= bound, "tokenize_python asked for {largest} bytes at once");
+}
+
+#[test]
+fn a_keystroke_allocates_independently_of_the_buffer() {
+    let lexer = pl0::lexer();
+    let mut edits = Vec::new();
+    for (tokens, seed) in [(1_000, 13), (10_000, 14)] {
+        let text = gen::pl0_source(tokens, seed, 0.1);
+        let mut buf = SourceBuffer::new(&lexer, &text).expect("lexes");
+        // Retype the first identifier from the middle on as another name
+        // of the same length.
+        let id = (buf.token_count() / 2..)
+            .find(|&i| buf.lexeme(i).kind == "ID")
+            .expect("PL/0 documents have identifiers");
+        let span = buf.token_span(id);
+        let name = "q".repeat(span.len());
+        let ((edit, count), largest) = largest_request(|| {
+            allocations(|| buf.splice(span.start, span.end, &name).expect("relexes"))
+        });
+        assert_eq!((edit.start, edit.removed, edit.inserted.len()), (id, 1, 1));
+        assert_eq!(buf.lexeme(id).text, name.as_str());
+        edits.push((tokens, count, largest));
+    }
+    let [(_, small_count, small_largest), (_, large_count, large_largest)] = edits[..] else {
+        unreachable!("two documents")
+    };
+    assert_eq!(small_count, large_count, "allocations per keystroke: {edits:?}");
+    assert_eq!(small_largest, large_largest, "largest request per keystroke: {edits:?}");
 }

@@ -237,28 +237,36 @@ impl Checkpoint {
 }
 
 /// Per-session checkpoint bookkeeping, shared by every backend: a
-/// process-unique session id plus a **timeline** — one mark per fed-token
-/// position, where the mark records which "era" (count of rollbacks so
-/// far) wrote that position. Rollback bumps the era and truncates the
-/// timeline, so a checkpoint is admitted iff its position still exists
-/// *and* was written in the era the checkpoint saw — which exactly rejects
-/// the three invalid shapes (foreign session, position rolled past,
-/// position re-fed after a rollback) with no false rejections of the valid
-/// ones (restoring the same checkpoint repeatedly, or any checkpoint at or
-/// before every rollback target since it was taken).
+/// process-unique session id plus a **timeline** — for each fed-token
+/// position, the "era" (count of rollbacks so far) that wrote it. Rollback
+/// bumps the era and cuts the timeline, so a checkpoint is admitted iff its
+/// position still exists *and* was written in the era the checkpoint saw —
+/// which exactly rejects the three invalid shapes (foreign session,
+/// position rolled past, position re-fed after a rollback) with no false
+/// rejections of the valid ones (restoring the same checkpoint repeatedly,
+/// or any checkpoint at or before every rollback target since it was
+/// taken).
+///
+/// The timeline is stored as era runs, not one mark per position: each era
+/// writes a contiguous run of positions starting where its rollback cut the
+/// timeline, so a feed only counts and a convergence jump only moves the
+/// end.
 struct SessionGuard {
     /// Process-unique session id (0 = no session open).
     session: u64,
     /// Rollbacks performed in this session (the current era).
     era: u64,
-    /// `marks[k]` = era that wrote position `k`; `len - 1` = tokens fed.
-    marks: Vec<u64>,
+    /// Positions on the timeline (tokens fed).
+    fed: usize,
+    /// `(era, first position it wrote)`, both strictly increasing; the last
+    /// run is always the current era's, starting at or before `fed + 1`.
+    runs: Vec<(u64, usize)>,
 }
 
 impl SessionGuard {
     /// No session open.
     fn closed() -> SessionGuard {
-        SessionGuard { session: 0, era: 0, marks: Vec::new() }
+        SessionGuard { session: 0, era: 0, fed: 0, runs: Vec::new() }
     }
 
     /// Opens a fresh session with a process-unique id.
@@ -267,31 +275,38 @@ impl SessionGuard {
         SessionGuard {
             session: NEXT_SESSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             era: 0,
-            marks: vec![0],
+            fed: 0,
+            runs: vec![(0, 0)],
         }
     }
 
     /// Records one fed token (call once per successful feed, dead or not).
     fn on_feed(&mut self) {
-        self.marks.push(self.era);
+        self.fed += 1;
+    }
+
+    /// The era that wrote position `tokens`, if the position exists.
+    fn mark(&self, tokens: usize) -> Option<u64> {
+        if tokens > self.fed {
+            return None;
+        }
+        let run = self.runs.partition_point(|&(_, first)| first <= tokens);
+        self.runs[..run].last().map(|&(era, _)| era)
     }
 
     /// Stamps a checkpoint at the current position.
     fn stamp(&self, state: CheckpointState) -> Checkpoint {
         Checkpoint {
             session: self.session,
-            tokens: self.marks.len() - 1,
-            mark: *self.marks.last().expect("open guard has a mark"),
+            tokens: self.fed,
+            mark: self.mark(self.fed).expect("open guard has a mark"),
             state,
         }
     }
 
     /// Admits or rejects a checkpoint for restoration.
     fn admit(&self, cp: &Checkpoint, backend: &'static str) -> Result<(), BackendError> {
-        if cp.session == self.session
-            && cp.tokens < self.marks.len()
-            && self.marks[cp.tokens] == cp.mark
-        {
+        if cp.session == self.session && self.mark(cp.tokens) == Some(cp.mark) {
             Ok(())
         } else {
             Err(BackendError::stale_checkpoint(backend))
@@ -301,7 +316,18 @@ impl SessionGuard {
     /// Records a rollback to `tokens` (call after the backend restored).
     fn on_rollback(&mut self, tokens: usize) {
         self.era += 1;
-        self.marks.truncate(tokens + 1);
+        self.cut(tokens);
+    }
+
+    /// Cuts the timeline back to `tokens` positions: later positions no
+    /// longer exist, and the current era writes them when they are fed.
+    fn cut(&mut self, tokens: usize) {
+        self.fed = tokens;
+        let kept = self.runs.partition_point(|&(_, first)| first <= tokens);
+        self.runs.truncate(kept);
+        if self.runs.last().is_none_or(|&(era, _)| era != self.era) {
+            self.runs.push((self.era, tokens + 1));
+        }
     }
 
     /// Extends the timeline to `tokens` positions, stamping the current era
@@ -311,9 +337,11 @@ impl SessionGuard {
     /// the new positions afterwards admit normally; checkpoints from before
     /// the jump's rollback stay invalidated (their eras are gone).
     fn extend_to(&mut self, tokens: usize) {
-        self.marks.truncate(tokens + 1);
-        while self.marks.len() < tokens + 1 {
-            self.marks.push(self.era);
+        if tokens >= self.fed {
+            // The current era's run already covers every position past `fed`.
+            self.fed = tokens;
+        } else {
+            self.cut(tokens);
         }
     }
 }
@@ -805,21 +833,104 @@ pub struct Session<'a> {
 /// rollback overshoot stays within one stride of the damage point.
 const MAX_RUNGS: usize = 256;
 
+/// The fed token stream of an incremental session: each token's kind and
+/// text appended to one byte arena, addressed by a fixed-size record per
+/// token. A splice or rollback drops records, leaving their bytes dead in
+/// the arena; once the dead bytes outnumber the live ones, the arena is
+/// rebuilt from the live records, so it stays within twice the live text
+/// and each rebuild is paid for by as many dropped bytes as it copies.
+#[derive(Default)]
+struct History {
+    bytes: String,
+    /// `bytes[start..split]` is the kind, `bytes[split..end]` the text.
+    records: Vec<Recorded>,
+    /// Bytes of `bytes` no record addresses.
+    dead: usize,
+}
+
+#[derive(Clone, Copy)]
+struct Recorded {
+    start: usize,
+    split: usize,
+    end: usize,
+}
+
+impl History {
+    fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// The kind and text of token `pos`.
+    fn get(&self, pos: usize) -> (&str, &str) {
+        let r = self.records[pos];
+        (&self.bytes[r.start..r.split], &self.bytes[r.split..r.end])
+    }
+
+    fn append(bytes: &mut String, kind: &str, text: &str) -> Recorded {
+        let start = bytes.len();
+        bytes.push_str(kind);
+        let split = bytes.len();
+        bytes.push_str(text);
+        Recorded { start, split, end: bytes.len() }
+    }
+
+    fn push(&mut self, kind: &str, text: &str) {
+        let r = History::append(&mut self.bytes, kind, text);
+        self.records.push(r);
+    }
+
+    /// Replaces the `remove` tokens at `at` with `insert`.
+    fn splice(&mut self, at: usize, remove: usize, insert: &[(&str, &str)]) {
+        self.dead += self.records[at..at + remove].iter().map(|r| r.end - r.start).sum::<usize>();
+        let bytes = &mut self.bytes;
+        self.records
+            .splice(at..at + remove, insert.iter().map(|(k, t)| History::append(bytes, k, t)));
+        self.rebuild_if_sparse();
+    }
+
+    /// Drops every token from position `len` on.
+    fn truncate(&mut self, len: usize) {
+        if len >= self.records.len() {
+            return;
+        }
+        self.dead += self.records[len..].iter().map(|r| r.end - r.start).sum::<usize>();
+        self.records.truncate(len);
+        self.rebuild_if_sparse();
+    }
+
+    fn rebuild_if_sparse(&mut self) {
+        if self.dead <= self.bytes.len() - self.dead {
+            return;
+        }
+        let mut bytes = String::with_capacity(2 * (self.bytes.len() - self.dead));
+        for r in &mut self.records {
+            let start = bytes.len();
+            bytes.push_str(&self.bytes[r.start..r.end]);
+            *r = Recorded { start, split: start + (r.split - r.start), end: bytes.len() };
+        }
+        self.bytes = bytes;
+        self.dead = 0;
+    }
+}
+
 /// The per-session bookkeeping behind [`Session::splice_tokens`]: the fed
 /// token history (the splice coordinate system), the memoized per-position
 /// state signatures (the convergence fast path's oracle), and the
 /// checkpoint ladder (the bounded set of rollback targets).
 struct IncrementalState {
-    /// Every fed token as `(kind, text)`; `history.len()` tracks
-    /// `tokens_fed` exactly.
-    history: Vec<(String, String)>,
+    /// Every fed token; `history.len()` tracks `tokens_fed` exactly.
+    history: History,
     /// `sigs[k]` = backend state signature after `k` tokens (`None` when
     /// the backend cannot witness one soundly); always `history.len() + 1`
     /// entries.
     sigs: Vec<Option<StateSignature>>,
     /// Ladder rungs `(position, checkpoint)`, sorted by position; rung 0 at
     /// position 0 always exists, so every splice has a restorable target.
+    /// During a splice the `stale` entries break the order.
     ladder: Vec<(usize, Checkpoint)>,
+    /// The rungs a splice's rollback left on the old timeline, in old
+    /// positions; empty outside [`Session::splice_tokens`].
+    stale: std::ops::Range<usize>,
     /// Current rung spacing (doubles when the ladder would exceed
     /// [`MAX_RUNGS`]).
     stride: usize,
@@ -834,15 +945,23 @@ impl IncrementalState {
     /// rung count is back under [`MAX_RUNGS`]. Thins by entry index, not
     /// position alignment: rungs re-anchored after a convergence jump sit
     /// at delta-shifted (possibly unaligned) positions and must survive
-    /// proportionally.
+    /// proportionally. Stale rungs neither count nor thin.
     fn enforce_rung_cap(&mut self) {
-        while self.ladder.len() > MAX_RUNGS {
+        while self.ladder.len() - self.stale.len() > MAX_RUNGS {
             self.stride *= 2;
-            let mut idx = 0usize;
+            let stale = self.stale.clone();
+            let (mut idx, mut live, mut dropped_below) = (0usize, 0usize, 0usize);
             self.ladder.retain(|_| {
                 idx += 1;
-                (idx - 1).is_multiple_of(2)
+                if stale.contains(&(idx - 1)) {
+                    return true;
+                }
+                live += 1;
+                let keep = (live - 1).is_multiple_of(2);
+                dropped_below += usize::from(!keep && idx - 1 < stale.start);
+                keep
             });
+            self.stale = stale.start - dropped_below..stale.end - dropped_below;
         }
     }
 }
@@ -912,6 +1031,14 @@ impl<'a> Session<'a> {
     /// [`splice_tokens`](Session::splice_tokens) /
     /// [`splice`](Session::splice) instead of reparsing from scratch.
     ///
+    /// The remembered stream costs no allocation per token: each token's
+    /// kind and text bytes are appended to one arena, and a fixed-size
+    /// record per token (three offsets) addresses them. A splice replaces
+    /// records in place and appends only the inserted tokens' bytes; the
+    /// bytes of replaced or rolled-back tokens stay in the arena until they
+    /// outnumber the live ones, when the arena is rebuilt from the live
+    /// records. Per token the session also memoizes one state signature.
+    ///
     /// Must be called on a fresh session (no tokens fed). Mutually
     /// exclusive with error recovery.
     ///
@@ -934,9 +1061,10 @@ impl<'a> Session<'a> {
         let cp0 = self.backend.get().checkpoint()?;
         let sig0 = self.backend.get().state_signature();
         self.incremental = Some(IncrementalState {
-            history: Vec::new(),
+            history: History::default(),
             sigs: vec![sig0],
             ladder: vec![(0, cp0)],
+            stale: 0..0,
             stride: 1,
             tokens_reused: 0,
             tokens_refed: 0,
@@ -1040,7 +1168,7 @@ impl<'a> Session<'a> {
     fn feed_tracked(&mut self, kind: &str, text: &str) -> Result<bool, BackendError> {
         let viable = self.backend.get().feed(kind, text)?;
         if let Some(inc) = self.incremental.as_mut() {
-            inc.history.push((kind.to_string(), text.to_string()));
+            inc.history.push(kind, text);
             inc.sigs.push(None);
             let at = inc.history.len();
             self.note_position(at)?;
@@ -1050,9 +1178,10 @@ impl<'a> Session<'a> {
 
     /// Refeeds the already-recorded token at history position `pos` during
     /// a splice: [`feed_tracked`](Session::feed_tracked) minus the push.
-    fn refeed_recorded(&mut self, pos: usize) -> Result<(), BackendError> {
+    /// Returns the signature that was memoized at position `pos + 1`.
+    fn refeed_recorded(&mut self, pos: usize) -> Result<Option<StateSignature>, BackendError> {
         let inc = self.incremental.as_ref().expect("incremental enabled on this path");
-        let (kind, text) = &inc.history[pos];
+        let (kind, text) = inc.history.get(pos);
         self.backend.get().feed(kind, text)?;
         self.note_position(pos + 1)
     }
@@ -1060,19 +1189,20 @@ impl<'a> Session<'a> {
     /// Incremental-mode bookkeeping for the position just fed, `at` in the
     /// history: memoize its state signature and, on the stride, lay a
     /// ladder rung there (keeping the ladder bounded and evenly spaced).
-    fn note_position(&mut self, at: usize) -> Result<(), BackendError> {
+    /// Returns the signature it replaced.
+    fn note_position(&mut self, at: usize) -> Result<Option<StateSignature>, BackendError> {
         let sig = self.backend.get().state_signature();
         let fed = self.backend.get_ref().tokens_fed();
         debug_assert_eq!(fed, at, "splice history tracks the backend exactly");
         let inc = self.incremental.as_mut().expect("incremental enabled on this path");
-        inc.sigs[fed] = sig;
+        let replaced = std::mem::replace(&mut inc.sigs[fed], sig);
         if fed.is_multiple_of(inc.stride) {
             let cp = self.backend.get().checkpoint()?;
             let inc = self.incremental.as_mut().expect("checked above");
             inc.ladder.push((fed, cp));
             inc.enforce_rung_cap();
         }
-        Ok(())
+        Ok(replaced)
     }
 
     /// Feeds one token and reports the rich outcome (viability plus
@@ -1301,90 +1431,33 @@ impl<'a> Session<'a> {
 
         // Roll back first: admission is checked before any state is
         // mutated, so a refused rollback leaves the session exactly as it
-        // was — and the bookkeeping below can then edit in place instead of
-        // detaching the whole suffix. A same-length edit costs O(refeed
-        // window), not O(suffix): the only per-splice O(suffix) work left
-        // is a memcpy of the `Copy` signature slice.
+        // was — and the bookkeeping below can then edit in place: the work
+        // outside the refeed is proportional to the edit, not the suffix.
         self.backend.get().rollback(&rung_cp)?;
 
         let inc = self.incremental.as_mut().expect("checked above");
-        let ladder_suffix = inc.ladder.split_off(idx);
+        // The rungs past the restored one were laid on the old timeline.
+        // They stay where they are while the refeed lays new rungs after
+        // them, and the convergence jump re-stamps the ones it can reuse.
+        inc.stale = idx..inc.ladder.len();
         inc.ladder_rollback_distance += (at - rung_pos) as u64;
 
         let new_len = len - remove + insert.len();
-        // Old-position signatures at and beyond the damage, snapshotted for
-        // the convergence compare (the in-place edit below shifts them and
-        // the refeed overwrites them).
-        let old_sigs: Vec<Option<StateSignature>> = inc.sigs[at..].to_vec();
+        // The old signature aligned with the first suffix position; the
+        // edit below drops it. Each later one is still in `sigs` when the
+        // refeed overwrites it, which hands it back.
+        let old_sig = inc.sigs[at + remove];
         // Edit the recorded stream in place. Signature positions after each
         // removed token die; the inserted tokens' slots are placeholders
         // the refeed below always overwrites (inserted tokens are always
         // refed); everything beyond shifts by the edit's length delta.
-        inc.history.splice(
-            at..at + remove,
-            insert.iter().map(|(k, t)| ((*k).to_string(), (*t).to_string())),
-        );
+        inc.history.splice(at, remove, insert);
         inc.sigs.splice(at + 1..at + 1 + remove, std::iter::repeat_n(None, insert.len()));
 
-        let mut refed = 0usize;
-        // Catch-up (undamaged tokens between the rung and the edit) plus
-        // the inserted tokens — all already in the history.
-        for pos in rung_pos..at + insert.len() {
-            self.refeed_recorded(pos)?;
-            refed += 1;
-        }
-        // The undamaged suffix, with a convergence check before each feed.
-        let mut converged_at = None;
-        for new_pos in at + insert.len()..new_len {
-            // Old-coordinate position aligned with the current state.
-            let old_pos = new_pos + remove - insert.len();
-            if old_pos > rung_pos {
-                let inc = self.incremental.as_ref().expect("checked above");
-                let cur = inc.sigs[new_pos];
-                let old = old_sigs[old_pos - at];
-                if let (Some(cur), Some(old)) = (cur, old) {
-                    // Equal signatures ⇒ equal languages ⇒ feeding the
-                    // identical remaining suffix must land on the saved
-                    // pre-edit end state. Jump there — the history and the
-                    // shifted signature tail are already in place. A
-                    // backend that refuses the jump just keeps refeeding.
-                    if cur == old && self.backend.get().splice_restore(&end_cp, new_len).is_ok() {
-                        converged_at = Some(new_pos);
-                        // Keep the ladder dense across the jumped-over
-                        // range: from the convergence point on, the old
-                        // timeline's states recur on the new one (shifted
-                        // by the edit's length delta), so the old rungs
-                        // there are re-stamped onto the current timeline
-                        // instead of being thrown away. Without this,
-                        // repeated edits thin the ladder above each edit
-                        // point and later splices pay ever-longer
-                        // catch-up refeeds.
-                        let mut revived: Vec<(usize, Checkpoint)> = Vec::new();
-                        for (pos, cp) in &ladder_suffix {
-                            if *pos < old_pos {
-                                continue;
-                            }
-                            let shifted = pos + insert.len() - remove;
-                            if shifted >= new_len {
-                                continue;
-                            }
-                            if let Some(re) = self.backend.get().reanchor_checkpoint(cp, shifted) {
-                                revived.push((shifted, re));
-                            }
-                        }
-                        // The landing position itself is always a rung.
-                        let cp = self.backend.get().checkpoint()?;
-                        revived.push((new_len, cp));
-                        let inc = self.incremental.as_mut().expect("checked above");
-                        inc.ladder.extend(revived);
-                        inc.enforce_rung_cap();
-                        break;
-                    }
-                }
-            }
-            self.refeed_recorded(new_pos)?;
-            refed += 1;
-        }
+        let refeed = self.refeed_spliced(at, remove, insert.len(), rung_pos, &end_cp, old_sig);
+        let converged_at = refeed.as_ref().ok().and_then(|&(_, converged)| converged);
+        self.settle_ladder(converged_at.map(|new_pos| (new_pos, remove, insert.len())))?;
+        let (refed, converged_at) = refeed?;
 
         let inc = self.incremental.as_mut().expect("checked above");
         debug_assert_eq!(inc.history.len(), new_len, "splice rebuilt the full token stream");
@@ -1392,6 +1465,94 @@ impl<'a> Session<'a> {
         inc.tokens_reused += (new_len - refed) as u64;
         let outcome = self.outcome()?;
         Ok(SpliceOutcome { rung: rung_pos, refed, reused: new_len - refed, converged_at, outcome })
+    }
+
+    /// The refeed of [`splice_tokens`](Session::splice_tokens) after the
+    /// rung restore and the in-place edit: the catch-up from the rung, the
+    /// inserted tokens, then the suffix until convergence. `old_sig` starts
+    /// as the old signature aligned with the first suffix position. Returns
+    /// the tokens refed and the convergence position.
+    fn refeed_spliced(
+        &mut self,
+        at: usize,
+        remove: usize,
+        inserted: usize,
+        rung_pos: usize,
+        end_cp: &Checkpoint,
+        mut old_sig: Option<StateSignature>,
+    ) -> Result<(usize, Option<usize>), BackendError> {
+        let new_len = self.incremental.as_ref().expect("incremental enabled").history.len();
+        let mut refed = 0usize;
+        // Catch-up (undamaged tokens between the rung and the edit) plus
+        // the inserted tokens — all already in the history.
+        for pos in rung_pos..at + inserted {
+            self.refeed_recorded(pos)?;
+            refed += 1;
+        }
+        // The undamaged suffix, with a convergence check before each feed.
+        for new_pos in at + inserted..new_len {
+            // Old-coordinate position aligned with the current state.
+            let old_pos = new_pos + remove - inserted;
+            if old_pos > rung_pos {
+                let inc = self.incremental.as_ref().expect("incremental enabled");
+                if let (Some(cur), Some(old)) = (inc.sigs[new_pos], old_sig) {
+                    // Equal signatures ⇒ equal languages ⇒ feeding the
+                    // identical remaining suffix must land on the saved
+                    // pre-edit end state. Jump there — the history and the
+                    // shifted signature tail are already in place. A
+                    // backend that refuses the jump just keeps refeeding.
+                    if cur == old && self.backend.get().splice_restore(end_cp, new_len).is_ok() {
+                        return Ok((refed, Some(new_pos)));
+                    }
+                }
+            }
+            old_sig = self.refeed_recorded(new_pos)?;
+            refed += 1;
+        }
+        Ok((refed, None))
+    }
+
+    /// Ends a splice's ladder bookkeeping. After a convergence jump
+    /// (`converged` = its new-stream position, and the tokens the edit
+    /// removed and inserted) the ladder stays dense across the
+    /// jumped-over range: from the convergence point on, the old timeline's
+    /// states recur on the new one (shifted by the edit's length delta), so
+    /// the stale rungs there are re-stamped onto the current timeline in
+    /// place and moved after the refeed's rungs, and the landing position
+    /// becomes a rung. Without this, repeated edits thin the ladder above
+    /// each edit point and later splices pay ever-longer catch-up refeeds.
+    /// Every other stale rung (all of them without a jump) is dropped.
+    fn settle_ladder(
+        &mut self,
+        converged: Option<(usize, usize, usize)>,
+    ) -> Result<(), BackendError> {
+        let inc = self.incremental.as_mut().expect("incremental enabled");
+        let stale = std::mem::take(&mut inc.stale);
+        let Some((new_pos, removed, inserted)) = converged else {
+            inc.ladder.drain(stale);
+            return Ok(());
+        };
+        let new_len = inc.history.len();
+        let old_pos = new_pos + removed - inserted;
+        let mut kept = stale.start;
+        for i in stale.clone() {
+            let pos = inc.ladder[i].0;
+            if pos < old_pos || pos + inserted - removed >= new_len {
+                continue;
+            }
+            let shifted = pos + inserted - removed;
+            if let Some(re) = self.backend.get().reanchor_checkpoint(&inc.ladder[i].1, shifted) {
+                inc.ladder[kept] = (shifted, re);
+                kept += 1;
+            }
+        }
+        inc.ladder.drain(kept..stale.end);
+        inc.ladder[stale.start..].rotate_left(kept - stale.start);
+        // The landing position itself is always a rung.
+        let cp = self.backend.get().checkpoint()?;
+        inc.ladder.push((new_len, cp));
+        inc.enforce_rung_cap();
+        Ok(())
     }
 
     /// Applies a text edit — replace bytes `start..end` of `buf` with
@@ -1796,7 +1957,7 @@ impl Recognizer for PwdBackend {
         // position and timeline mark need re-stamping. The mark at `tokens`
         // exists because the convergence jump's `extend_to` already wrote
         // the current era up to the landing position.
-        let mark = *self.guard.marks.get(tokens)?;
+        let mark = self.guard.mark(tokens)?;
         Some(Checkpoint {
             session: cp.session,
             tokens,

@@ -214,3 +214,87 @@ fn convergent_splices_stay_local_on_long_streams() {
         assert!(s.finish().unwrap(), "{name}: a^{LEN} stays accepted through the edits");
     }
 }
+
+/// A long script on every arm of the roster: splices above a checkpoint
+/// until the session's token history has been rebuilt at least twice, a
+/// rollback to that checkpoint, then as many splices again. Every token has
+/// its own text, so a history that mixed up bytes across a rebuild would
+/// change the value-keyed forests.
+///
+/// The history rebuilds once its dropped bytes outnumber its live ones, so
+/// between two rebuilds it drops at most the most live bytes it ever held
+/// plus the most one operation drops; dropping more than twice that forces
+/// two rebuilds.
+#[test]
+fn long_scripts_roll_back_across_history_rebuilds() {
+    let shape = RandomCfgConfig::default();
+    let cfg = (0..).find_map(|seed| remove_useless(&random_cfg(&shape, seed)).ok()).unwrap();
+    let bytes = |m: &[(String, String)]| m.iter().map(|(k, t)| k.len() + t.len()).sum::<usize>();
+    for (arm_idx, (arm, forests)) in arms(&cfg).iter_mut().enumerate() {
+        let name = arm.name();
+        let mut scratch = arm.fork();
+        let mut s = Session::open(&mut **arm).unwrap();
+        s.enable_incremental().unwrap();
+        let mut serial = 0usize;
+        let mut token = |kind: String| {
+            serial += 1;
+            let text = format!("{kind}.{serial:05}");
+            (kind, text)
+        };
+        let mut model: Vec<(String, String)> =
+            random_input(&cfg, 8, 1).into_iter().map(&mut token).collect();
+        for (k, t) in &model {
+            s.feed(k, t).unwrap();
+        }
+        let (cp, cp_model) = (s.checkpoint().unwrap(), model.clone());
+        let cp_pos = model.len();
+        let mut rng = Rng::new(0x5EED + arm_idx as u64);
+        for phase in 0..2 {
+            let (mut dropped, mut live_max, mut drop_max) = (0, bytes(&model), 0);
+            let mut steps = 0u64;
+            while dropped <= 2 * (live_max + drop_max) {
+                steps += 1;
+                assert!(steps < 10_000, "{name}: the script stopped dropping bytes");
+                let at = cp_pos + rng.below(model.len() - cp_pos + 1);
+                let remove = rng.below(model.len() - at + 1).min(3);
+                let donor = random_input(&cfg, 6, steps * 131 + phase);
+                let take = rng.below(donor.len().min(3) + 1);
+                let insert: Vec<(String, String)> =
+                    donor.into_iter().take(take).map(&mut token).collect();
+                let pairs: Vec<(&str, &str)> =
+                    insert.iter().map(|(k, t)| (k.as_str(), t.as_str())).collect();
+                let out = s.splice_tokens(at, remove, &pairs).unwrap();
+                assert!(out.rung >= cp_pos, "{name}: the checkpoint must survive: {out:?}");
+                let gone = bytes(&model[at..at + remove]);
+                (dropped, drop_max) = (dropped + gone, drop_max.max(gone));
+                model.splice(at..at + remove, insert);
+                live_max = live_max.max(bytes(&model));
+                let kinds: Vec<&str> = model.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(
+                    s.prefix_is_sentence().unwrap(),
+                    scratch.recognize(&kinds).unwrap(),
+                    "{name}: phase {phase} step {steps}: diverged from scratch on {kinds:?}"
+                );
+            }
+            if phase == 0 {
+                s.rollback(&cp).unwrap();
+                model = cp_model.clone();
+                assert_eq!(s.tokens_fed(), cp_pos, "{name}: rollback position");
+            }
+        }
+        let kinds: Vec<&str> = model.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(s.prefix_is_sentence().unwrap(), scratch.recognize(&kinds).unwrap(), "{name}");
+        if *forests {
+            let mut fresh = Session::open(&mut *scratch).unwrap();
+            for (k, t) in &model {
+                fresh.feed(k, t).unwrap();
+            }
+            let want = fresh.finish_forest().unwrap().summary();
+            let got = s.finish_forest().unwrap().summary();
+            assert_eq!(got.count, want.count, "{name}: tree counts diverged");
+            if want.count != ParseCount::Infinite {
+                assert_eq!(got.fingerprint, want.fingerprint, "{name}: forests diverged");
+            }
+        }
+    }
+}
