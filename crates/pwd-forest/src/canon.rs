@@ -16,13 +16,24 @@
 //! tree-set comparison in the differential-testing harness. (For *cyclic* —
 //! infinitely ambiguous — forests the fingerprint is deterministic but only
 //! knot-placement-faithful; the harness compares counts there instead.)
+//!
+//! # Cost per raw node
+//!
+//! The walk memoizes by raw [`ForestId`] in a dense slot vector, so a raw
+//! node costs one array read there plus, when it builds something, one
+//! hash-cons probe. Cons keys follow the arena's rule (see [`Forest`]):
+//! integers only, so a probe never hashes text; the input's text goes only
+//! through the `RandomState` leaf map, once per raw leaf. A unary label
+//! conses its operand directly, alternatives are read by index, and
+//! multi-alternative results are built on one reused scratch stack, so the
+//! walk allocates per forest, not per node.
 
 use crate::count::TreeCount;
 use crate::forest::{EnumLimits, Forest, ForestId, ForestNode};
-use crate::knot::{Knot, KnotTable};
+use crate::knot::{DenseKnots, Knot};
 use crate::reduce::{Reduce, ReduceKind};
 use crate::tree::Tree;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Bound on enumerating through an opaque [`Reduce::func`] during
@@ -132,14 +143,15 @@ impl ParseForest {
         self.forest.depth(self.root)
     }
 
-    /// The wire summary: count, depth, node count, fingerprint.
+    /// The wire summary: count, depth, node count, fingerprint. One
+    /// post-order pass computes the first three; a cyclic forest takes the
+    /// separate passes, whose count needs the SCC analysis.
     pub fn summary(&self) -> ForestSummary {
-        ForestSummary {
-            count: self.count(),
-            depth: self.depth(),
-            node_count: self.node_count(),
-            fingerprint: self.fingerprint(),
-        }
+        let (count, depth, node_count) = self
+            .forest
+            .acyclic_summary(self.root)
+            .unwrap_or_else(|| (self.count(), self.depth(), self.node_count()));
+        ForestSummary { count, depth, node_count, fingerprint: self.fingerprint() }
     }
 
     /// Graphviz DOT export of the forest graph — see [`Forest::to_dot`].
@@ -217,14 +229,25 @@ fn eq_reduce(
 // The canonicalizer
 // ---------------------------------------------------------------------
 
+/// Why a canonicalizing walk stopped early.
+enum Stop {
+    /// An opaque function could not be evaluated.
+    Opaque(CanonError),
+    /// The walk met a knot or an opaque function without the productivity
+    /// pre-pass: start over with it.
+    Prune,
+}
+
 struct Canon<'a> {
     src: &'a Forest,
-    /// `has_tree` over the source forest: unproductive subforests prune to
-    /// the canonical empty node.
-    has: Vec<bool>,
+    /// `has_tree` over the source forest, when the productivity pre-pass
+    /// ran: unproductive subforests prune to the canonical empty node.
+    has: Option<Vec<bool>>,
     out: Forest,
-    memo: KnotTable<u32>,
-    spine_memo: HashMap<(u32, usize), Vec<Vec<ForestId>>>,
+    memo: DenseKnots,
+    /// Alternatives under construction, innermost call's on top: every
+    /// method that pushes truncates back before it returns.
+    scratch: Vec<ForestId>,
 }
 
 impl Forest {
@@ -233,76 +256,127 @@ impl Forest {
     /// production labels over exact spines, ambiguity flattened/deduped/
     /// hash-ordered, everything hash-consed.
     ///
+    /// Each source node costs one memo read and at most one hash-cons probe
+    /// on integers (a leaf: one keyed lookup of its text). An acyclic
+    /// forest without opaque functions needs no productivity pre-pass: the
+    /// constructors annihilate on empty operands, so an unproductive
+    /// subforest already comes out as the empty node. A walk that meets a
+    /// knot or an opaque [`Reduce::func`] starts over with the pre-pass.
+    ///
     /// # Errors
     ///
     /// [`CanonError::Opaque`] if the forest maps an opaque
     /// [`Reduce::func`] over a subforest with more than a few hundred trees
     /// (compiled grammars use structured labels and cannot hit this).
     pub fn extract_canonical(&self, root: ForestId) -> Result<ParseForest, CanonError> {
+        match Canon::run(self, root, false) {
+            Err(Stop::Prune) => Canon::run(self, root, true),
+            done => done,
+        }
+        .map_err(Stop::into_error)
+    }
+
+    /// [`extract_canonical`](Forest::extract_canonical) with the
+    /// productivity pre-pass forced on, to check the shortcut against.
+    #[cfg(test)]
+    pub(crate) fn extract_canonical_pruned(
+        &self,
+        root: ForestId,
+    ) -> Result<ParseForest, CanonError> {
+        Canon::run(self, root, true).map_err(Stop::into_error)
+    }
+}
+
+impl Stop {
+    /// The error of a walk that ran with the pre-pass, which never asks
+    /// for it.
+    fn into_error(self) -> CanonError {
+        match self {
+            Stop::Opaque(e) => e,
+            Stop::Prune => unreachable!("a pruned walk never asks to prune"),
+        }
+    }
+}
+
+impl<'a> Canon<'a> {
+    fn run(src: &'a Forest, root: ForestId, prune: bool) -> Result<ParseForest, Stop> {
         let mut canon = Canon {
-            src: self,
-            has: self.has_vector(root),
+            src,
+            has: prune.then(|| src.has_tree_vector(root)),
             out: Forest::hash_consed(),
-            memo: KnotTable::new(),
-            spine_memo: HashMap::new(),
+            memo: DenseKnots::new(src.len()),
+            scratch: Vec::new(),
         };
         let out_root = canon.norm(root)?;
         Ok(ParseForest::new(canon.out, out_root))
     }
 
-    /// The `has_tree` bit for every node, computed once for the
-    /// canonicalizer's productivity pruning.
-    fn has_vector(&self, root: ForestId) -> Vec<bool> {
-        // `analyze` is private to count.rs; recompute via the public
-        // fixpoint per reachable node would be quadratic, so expose the
-        // vector through a crate-internal hook.
-        self.has_tree_vector(root)
-    }
-}
-
-impl<'a> Canon<'a> {
-    fn norm(&mut self, f: ForestId) -> Result<ForestId, CanonError> {
-        match self.memo.enter(f.0, &mut self.out) {
+    fn norm(&mut self, f: ForestId) -> Result<ForestId, Stop> {
+        match self.memo.enter(f, &mut self.out) {
             Knot::Done(id) => return Ok(id),
             // A cycle: the placeholder is patched when the region is done.
-            Knot::Cycle(ph) => return Ok(ph),
+            Knot::Cycle(ph) if self.has.is_some() => return Ok(ph),
+            Knot::Cycle(_) => return Err(Stop::Prune),
             Knot::Fresh => {}
         }
-        if !self.has[f.index()] {
-            let e = self.out.empty();
-            return Ok(self.memo.finish(f.0, &mut self.out, e));
+        let r = self.build(f)?;
+        // Tie any knot opened while this node was in progress.
+        Ok(self.memo.finish(f, &mut self.out, r))
+    }
+
+    /// The canonical node of source node `f`, whose children are
+    /// normalized through the memo.
+    fn build(&mut self, f: ForestId) -> Result<ForestId, Stop> {
+        if self.has.as_ref().is_some_and(|has| !has[f.index()]) {
+            return Ok(self.out.empty());
         }
         // The source outlives `self`, so its node is read in place.
         let src: &'a Forest = self.src;
-        let result = match src.get(f) {
-            ForestNode::Empty | ForestNode::Cycle => Ok(self.out.empty()),
-            ForestNode::Eps => Ok(self.out.eps()),
-            ForestNode::Leaf(l) => Ok(self.out.leaf_shared(l)),
-            ForestNode::Const(t) => Ok(self.embed(t)),
+        Ok(match src.get(f) {
+            ForestNode::Empty | ForestNode::Cycle => self.out.empty(),
+            ForestNode::Eps => self.out.eps(),
+            ForestNode::Leaf(l) => self.out.leaf_shared(l),
+            ForestNode::Const(t) => self.embed(t),
             ForestNode::Pair(a, b) => {
                 let na = self.norm(*a)?;
                 let nb = self.norm(*b)?;
-                Ok(self.out.pair(na, nb))
+                self.out.pair(na, nb)
             }
             ForestNode::Amb(alts) => {
-                let normed: Result<Vec<ForestId>, CanonError> =
-                    alts.iter().map(|a| self.norm(*a)).collect();
-                Ok(self.out.amb(normed?))
+                let start = self.scratch.len();
+                for &a in alts {
+                    let na = self.norm(a)?;
+                    self.scratch.push(na);
+                }
+                self.out.amb_from(&mut self.scratch, start)
             }
             ForestNode::Map(red, x) => {
                 let nx = self.norm(*x)?;
-                self.sym_apply(red, nx)
+                // Without the pre-pass, prune as it would: a reduction
+                // pairing with an empty forest has no trees, even where
+                // a non-pair alternative would pass `map-first` untouched.
+                if self.has.is_none() && !self.multiplies(red)? {
+                    self.out.empty()
+                } else {
+                    self.sym_apply(red, nx)?
+                }
             }
-        };
-        let r = match result {
-            Ok(r) => r,
-            Err(e) => {
-                self.memo.abort(&f.0);
-                return Err(e);
+        })
+    }
+
+    /// Does `red` make at least one tree of each tree it maps (the
+    /// pre-pass's productivity rule for a reduction)? It does unless it
+    /// pairs with a forest that normalizes to the empty node.
+    fn multiplies(&mut self, red: &Reduce) -> Result<bool, Stop> {
+        Ok(match &*red.0 {
+            ReduceKind::Compose(g, h) => self.multiplies(g)? && self.multiplies(h)?,
+            ReduceKind::PairLeft(s) | ReduceKind::PairRight(s) => {
+                let ns = self.norm(*s)?;
+                !matches!(self.out.get(ns), ForestNode::Empty)
             }
-        };
-        // Tie any knot opened while this node was in progress.
-        Ok(self.memo.finish(f.0, &mut self.out, r))
+            ReduceKind::MapFirst(g) | ReduceKind::MapSecond(g) => self.multiplies(g)?,
+            ReduceKind::Reassoc | ReduceKind::Label(..) | ReduceKind::Func(..) => true,
+        })
     }
 
     /// Embeds a concrete tree as canonical nodes (labels become label
@@ -318,102 +392,116 @@ impl<'a> Canon<'a> {
                 self.out.pair(na, nb)
             }
             Tree::Node(label, kids) => {
-                let ids: Vec<ForestId> = kids.iter().map(|k| self.embed(k)).collect();
-                let spine = self.out.right_spine(&ids);
-                self.out.label_shared(label, kids.len(), spine)
+                let start = self.scratch.len();
+                for k in kids.iter() {
+                    let nk = self.embed(k);
+                    self.scratch.push(nk);
+                }
+                let spine = self.out.right_spine(&self.scratch[start..]);
+                self.scratch.truncate(start);
+                self.out.label(label, kids.len(), spine)
             }
         }
     }
 
-    /// The shallow alternative list of a canonical node.
-    fn alts_of(&self, f: ForestId) -> Vec<ForestId> {
+    /// The `i`th alternative of canonical node `f`: `f` itself when it is
+    /// not an ambiguity node. Read by index, as the arena grows meanwhile.
+    fn alt(&self, f: ForestId, i: usize) -> Option<ForestId> {
         match self.out.get(f) {
-            ForestNode::Amb(alts) => alts.clone(),
-            _ => vec![f],
+            ForestNode::Amb(alts) => alts.get(i).copied(),
+            _ => (i == 0).then_some(f),
         }
     }
 
     /// Applies a reduction *symbolically* to a canonical forest.
-    fn sym_apply(&mut self, red: &Reduce, cf: ForestId) -> Result<ForestId, CanonError> {
+    fn sym_apply(&mut self, red: &Reduce, cf: ForestId) -> Result<ForestId, Stop> {
+        // No trees in, no trees out, whatever the reduction.
+        if matches!(self.out.get(cf), ForestNode::Empty) {
+            return Ok(cf);
+        }
+        let start = self.scratch.len();
         match &*red.0 {
             ReduceKind::Compose(g, h) => {
                 let mid = self.sym_apply(h, cf)?;
-                self.sym_apply(g, mid)
+                return self.sym_apply(g, mid);
             }
             ReduceKind::PairLeft(s) => {
                 let ns = self.norm(*s)?;
-                Ok(self.out.pair(ns, cf))
+                return Ok(self.out.pair(ns, cf));
             }
             ReduceKind::PairRight(s) => {
                 let ns = self.norm(*s)?;
-                Ok(self.out.pair(cf, ns))
+                return Ok(self.out.pair(cf, ns));
             }
             ReduceKind::Reassoc => {
-                let mut res = Vec::new();
-                for alt in self.alts_of(cf) {
-                    match self.out.get(alt).clone() {
-                        ForestNode::Pair(a, r) => {
-                            for inner in self.alts_of(r) {
-                                match self.out.get(inner).clone() {
-                                    ForestNode::Pair(b, c) => {
-                                        let ab = self.out.pair(a, b);
-                                        res.push(self.out.pair(ab, c));
-                                    }
-                                    _ => res.push(self.out.pair(a, inner)),
-                                }
+                let mut i = 0;
+                while let Some(alt) = self.alt(cf, i) {
+                    i += 1;
+                    let &ForestNode::Pair(a, r) = self.out.get(alt) else {
+                        self.scratch.push(alt);
+                        continue;
+                    };
+                    let mut j = 0;
+                    while let Some(inner) = self.alt(r, j) {
+                        j += 1;
+                        let res = match *self.out.get(inner) {
+                            ForestNode::Pair(b, c) => {
+                                let ab = self.out.pair(a, b);
+                                self.out.pair(ab, c)
                             }
-                        }
-                        _ => res.push(alt),
+                            _ => self.out.pair(a, inner),
+                        };
+                        self.scratch.push(res);
                     }
                 }
-                Ok(self.out.amb(res))
             }
-            ReduceKind::MapFirst(g) => {
-                let mut res = Vec::new();
-                for alt in self.alts_of(cf) {
-                    match self.out.get(alt).clone() {
-                        ForestNode::Pair(a, b) => {
+            ReduceKind::MapFirst(g) | ReduceKind::MapSecond(g) => {
+                let first = matches!(&*red.0, ReduceKind::MapFirst(_));
+                let mut i = 0;
+                while let Some(alt) = self.alt(cf, i) {
+                    i += 1;
+                    let res = match *self.out.get(alt) {
+                        ForestNode::Pair(a, b) if first => {
                             let ga = self.sym_apply(g, a)?;
-                            res.push(self.out.pair(ga, b));
+                            self.out.pair(ga, b)
                         }
-                        _ => res.push(alt),
-                    }
-                }
-                Ok(self.out.amb(res))
-            }
-            ReduceKind::MapSecond(g) => {
-                let mut res = Vec::new();
-                for alt in self.alts_of(cf) {
-                    match self.out.get(alt).clone() {
                         ForestNode::Pair(a, b) => {
                             let gb = self.sym_apply(g, b)?;
-                            res.push(self.out.pair(a, gb));
+                            self.out.pair(a, gb)
                         }
-                        _ => res.push(alt),
-                    }
+                        _ => alt,
+                    };
+                    self.scratch.push(res);
                 }
-                Ok(self.out.amb(res))
             }
-            ReduceKind::Label(name, arity) => {
-                if *arity == 0 {
+            &ReduceKind::Label(ref name, arity) => {
+                let label =
+                    |out: &mut Forest, spine| out.label_with(name, arity, spine, || red.clone());
+                if arity == 0 {
                     let e = self.out.eps();
-                    return Ok(self.out.label_shared(name, 0, e));
+                    return Ok(label(&mut self.out, e));
                 }
-                let lists = self.spine(cf, *arity);
-                let mut alts = Vec::with_capacity(lists.len());
-                for ls in lists {
-                    let sp = self.out.right_spine(&ls);
-                    alts.push(self.out.label_shared(name, *arity, sp));
+                // A unary label takes its operand whole, ambiguous or not;
+                // an operand without ambiguity in its first `arity - 1`
+                // spine components is its own spine.
+                if arity == 1 || self.plain_spine(cf, arity) {
+                    return Ok(label(&mut self.out, cf));
                 }
-                Ok(self.out.amb(alts))
+                self.respine(cf, arity);
+                for k in start..self.scratch.len() {
+                    self.scratch[k] = label(&mut self.out, self.scratch[k]);
+                }
             }
             ReduceKind::Func(name, f) => {
+                if self.has.is_none() {
+                    return Err(Stop::Prune);
+                }
                 // Last resort: enumerate through the opaque function. Only
                 // sound when the subforest is small, finite, and *finished*
                 // — an in-progress knot under `cf` would count as empty
                 // here and silently truncate the cyclic alternatives.
                 if self.out.contains_cycle_node(cf) {
-                    return Err(CanonError::Opaque(name.to_string()));
+                    return Err(Stop::Opaque(CanonError::Opaque(name.to_string())));
                 }
                 match self.out.count(cf) {
                     TreeCount::Finite(n) if n <= FUNC_LIMIT => {
@@ -421,58 +509,54 @@ impl<'a> Canon<'a> {
                             max_trees: FUNC_LIMIT as usize + 1,
                             max_depth: usize::MAX,
                         };
-                        let trees = self.out.trees(cf, limits);
-                        let alts: Vec<ForestId> = trees
-                            .into_iter()
-                            .map(|t| {
-                                let mapped = f(t);
-                                self.embed(&mapped)
-                            })
-                            .collect();
-                        Ok(self.out.amb(alts))
+                        for t in self.out.trees(cf, limits) {
+                            let mapped = self.embed(&f(t));
+                            self.scratch.push(mapped);
+                        }
                     }
-                    _ => Err(CanonError::Opaque(name.to_string())),
+                    _ => return Err(Stop::Opaque(CanonError::Opaque(name.to_string()))),
                 }
+            }
+        }
+        Ok(self.out.amb_from(&mut self.scratch, start))
+    }
+
+    /// Is `f` a spine without ambiguity in its first `arity - 1`
+    /// components (one that [`respine`](Canon::respine) would return
+    /// unchanged)? `arity ≥ 2`.
+    fn plain_spine(&self, mut f: ForestId, mut arity: usize) -> bool {
+        loop {
+            match self.out.get(f) {
+                ForestNode::Amb(_) => return false,
+                ForestNode::Pair(_, r) if arity > 2 => {
+                    f = *r;
+                    arity -= 1;
+                }
+                _ => return true,
             }
         }
     }
 
-    /// Decomposes a canonical forest into `arity` spine components,
-    /// distributing ambiguity: one component list per distinct top-level
-    /// shape. Memoized per `(node, arity)`.
-    fn spine(&mut self, f: ForestId, arity: usize) -> Vec<Vec<ForestId>> {
-        if arity <= 1 {
-            return vec![vec![f]];
-        }
-        if let Some(cached) = self.spine_memo.get(&(f.0, arity)) {
-            return cached.clone();
-        }
-        let mut lists = Vec::new();
-        let mut saw_in_progress = false;
-        for alt in self.alts_of(f) {
-            match self.out.get(alt).clone() {
-                ForestNode::Pair(a, r) => {
-                    for rest in self.spine(r, arity - 1) {
-                        let mut ls = Vec::with_capacity(rest.len() + 1);
-                        ls.push(a);
-                        ls.extend(rest);
-                        lists.push(ls);
+    /// Pushes the spines an `arity`-ary label (`arity ≥ 2`) distributes
+    /// `f`'s ambiguity into: one right-nested pair spine per distinct
+    /// choice of alternatives along its first `arity - 1` components. A
+    /// spine that bottoms out early (a non-pair where a pair was expected)
+    /// ends there, as [`Reduce::label`]'s flattening does.
+    fn respine(&mut self, f: ForestId, arity: usize) {
+        let mut i = 0;
+        while let Some(alt) = self.alt(f, i) {
+            i += 1;
+            match *self.out.get(alt) {
+                ForestNode::Pair(a, r) if arity > 2 => {
+                    let start = self.scratch.len();
+                    self.respine(r, arity - 1);
+                    for k in start..self.scratch.len() {
+                        self.scratch[k] = self.out.pair(a, self.scratch[k]);
                     }
                 }
-                // An in-progress knot: treat as an opaque component, but do
-                // not memoize a decomposition of a node still being built.
-                ForestNode::Cycle => {
-                    saw_in_progress = true;
-                    lists.push(vec![alt]);
-                }
-                // Early stop: the spine bottomed out (mirrors flatten).
-                _ => lists.push(vec![alt]),
+                _ => self.scratch.push(alt),
             }
         }
-        if !saw_in_progress {
-            self.spine_memo.insert((f.0, arity), lists.clone());
-        }
-        lists
     }
 }
 

@@ -149,11 +149,57 @@ impl Forest {
                     }
                 }
             } else {
-                memo[i] = Some(self.count_eval(v, &memo, &analysis.has));
+                memo[i] = Some(self.count_eval(v, &|id| live_count(&memo, &analysis.has, id)));
                 state[i] = DONE;
             }
         }
         memo[root.index()].or(Some(TreeCount::Finite(0)))
+    }
+
+    /// Tree count, depth and reachable node count of the forest rooted at
+    /// `root`, in one post-order pass over every reachable node — or `None`
+    /// on the first back-edge, live or not. On an acyclic forest a node's
+    /// count is zero exactly when it has no tree, so no productivity pass
+    /// is needed, and the three figures equal [`count`](Forest::count),
+    /// [`depth`](Forest::depth) and
+    /// [`reachable_count`](Forest::reachable_count).
+    pub(crate) fn acyclic_summary(&self, root: ForestId) -> Option<(TreeCount, usize, usize)> {
+        const UNSEEN: u8 = 0;
+        const OPEN: u8 = 1;
+        const DONE: u8 = 2;
+        let mut state = vec![UNSEEN; self.len()];
+        let mut counts = vec![TreeCount::Finite(0); self.len()];
+        let mut depths = vec![0usize; self.len()];
+        let mut nodes = 0;
+        let mut stack: Vec<(ForestId, bool)> = vec![(root, false)];
+        let mut succ = Vec::new();
+        while let Some((v, post)) = stack.pop() {
+            let i = v.index();
+            succ.clear();
+            self.successors(v, &mut succ);
+            if !post {
+                match state[i] {
+                    DONE => continue,
+                    OPEN => return None,
+                    _ => {}
+                }
+                state[i] = OPEN;
+                nodes += 1;
+                stack.push((v, true));
+                for s in &succ {
+                    match state[s.index()] {
+                        DONE => {}
+                        OPEN => return None,
+                        _ => stack.push((*s, false)),
+                    }
+                }
+            } else {
+                depths[i] = succ.iter().map(|s| depths[s.index()] + 1).max().unwrap_or(0);
+                counts[i] = self.count_eval(v, &|id| counts[id.index()]);
+                state[i] = DONE;
+            }
+        }
+        Some((counts[root.index()], depths[root.index()], nodes))
     }
 
     /// The `has_tree` bit for every node reachable from `root` (crate
@@ -265,9 +311,16 @@ impl Forest {
             ForestNode::Map(red, x) => {
                 if has[x.index()] && self.mult_positive(red, has) {
                     out.push(*x);
-                    let mut refs = Vec::new();
-                    red_refs(red, &mut refs);
-                    out.extend(refs.into_iter().filter(|s| has[s.index()]));
+                    let refs = out.len();
+                    red_refs(red, out);
+                    let mut kept = refs;
+                    for k in refs..out.len() {
+                        if has[out[k].index()] {
+                            out[kept] = out[k];
+                            kept += 1;
+                        }
+                    }
+                    out.truncate(kept);
                 }
             }
         }
@@ -284,62 +337,56 @@ impl Forest {
         let mut on_stack = vec![false; n];
         let mut scc_stack: Vec<ForestId> = Vec::new();
         let mut next_index = 0u32;
-        let mut succ_buf = Vec::new();
+        // Frames: (node, end of its successors in `succs`, next position).
+        // A frame's successors sit just above its parent's, so the one
+        // shared stack pops with the frames.
+        let mut call: Vec<(ForestId, usize, usize)> = Vec::new();
+        let mut succs: Vec<ForestId> = Vec::new();
         for &root in &analysis.reachable {
             if index[root.index()].is_some() {
                 continue;
             }
-            // Frame: (node, successor list, next child position).
-            let mut call: Vec<(ForestId, Vec<ForestId>, usize)> = Vec::new();
-            succ_buf.clear();
-            self.live_successors(root, &analysis.has, &mut succ_buf);
-            index[root.index()] = Some(next_index);
-            low[root.index()] = next_index;
-            next_index += 1;
-            on_stack[root.index()] = true;
-            scc_stack.push(root);
-            call.push((root, succ_buf.clone(), 0));
-            while let Some((v, succs, pos)) = call.last_mut() {
-                if let Some(&w) = succs.get(*pos) {
+            let mut enter = Some(root);
+            loop {
+                if let Some(v) = enter.take() {
+                    index[v.index()] = Some(next_index);
+                    low[v.index()] = next_index;
+                    next_index += 1;
+                    on_stack[v.index()] = true;
+                    scc_stack.push(v);
+                    let start = succs.len();
+                    self.live_successors(v, &analysis.has, &mut succs);
+                    call.push((v, succs.len(), start));
+                }
+                let Some((v, end, pos)) = call.last_mut() else { break };
+                let v = *v;
+                if *pos < *end {
+                    let w = succs[*pos];
                     *pos += 1;
-                    let (v, w) = (*v, w);
                     if index[w.index()].is_none() {
-                        index[w.index()] = Some(next_index);
-                        low[w.index()] = next_index;
-                        next_index += 1;
-                        on_stack[w.index()] = true;
-                        scc_stack.push(w);
-                        let mut ws = Vec::new();
-                        self.live_successors(w, &analysis.has, &mut ws);
-                        call.push((w, ws, 0));
+                        enter = Some(w);
                     } else if on_stack[w.index()] {
                         low[v.index()] = low[v.index()].min(index[w.index()].unwrap());
                         if v == w {
                             infinite[v.index()] = true; // live self-loop
                         }
                     }
-                } else {
-                    let (v, _, _) = call.pop().unwrap();
-                    if low[v.index()] == index[v.index()].unwrap() {
-                        // Pop the SCC; size ≥ 2 means a genuine cycle.
-                        let mut members = Vec::new();
-                        while let Some(w) = scc_stack.pop() {
-                            on_stack[w.index()] = false;
-                            members.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        if members.len() >= 2 {
-                            for w in members {
-                                infinite[w.index()] = true;
-                            }
-                        }
+                    continue;
+                }
+                call.pop();
+                succs.truncate(call.last().map_or(0, |&(_, parent_end, _)| parent_end));
+                if low[v.index()] == index[v.index()].unwrap() {
+                    // Pop the SCC; size ≥ 2 means a genuine cycle.
+                    let at = scc_stack.iter().rposition(|&w| w == v).unwrap();
+                    let genuine = scc_stack.len() - at >= 2;
+                    for w in scc_stack.drain(at..) {
+                        on_stack[w.index()] = false;
+                        infinite[w.index()] |= genuine;
                     }
-                    if let Some((parent, _, _)) = call.last() {
-                        let p = parent.index();
-                        low[p] = low[p].min(low[v.index()]);
-                    }
+                }
+                if let Some(&(parent, _, _)) = call.last() {
+                    let p = parent.index();
+                    low[p] = low[p].min(low[v.index()]);
                 }
             }
         }
@@ -374,49 +421,42 @@ impl Forest {
                     }
                 }
             } else if memo[i].is_none() {
-                memo[i] = Some(self.count_eval(v, &memo, &analysis.has));
+                memo[i] = Some(self.count_eval(v, &|id| live_count(&memo, &analysis.has, id)));
             }
         }
         memo[root.index()].unwrap_or(TreeCount::Finite(0))
     }
 
-    fn count_eval(&self, v: ForestId, memo: &[Option<TreeCount>], has: &[bool]) -> TreeCount {
-        let of = |id: ForestId| -> TreeCount {
-            if !has[id.index()] {
-                return TreeCount::Finite(0);
-            }
-            // A live child without a memo entry can only sit on a cycle,
-            // which productive_cycle_nodes marked — defensively infinite.
-            memo[id.index()].unwrap_or(TreeCount::Infinite)
-        };
+    /// The count of node `v` from the counts of its children, `of`.
+    fn count_eval(&self, v: ForestId, of: &impl Fn(ForestId) -> TreeCount) -> TreeCount {
         match self.get(v) {
             ForestNode::Empty | ForestNode::Cycle => TreeCount::Finite(0),
             ForestNode::Eps | ForestNode::Leaf(_) | ForestNode::Const(_) => TreeCount::Finite(1),
             ForestNode::Pair(a, b) => of(*a) * of(*b),
             ForestNode::Amb(alts) => alts.iter().fold(TreeCount::Finite(0), |acc, a| acc + of(*a)),
-            ForestNode::Map(red, x) => of(*x) * self.multiplier(red, memo, has),
+            ForestNode::Map(red, x) => of(*x) * multiplier(red, of),
         }
     }
+}
 
-    /// How many output trees a reduction produces per input tree.
-    fn multiplier(&self, red: &Reduce, memo: &[Option<TreeCount>], has: &[bool]) -> TreeCount {
-        match &*red.0 {
-            ReduceKind::Compose(g, h) => {
-                self.multiplier(g, memo, has) * self.multiplier(h, memo, has)
-            }
-            ReduceKind::PairLeft(s) | ReduceKind::PairRight(s) => {
-                if !has[s.index()] {
-                    TreeCount::Finite(0)
-                } else {
-                    memo[s.index()].unwrap_or(TreeCount::Infinite)
-                }
-            }
-            ReduceKind::MapFirst(g) | ReduceKind::MapSecond(g) => self.multiplier(g, memo, has),
-            // Flattening and user functions are assumed injective per tree.
-            ReduceKind::Reassoc | ReduceKind::Label(..) | ReduceKind::Func(..) => {
-                TreeCount::Finite(1)
-            }
-        }
+/// A child's count during a live-subgraph count: zero without a tree, else
+/// its memo entry. A live child without one can only sit on a cycle,
+/// which `productive_cycle_nodes` marked — defensively infinite.
+fn live_count(memo: &[Option<TreeCount>], has: &[bool], id: ForestId) -> TreeCount {
+    if !has[id.index()] {
+        return TreeCount::Finite(0);
+    }
+    memo[id.index()].unwrap_or(TreeCount::Infinite)
+}
+
+/// How many output trees a reduction produces per input tree.
+fn multiplier(red: &Reduce, of: &impl Fn(ForestId) -> TreeCount) -> TreeCount {
+    match &*red.0 {
+        ReduceKind::Compose(g, h) => multiplier(g, of) * multiplier(h, of),
+        ReduceKind::PairLeft(s) | ReduceKind::PairRight(s) => of(*s),
+        ReduceKind::MapFirst(g) | ReduceKind::MapSecond(g) => multiplier(g, of),
+        // Flattening and user functions are assumed injective per tree.
+        ReduceKind::Reassoc | ReduceKind::Label(..) | ReduceKind::Func(..) => TreeCount::Finite(1),
     }
 }
 

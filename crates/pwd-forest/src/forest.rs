@@ -1,11 +1,22 @@
 //! The shared forest arena: nodes, hash-consed packing, and bounded
 //! enumeration.
+//!
+//! # The cons-key rule
+//!
+//! A hash-consed arena conses every node on a key made only of integers it
+//! assigned itself: child ids, arities, and label-name symbols, hashed by a
+//! cheap multiplicative hasher. Input text never enters such a key: a leaf
+//! (kind and lexeme) goes through a `RandomState` map from leaf to its
+//! canonical node, hashed once per lookup (a new leaf hashes it once more,
+//! for its structural fingerprint), and a label name gets its symbol
+//! through a `RandomState` map too. A node built on a cons miss shares the
+//! caller's `Leaf` or `Reduce` rather than allocating a new one.
 
 use crate::reduce::{Reduce, ReduceKind};
 use crate::tree::{Leaf, Tree};
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Index of a node in a [`Forest`] arena.
@@ -68,16 +79,86 @@ impl Default for EnumLimits {
     }
 }
 
-/// Key under which a canonical constructor hash-conses a node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Key under which a canonical constructor hash-conses a node: integers
+/// the arena assigned, never text (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ConsKey {
     Empty,
     Eps,
-    Leaf(Leaf),
-    Const(Tree),
     Pair(u32, u32),
-    Amb(Vec<u32>),
-    Label(Arc<str>, usize, u32),
+    /// Name symbol, arity, spine.
+    Label(u32, usize, u32),
+}
+
+/// A multiplicative hasher for keys of arena-assigned integers. Not for
+/// text: input could pick colliding keys for it.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Unused by the keys here, which write whole integers.
+        for &b in bytes {
+            self.add(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are its best mixed; the table indexes by
+        // the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type IdMap<K> = HashMap<K, ForestId, BuildHasherDefault<IdHasher>>;
+
+/// The hash-consing tables of a hash-consed arena.
+#[derive(Debug, Default, Clone)]
+struct Cons {
+    /// Empty, `ε`, pair and label nodes.
+    keys: IdMap<ConsKey>,
+    /// Ambiguity nodes, by their canonical alternative list.
+    ambs: IdMap<Box<[ForestId]>>,
+    /// Leaves by kind and text: a keyed hash, since the text is input.
+    leaves: HashMap<Leaf, ForestId>,
+    /// Constant trees, which hold leaf text: a keyed hash too.
+    consts: HashMap<Tree, ForestId>,
+    /// Label names to their symbols.
+    names: HashMap<Arc<str>, u32>,
+    /// `hash_of(name)` per name symbol, the name's share of a label's
+    /// structural hash.
+    name_hashes: Vec<u64>,
+}
+
+impl Cons {
+    /// The symbol of label name `name`, assigned on first sight.
+    fn name_symbol(&mut self, name: &str) -> u32 {
+        if let Some(&sym) = self.names.get(name) {
+            return sym;
+        }
+        let sym = self.name_hashes.len() as u32;
+        self.name_hashes.push(hash_of(&name));
+        self.names.insert(Arc::from(name), sym);
+        sym
+    }
 }
 
 /// An arena of shared-forest nodes.
@@ -95,6 +176,13 @@ enum ConsKey {
 ///   one node, which is what makes packed forests canonical and
 ///   fingerprint-comparable across backends.
 ///
+/// A hash-consed arena conses on keys of integers it assigned — child ids,
+/// arities and label-name symbols — with a cheap hasher. Text goes only
+/// through keyed (`RandomState`) maps: a leaf's kind and lexeme, which come
+/// from the input, are hashed once per lookup in the map from leaf to
+/// canonical node, and a label name once per lookup of its symbol. So no
+/// input can pick colliding cons keys, and no probe hashes text twice.
+///
 /// Every node carries a structural hash (computed bottom-up at
 /// construction), so [`node_hash`](Forest::node_hash) of a root is a
 /// fingerprint of the whole subgraph.
@@ -102,7 +190,7 @@ enum ConsKey {
 pub struct Forest {
     nodes: Vec<ForestNode>,
     hashes: Vec<u64>,
-    cons: Option<HashMap<ConsKey, ForestId>>,
+    cons: Option<Box<Cons>>,
 }
 
 /// Domain-separation tags for structural hashing.
@@ -135,7 +223,7 @@ impl Forest {
     /// An empty hash-consed arena: the canonical constructors dedup
     /// structurally identical nodes.
     pub fn hash_consed() -> Forest {
-        Forest { nodes: Vec::new(), hashes: Vec::new(), cons: Some(HashMap::new()) }
+        Forest { nodes: Vec::new(), hashes: Vec::new(), cons: Some(Box::default()) }
     }
 
     /// Number of nodes allocated.
@@ -171,6 +259,11 @@ impl Forest {
         // Raw arenas never read hashes; skipping the computation keeps the
         // per-token engine path free of hashing (the PR 1 property).
         let h = if self.cons.is_some() { self.compute_hash(&node) } else { 0 };
+        self.push(node, h)
+    }
+
+    /// Appends `node` with structural hash `h`.
+    fn push(&mut self, node: ForestNode, h: u64) -> ForestId {
         let id = ForestId(self.nodes.len() as u32);
         self.nodes.push(node);
         self.hashes.push(h);
@@ -198,7 +291,11 @@ impl Forest {
         self.nodes.truncate(len);
         self.hashes.truncate(len);
         if let Some(cons) = &mut self.cons {
-            cons.retain(|_, id| (id.0 as usize) < len);
+            let live = |id: &mut ForestId| (id.0 as usize) < len;
+            cons.keys.retain(|_, id| live(id));
+            cons.ambs.retain(|_, id| live(id));
+            cons.leaves.retain(|_, id| live(id));
+            cons.consts.retain(|_, id| live(id));
         }
     }
 
@@ -208,16 +305,16 @@ impl Forest {
 
     /// The node consed under `key`, built by `node` only on a miss.
     fn consed(&mut self, key: ConsKey, node: impl FnOnce() -> ForestNode) -> ForestId {
-        if let Some(cons) = &self.cons {
-            if let Some(&id) = cons.get(&key) {
-                return id;
+        let Some(cons) = &mut self.cons else { return self.alloc(node()) };
+        match cons.keys.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                e.insert(ForestId(self.nodes.len() as u32));
+                let node = node();
+                let h = self.compute_hash(&node);
+                self.push(node, h)
             }
         }
-        let id = self.alloc(node());
-        if let Some(cons) = &mut self.cons {
-            cons.insert(key, id);
-        }
-        id
     }
 
     /// The canonical no-parses node.
@@ -236,14 +333,30 @@ impl Forest {
     }
 
     /// [`leaf`](Forest::leaf) for a leaf that already holds its names: the
-    /// key and the node share its `Arc<str>`s, so nothing is copied.
+    /// map key and a new node share its `Arc<str>`s, so nothing is copied,
+    /// and the text is hashed once for the lookup.
     pub(crate) fn leaf_shared(&mut self, leaf: &Leaf) -> ForestId {
-        self.consed(ConsKey::Leaf(leaf.clone()), || ForestNode::Leaf(leaf.clone()))
+        let Some(cons) = &mut self.cons else { return self.alloc(ForestNode::Leaf(leaf.clone())) };
+        match cons.leaves.entry(leaf.clone()) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                e.insert(ForestId(self.nodes.len() as u32));
+                self.push(ForestNode::Leaf(leaf.clone()), mix(1, hash_of(leaf)))
+            }
+        }
     }
 
     /// A constant-tree node.
     pub fn constant(&mut self, tree: Tree) -> ForestId {
-        self.consed(ConsKey::Const(tree.clone()), || ForestNode::Const(tree))
+        let Some(cons) = &mut self.cons else { return self.alloc(ForestNode::Const(tree)) };
+        match cons.consts.entry(tree) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let node = ForestNode::Const(e.key().clone());
+                e.insert(ForestId(self.nodes.len() as u32));
+                self.alloc(node)
+            }
+        }
     }
 
     /// The cross product of two forests. Annihilates on an empty side.
@@ -259,56 +372,95 @@ impl Forest {
     /// survivors ordered by structural hash — so the same *set* of
     /// alternatives always conses to the same node. Zero alternatives
     /// collapse to [`empty`](Forest::empty), one to the alternative itself.
-    pub fn amb(&mut self, mut flat: Vec<ForestId>) -> ForestId {
-        // Flatten in place: survivors move to the front, nested
-        // alternatives are appended behind the arguments, then the dropped
-        // slots between the two close up.
-        let given = flat.len();
-        let mut kept = 0;
-        for i in 0..given {
-            let a = flat[i];
+    pub fn amb(&mut self, mut alts: Vec<ForestId>) -> ForestId {
+        self.amb_from(&mut alts, 0)
+    }
+
+    /// [`amb`](Forest::amb) over `buf[start..]`, which it then truncates
+    /// away: a caller that keeps one scratch stack allocates only for a
+    /// new node.
+    pub(crate) fn amb_from(&mut self, buf: &mut Vec<ForestId>, start: usize) -> ForestId {
+        self.canonical_alts(buf, start);
+        let alts = &buf[start..];
+        let id = match alts.len() {
+            0 => self.empty(),
+            1 => alts[0],
+            _ => match self.cons.as_ref().and_then(|cons| cons.ambs.get(alts)) {
+                Some(&id) => id,
+                None => {
+                    let id = self.alloc(ForestNode::Amb(alts.to_vec()));
+                    if let Some(cons) = &mut self.cons {
+                        cons.ambs.insert(alts.into(), id);
+                    }
+                    id
+                }
+            },
+        };
+        buf.truncate(start);
+        id
+    }
+
+    /// Puts `buf[start..]` in canonical order, in place: flattened one
+    /// level, empties dropped, sorted by structural hash, deduplicated.
+    fn canonical_alts(&self, buf: &mut Vec<ForestId>, start: usize) {
+        // Survivors move to the front, nested alternatives are appended
+        // behind the arguments, then the dropped slots between the two
+        // close up.
+        let given = buf.len();
+        let mut kept = start;
+        for i in start..given {
+            let a = buf[i];
             match self.get(a) {
                 ForestNode::Empty => {}
-                ForestNode::Amb(inner) => flat.extend_from_slice(inner),
+                ForestNode::Amb(inner) => buf.extend_from_slice(inner),
                 _ => {
-                    flat[kept] = a;
+                    buf[kept] = a;
                     kept += 1;
                 }
             }
         }
-        flat.drain(kept..given);
-        flat.sort_by_key(|&a| (self.node_hash(a), a.0));
-        flat.dedup();
-        match flat.len() {
-            0 => self.empty(),
-            1 => flat[0],
-            _ => {
-                let key = ConsKey::Amb(flat.iter().map(|a| a.0).collect());
-                self.consed(key, || ForestNode::Amb(flat))
+        buf.drain(kept..given);
+        buf[start..].sort_by_key(|&a| (self.node_hash(a), a.0));
+        let mut len = start;
+        for i in start..buf.len() {
+            if len == start || buf[i] != buf[len - 1] {
+                buf[len] = buf[i];
+                len += 1;
             }
         }
+        buf.truncate(len);
     }
 
     /// A production-label node: `Map(Label(name, arity), spine)`, consed by
     /// `(name, arity, spine)`. Annihilates on an empty spine forest.
     pub fn label(&mut self, name: &str, arity: usize, spine: ForestId) -> ForestId {
-        self.label_shared(&Arc::from(name), arity, spine)
+        self.label_with(name, arity, spine, || Reduce::label(name, arity))
     }
 
-    /// [`label`](Forest::label) for a name that is already shared: the key
-    /// shares it, and the reduction is built only on a miss.
-    pub(crate) fn label_shared(
+    /// [`label`](Forest::label) whose node, when new, maps `red()` (a
+    /// `Label(name, arity)` reduction) over `spine`.
+    pub(crate) fn label_with(
         &mut self,
-        name: &Arc<str>,
+        name: &str,
         arity: usize,
         spine: ForestId,
+        red: impl FnOnce() -> Reduce,
     ) -> ForestId {
         if matches!(self.get(spine), ForestNode::Empty) {
             return self.empty();
         }
-        self.consed(ConsKey::Label(name.clone(), arity, spine.0), || {
-            ForestNode::Map(Reduce(Arc::new(ReduceKind::Label(name.clone(), arity))), spine)
-        })
+        let Some(cons) = &mut self.cons else { return self.alloc(ForestNode::Map(red(), spine)) };
+        let sym = cons.name_symbol(name);
+        match cons.keys.entry(ConsKey::Label(sym, arity, spine.0)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                e.insert(ForestId(self.nodes.len() as u32));
+                // `compute_hash` of the node, with the name's hash cached.
+                let red_h = mix(16, mix(cons.name_hashes[sym as usize], arity as u64));
+                let h = mix(6, mix(red_h, self.hashes[spine.index()]));
+                self.push(ForestNode::Map(red(), spine), h)
+            }
+        }
     }
 
     /// A generic reduction node (not consed — arbitrary reductions have no

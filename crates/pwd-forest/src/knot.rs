@@ -4,11 +4,18 @@
 //! (the canonicalizer over derivative forests, the fact-driven SPPF builder
 //! over charts and stacks) needs the same protocol: memoize results per
 //! key, hand a reserved placeholder to re-entrant (cyclic) lookups, and
-//! patch the placeholder once the region's real node exists. [`KnotTable`]
-//! is that protocol, shared so its edge cases live in exactly one place.
+//! patch the placeholder once the region's real node exists. One key's
+//! place in that protocol is a `Slot`, and the protocol is written once,
+//! on `Slot`. [`KnotTable`] keeps slots in a map for arbitrary keys; the
+//! canonicalizer keeps them in a dense vector indexed by raw [`ForestId`],
+//! so its memo probe is an array read.
+//!
+//! A memo key is never a hash-cons key. The nodes a builder makes are
+//! consed by the arena's constructors, on integers alone (see
+//! [`Forest`]'s cons-key rule): text from the input reaches a hash only
+//! through the arena's `RandomState` leaf map, once per leaf looked up.
 
 use crate::forest::{Forest, ForestId};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -25,10 +32,52 @@ pub enum Knot {
     Fresh,
 }
 
+/// One key's state in the reserve/patch protocol.
+#[derive(Debug, Clone, Copy, Default)]
 enum Slot {
-    /// Being built; the placeholder is allocated lazily on first re-entry.
-    InProgress(Option<ForestId>),
+    #[default]
+    Unseen,
+    /// Being built; no placeholder handed out yet.
+    Open,
+    /// Being built and re-entered: this placeholder stands in for it.
+    Tied(ForestId),
     Done(ForestId),
+}
+
+impl Slot {
+    /// Marks an unseen slot open; a re-entrant lookup (a cycle) allocates
+    /// — once — a [`Forest::reserve`] placeholder.
+    fn enter(&mut self, forest: &mut Forest) -> Knot {
+        match *self {
+            Slot::Unseen => {
+                *self = Slot::Open;
+                Knot::Fresh
+            }
+            Slot::Open => {
+                let ph = forest.reserve();
+                *self = Slot::Tied(ph);
+                Knot::Cycle(ph)
+            }
+            Slot::Tied(ph) => Knot::Cycle(ph),
+            Slot::Done(id) => Knot::Done(id),
+        }
+    }
+
+    /// Completes the slot with `result`, patching the placeholder handed
+    /// out while it was open (the knot), and returns `result`.
+    fn finish(&mut self, forest: &mut Forest, result: ForestId) -> ForestId {
+        // A placeholder that *is* the result stays a `Cycle` node: the only
+        // way that happens is a self-referential region with no grounded
+        // content, which correctly denotes no parses.
+        if let Slot::Tied(ph) = *self {
+            if ph != result {
+                let node = forest.get(result).clone();
+                forest.set(ph, node);
+            }
+        }
+        *self = Slot::Done(result);
+        result
+    }
 }
 
 /// A memo table implementing the reserve/patch discipline for cyclic
@@ -53,48 +102,46 @@ impl<K: Eq + Hash> KnotTable<K> {
     /// lookup (a cycle) allocates — once — and returns a
     /// [`Forest::reserve`] placeholder.
     pub fn enter(&mut self, key: K, forest: &mut Forest) -> Knot {
-        match self.slots.entry(key) {
-            Entry::Occupied(mut e) => match e.get_mut() {
-                Slot::Done(id) => Knot::Done(*id),
-                Slot::InProgress(slot) => {
-                    let ph = match slot {
-                        Some(ph) => *ph,
-                        None => {
-                            let ph = forest.reserve();
-                            *slot = Some(ph);
-                            ph
-                        }
-                    };
-                    Knot::Cycle(ph)
-                }
-            },
-            Entry::Vacant(v) => {
-                v.insert(Slot::InProgress(None));
-                Knot::Fresh
-            }
-        }
+        self.slots.entry(key).or_default().enter(forest)
     }
 
     /// Completes `key` with `result`, patching any placeholder handed out
     /// while it was in progress (the knot), and returns `result`.
     pub fn finish(&mut self, key: K, forest: &mut Forest, result: ForestId) -> ForestId {
-        if let Some(Slot::InProgress(Some(ph))) = self.slots.get(&key) {
-            let ph = *ph;
-            // A placeholder that *is* the result stays a `Cycle` node: the
-            // only way that happens is a self-referential region with no
-            // grounded content, which correctly denotes no parses.
-            if ph != result {
-                let node = forest.get(result).clone();
-                forest.set(ph, node);
-            }
-        }
-        self.slots.insert(key, Slot::Done(result));
-        result
+        self.slots.entry(key).or_default().finish(forest, result)
     }
 
     /// Abandons an in-progress entry (the error-unwind path).
     pub fn abort(&mut self, key: &K) {
         self.slots.remove(key);
+    }
+}
+
+/// The same protocol keyed by the nodes of a source arena: one slot per
+/// source node, so entering and finishing are array accesses.
+pub(crate) struct DenseKnots {
+    slots: Vec<Slot>,
+}
+
+impl DenseKnots {
+    /// Unseen slots for a source arena of `len` nodes.
+    pub(crate) fn new(len: usize) -> DenseKnots {
+        DenseKnots { slots: vec![Slot::Unseen; len] }
+    }
+
+    /// [`KnotTable::enter`] for source node `key`.
+    pub(crate) fn enter(&mut self, key: ForestId, forest: &mut Forest) -> Knot {
+        self.slots[key.index()].enter(forest)
+    }
+
+    /// [`KnotTable::finish`] for source node `key`.
+    pub(crate) fn finish(
+        &mut self,
+        key: ForestId,
+        forest: &mut Forest,
+        result: ForestId,
+    ) -> ForestId {
+        self.slots[key.index()].finish(forest, result)
     }
 }
 

@@ -74,6 +74,8 @@ mod count;
 mod dot;
 mod forest;
 mod knot;
+#[cfg(test)]
+mod properties;
 mod reduce;
 mod tree;
 
