@@ -19,7 +19,9 @@
 //! * `units` — reachable growth on degenerate repetitive programs.
 //! * `ambiguity` — parse-counts of Python snippets (ambiguity hunt).
 //! * `min` — minimal statement-list grammars, reachable size per shape.
-//! * `reset` — compile vs `reset()` vs reset+parse vs fresh+parse costs.
+//! * `reset` — compile cost, then per Python module (200- and 2,048-token
+//!   targets) the reset that follows a parse (µs per reset, ns per derived
+//!   node dropped), reset+parse and fresh compile+parse.
 //! * `keying` — memo-keying effectiveness matrix on lexeme-diverse PL/0;
 //!   `--forest-dot` renders an ambiguous forest as Graphviz instead.
 //! * `automaton` — lazy-automaton row occupancy and fallback stats on the
@@ -41,7 +43,7 @@ use pwd_core::{
     AutomatonMode, MemoKeying, MemoStrategy, ParseMode, ParserConfig, Phase, PhaseStats, TraceEvent,
 };
 use pwd_grammar::{gen, grammars, CfgBuilder, Compiled};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -289,8 +291,6 @@ fn min() {
 /// Micro-probe separating the costs behind the `reset_reuse` bench.
 fn reset() {
     let cfg = python_cfg();
-    let corpus = python_corpus(&[200]);
-    let file = &corpus[0];
 
     // compile-only cost
     let t0 = Instant::now();
@@ -300,35 +300,49 @@ fn reset() {
     }
     println!("compile-only: {:?}/round", t0.elapsed() / 50);
 
-    let mut pwd = Compiled::compile(&cfg, ParserConfig::improved());
-    let toks = pwd.tokens_from_lexemes(&file.lexemes).unwrap();
-    let start = pwd.start;
-    // warmup
-    for _ in 0..3 {
-        pwd.lang.reset();
-        assert!(pwd.lang.recognize(start, &toks).unwrap());
+    for (file, rounds) in python_corpus(&[200, 2_048]).iter().zip([30u32, 10]) {
+        let mut pwd = Compiled::compile(&cfg, ParserConfig::improved());
+        let toks = pwd.tokens_from_lexemes(&file.lexemes).unwrap();
+        let start = pwd.start;
+        println!("module of {} tokens (target {}):", toks.len(), file.target);
+        // warmup
+        for _ in 0..3 {
+            assert!(pwd.lang.recognize(start, &toks).unwrap());
+            pwd.lang.reset();
+        }
+        // The reset that follows each parse: a reset of an engine that has
+        // parsed nothing since the last one has nothing to drop.
+        let (mut spent, mut dropped) = (Duration::ZERO, 0);
+        for _ in 0..rounds {
+            assert!(pwd.lang.recognize(start, &toks).unwrap());
+            let derived = pwd.lang.node_count();
+            let t0 = Instant::now();
+            pwd.lang.reset();
+            spent += t0.elapsed();
+            dropped += derived - pwd.lang.node_count();
+        }
+        println!(
+            "  reset after parse: {:.2} µs/reset, {:.2} ns/derived node, {:.3} µs/token",
+            spent.as_secs_f64() * 1e6 / rounds as f64,
+            spent.as_secs_f64() * 1e9 / dropped as f64,
+            spent.as_secs_f64() * 1e6 / (rounds as usize * toks.len()) as f64,
+        );
+        // reset+parse
+        let t0 = Instant::now();
+        for _ in 0..rounds {
+            pwd.lang.reset();
+            assert!(pwd.lang.recognize(start, &toks).unwrap());
+        }
+        println!("  reset+parse: {:?}/round", t0.elapsed() / rounds);
+        // fresh compile+parse
+        let t0 = Instant::now();
+        for _ in 0..rounds {
+            let mut p = Compiled::compile(&cfg, ParserConfig::improved());
+            let tk = p.tokens_from_lexemes(&file.lexemes).unwrap();
+            assert!(p.lang.recognize(p.start, &tk).unwrap());
+        }
+        println!("  fresh+parse: {:?}/round", t0.elapsed() / rounds);
     }
-    // reset cost alone
-    let t0 = Instant::now();
-    for _ in 0..1000 {
-        pwd.lang.reset();
-    }
-    println!("reset-only: {:?}/round", t0.elapsed() / 1000);
-    // reset+parse
-    let t0 = Instant::now();
-    for _ in 0..30 {
-        pwd.lang.reset();
-        assert!(pwd.lang.recognize(start, &toks).unwrap());
-    }
-    println!("reset+parse: {:?}/round", t0.elapsed() / 30);
-    // fresh compile+parse
-    let t0 = Instant::now();
-    for _ in 0..30 {
-        let mut p = Compiled::compile(&cfg, ParserConfig::improved());
-        let tk = p.tokens_from_lexemes(&file.lexemes).unwrap();
-        assert!(p.lang.recognize(p.start, &tk).unwrap());
-    }
-    println!("fresh+parse: {:?}/round", t0.elapsed() / 30);
 }
 
 /// Renders the canonical shared forest of `n+n*n+n` under the ambiguous

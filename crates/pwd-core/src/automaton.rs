@@ -99,9 +99,10 @@ pub(crate) struct Automaton {
     /// to at least this, keeping every canonical root *and its reachable
     /// subgraph* (allocated after the root, placeholder-then-patch) alive.
     pub(crate) boundary: usize,
-    /// Forest-arena high-water mark at the last intern; retained alongside
-    /// the node boundary so no surviving node can reference a dead forest.
-    pub(crate) forest_boundary: usize,
+    /// Forest-arena high-water mark at the last intern (its nodes and its
+    /// reduction table); retained alongside the node boundary so no
+    /// surviving node can reference a dead forest or reduction.
+    pub(crate) forest_boundary: pwd_forest::ForestMark,
     /// The row budget tripped: serve existing rows, intern nothing new.
     frozen: bool,
     /// Scratch buffer for signature streams (reused across interns).
@@ -319,7 +320,7 @@ impl Language {
         // patch), so its reachable subgraph sits at higher indices — the
         // boundary must cover the whole arena as of now, not just the root.
         self.auto.boundary = self.auto.boundary.max(self.nodes.len());
-        self.auto.forest_boundary = self.auto.forest_boundary.max(self.forests.len());
+        self.auto.forest_boundary = self.auto.forest_boundary.max(self.forests.mark());
         self.auto.set_state(id, st);
         self.metrics.auto_rows_built += 1;
         self.obs_end(pwd_obs::Phase::AutoRow, span);

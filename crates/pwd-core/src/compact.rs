@@ -15,6 +15,11 @@
 //! p1 ◦ (p2 ↪ f) ⇒ (p1 ◦ p2) ↪ map-second f                       (§4.3.1, initial grammar only)
 //! ```
 //!
+//! A rule that inserts a reduction appends an entry to the forest arena's
+//! reduction table (`pair-left`, `reassoc`, `map-first`, `compose`, …) and
+//! the node holds the entry's id, so compaction allocates nothing per
+//! reduction and copying a kind copies plain data.
+//!
 //! Children that are still [`Pending`](crate::expr::ExprKind::Pending) (a
 //! cycle mid-derivation) or [`Forward`](crate::expr::ExprKind::Forward)
 //! (undefined) are treated as opaque, exactly as §4.3.3 prescribes: "if
@@ -34,7 +39,7 @@
 
 use crate::config::CompactionMode;
 use crate::expr::{ExprKind, Language, NodeId};
-use pwd_forest::{ForestNode, Reduce};
+use pwd_forest::{ForestNode, RedId, Reduce};
 use std::collections::HashMap;
 
 /// Fuel bound on the recursion of the reassociation, map-first and
@@ -56,25 +61,6 @@ const CAT_FUEL: u32 = 64;
 struct WalkPath<'p> {
     node: NodeId,
     below: Option<&'p WalkPath<'p>>,
-}
-
-/// The engine's one reassociation reduction, cloned by every reassociating
-/// compaction instead of allocating an `Arc` each time. Cloning the engine
-/// makes a fresh one, so engines (pooled workers among them) never share its
-/// reference count.
-#[derive(Debug)]
-pub(crate) struct ReassocReduction(Reduce);
-
-impl Default for ReassocReduction {
-    fn default() -> ReassocReduction {
-        ReassocReduction(Reduce::reassoc())
-    }
-}
-
-impl Clone for ReassocReduction {
-    fn clone(&self) -> ReassocReduction {
-        ReassocReduction::default()
-    }
 }
 
 /// Result of smart construction: either a brand-new kind to allocate/patch,
@@ -175,9 +161,12 @@ impl Language {
         }
     }
 
-    /// Builds `a ↪ f`, compacting per the engine configuration.
+    /// Builds `a ↪ f`, compacting per the engine configuration. The
+    /// reduction is interned into the forest arena's reduction table here,
+    /// once; the node holds its id.
     pub fn reduce(&mut self, a: NodeId, f: Reduce) -> NodeId {
         let compact = self.construction_compacts();
+        let f = self.forests.intern_reduce(&f);
         let built = self.red_built(a, f, compact);
         self.build(built)
     }
@@ -276,7 +265,7 @@ impl Language {
             return Built::New(ExprKind::Cat(a, b));
         }
         // Left-child rules (always allowed).
-        match self.node(a).kind.clone() {
+        match self.node(a).kind {
             // ∅ ◦ p ⇒ ∅
             ExprKind::Empty => {
                 self.metrics.compactions_applied += 1;
@@ -285,7 +274,8 @@ impl Language {
             // ε_s ◦ p ⇒ p ↪ λu.(s, u)
             ExprKind::Eps(s) => {
                 self.metrics.compactions_applied += 1;
-                return self.red_built(b, Reduce::pair_left(s), compact);
+                let f = self.forests.pair_left(s);
+                return self.red_built(b, f, compact);
             }
             // A left operand already on the path lies on a zombie cycle
             // (module docs): build `a ◦ b` as it stands, as when the fuel
@@ -304,8 +294,7 @@ impl Language {
                 let inner = self.build(inner);
                 let outer = self.cat_built_fueled(a1, inner, compact, fuel, path);
                 let outer = self.build(outer);
-                let reassoc = self.reassoc.0.clone();
-                return self.red_built(outer, reassoc, compact);
+                return self.red_built(outer, self.reassoc, compact);
             }
             // (p1 ↪ f) ◦ p2 ⇒ (p1 ◦ p2) ↪ map-first f      (§4.3.2)
             ExprKind::Red(x, f) => {
@@ -314,14 +303,15 @@ impl Language {
                 let path = Some(&WalkPath { node: a, below: path });
                 let inner = self.cat_built_fueled(x, b, compact, fuel, path);
                 let inner = self.build(inner);
-                return self.red_built(inner, Reduce::map_first(f), compact);
+                let f = self.forests.map_first(f);
+                return self.red_built(inner, f, compact);
             }
             _ => {}
         }
         // Right-child rules (§4.3.1: initial grammar only, in the improved
         // configuration).
         if self.allow_right_rules() {
-            match self.node(b).kind.clone() {
+            match self.node(b).kind {
                 // p ◦ ∅ ⇒ ∅
                 ExprKind::Empty => {
                     self.metrics.compactions_applied += 1;
@@ -330,7 +320,8 @@ impl Language {
                 // p ◦ ε_s ⇒ p ↪ λu.(u, s)
                 ExprKind::Eps(s) => {
                     self.metrics.compactions_applied += 1;
-                    return self.red_built(a, Reduce::pair_right(s), compact);
+                    let f = self.forests.pair_right(s);
+                    return self.red_built(a, f, compact);
                 }
                 // p1 ◦ (p2 ↪ f) ⇒ (p1 ◦ p2) ↪ map-second f (the left
                 // operand stays, so the path does not grow)
@@ -339,7 +330,8 @@ impl Language {
                     *fuel -= 1;
                     let inner = self.cat_built_fueled(a, y, compact, fuel, path);
                     let inner = self.build(inner);
-                    return self.red_built(inner, Reduce::map_second(g), compact);
+                    let g = self.forests.map_second(g);
+                    return self.red_built(inner, g, compact);
                 }
                 _ => {}
             }
@@ -347,12 +339,12 @@ impl Language {
         Built::New(ExprKind::Cat(a, b))
     }
 
-    pub(crate) fn red_built(&mut self, x: NodeId, f: Reduce, compact: bool) -> Built {
+    pub(crate) fn red_built(&mut self, x: NodeId, f: RedId, compact: bool) -> Built {
         let x = self.resolve(x);
         if !compact {
             return Built::New(ExprKind::Red(x, f));
         }
-        match self.node(x).kind.clone() {
+        match self.node(x).kind {
             // ∅ ↪ f ⇒ ∅ (the paper's other new rule)
             ExprKind::Empty => {
                 self.metrics.compactions_applied += 1;
@@ -367,7 +359,7 @@ impl Language {
             // (p ↪ f) ↪ g ⇒ p ↪ (g ∘ f)
             ExprKind::Red(y, g) => {
                 self.metrics.compactions_applied += 1;
-                Built::New(ExprKind::Red(y, f.compose(g)))
+                Built::New(ExprKind::Red(y, self.forests.compose(f, g)))
             }
             _ => Built::New(ExprKind::Red(x, f)),
         }
@@ -450,7 +442,7 @@ impl Language {
         if let Some(&m) = map.get(&id) {
             return m;
         }
-        match self.node(id).kind.clone() {
+        match self.node(id).kind {
             ExprKind::Empty
             | ExprKind::Eps(_)
             | ExprKind::Term(_)
@@ -481,7 +473,7 @@ impl Language {
                 let ph = self.alloc(ExprKind::Pending);
                 map.insert(id, ph);
                 let cx = self.compact_node(x, map);
-                let built = self.red_built(cx, f.clone(), true);
+                let built = self.red_built(cx, f, true);
                 self.patch(ph, built, ExprKind::Red(cx, f));
                 ph
             }

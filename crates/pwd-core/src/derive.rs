@@ -265,7 +265,7 @@ impl Language {
         }
         self.metrics.derive_uncached += 1;
         let compact = self.config.compaction == CompactionMode::OnConstruction;
-        let (r, taint) = match self.node(id).kind.clone() {
+        let (r, taint) = match self.node(id).kind {
             // D_c(∅) = ∅, D_c(ε) = ∅, D_c(δ(L)) = ∅
             ExprKind::Empty | ExprKind::Eps(_) | ExprKind::Delta(_) => {
                 let r = self.derived_empty(id, tok);
@@ -336,7 +336,7 @@ impl Language {
                 let ph = self.placeholder(id, tok, false);
                 self.memo_put(id, key, ph);
                 let (dx, tx) = self.derive_node_t(x, tok);
-                let built = self.red_built(dx, f.clone(), compact);
+                let built = self.red_built(dx, f, compact);
                 self.patch(ph, built, ExprKind::Red(dx, f));
                 (ph, tx)
             }
@@ -426,7 +426,7 @@ impl Language {
             self.null_parse_set(id, f);
             return f;
         }
-        match self.node(id).kind.clone() {
+        match self.node(id).kind {
             ExprKind::Eps(s) => {
                 self.null_parse_set(id, s);
                 s
@@ -491,7 +491,7 @@ impl Language {
                     .unwrap_or_else(|| format!("N{}", self.names.base_count()));
                 self.names.assign_base(id, label);
             }
-            match self.node(id).kind.clone() {
+            match self.node(id).kind {
                 ExprKind::Alt(a, b) | ExprKind::Cat(a, b) => {
                     stack.push(a);
                     stack.push(b);

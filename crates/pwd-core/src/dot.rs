@@ -44,7 +44,7 @@ impl Language {
                 ExprKind::Term(t) => ("box", format!("tok {}", self.terminal_name(*t))),
                 ExprKind::Alt(..) => ("circle", "∪".to_string()),
                 ExprKind::Cat(..) => ("circle", "◦".to_string()),
-                ExprKind::Red(_, f) => ("diamond", format!("↪ {f:?}")),
+                ExprKind::Red(_, f) => ("diamond", format!("↪ {:?}", self.forests.reduction(*f))),
                 ExprKind::Delta(_) => ("circle", "δ".to_string()),
                 ExprKind::Forward => ("plaintext", "forward?".to_string()),
                 ExprKind::Pending => ("plaintext", "pending…".to_string()),

@@ -14,7 +14,7 @@ use crate::error::PwdError;
 use crate::metrics::Metrics;
 use crate::names::NameStore;
 use crate::token::{DeriveKey, Interner, TermId, Token};
-use pwd_forest::{Forest, ForestId, ForestNode, Reduce, Tree};
+use pwd_forest::{Forest, ForestId, ForestMark, ForestNode, RedId, Tree};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -30,8 +30,9 @@ impl NodeId {
 }
 
 /// The parsing-expression forms of Figure 1, plus the δ node of Might et al.
-/// (2011) and the arena-specific `Ref`/`Forward`/`Pending` plumbing.
-#[derive(Debug, Clone)]
+/// (2011) and the arena-specific `Ref`/`Forward`/`Pending` plumbing. Every
+/// payload is an arena id, so a kind is 12 bytes of `Copy` data.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum ExprKind {
     /// `∅` — the empty language.
     Empty,
@@ -43,8 +44,8 @@ pub(crate) enum ExprKind {
     Alt(NodeId, NodeId),
     /// `L₁ ◦ L₂`.
     Cat(NodeId, NodeId),
-    /// `L ↪ f`.
-    Red(NodeId, Reduce),
+    /// `L ↪ f`, with `f` an entry of the forest arena's reduction table.
+    Red(NodeId, RedId),
     /// `δ(L)` — the null parses of `L` (derivative ∅, nullability of `L`).
     Delta(NodeId),
     /// Forwarding to another node (compaction collapse or a defined
@@ -127,8 +128,9 @@ pub(crate) struct ClassEntry {
 /// ([`Language::labels`]), the `DualEntry`/`FullHash` second slot and
 /// overflow list ([`Language::memo_more`]), initial-grammar template rows
 /// ([`Language::tmpl_rows`]) and automaton states. A parse-mode Python
-/// token derives about 235 nodes, so every inline byte counts: the node is
-/// at most 48 bytes (asserted below).
+/// token derives about 184 nodes, so every inline byte counts: the node is
+/// at most 40 bytes and owns nothing to drop (both asserted below), so
+/// cutting the arena back is a length store.
 ///
 /// The memo, nullability and null-parse fields share one epoch stamp: they
 /// are only meaningful while `epoch` equals the owning [`Language`]'s
@@ -145,8 +147,8 @@ pub(crate) struct Node {
     // --- derive memo (§4.4): the single entry, `DeriveKey::NONE` if empty ---
     pub(crate) memo_key: DeriveKey,
     pub(crate) memo_val: NodeId,
-    /// The parse-null memo.
-    pub(crate) null_parse: Option<ForestId>,
+    /// The parse-null memo, [`ForestId::NONE`] if empty.
+    pub(crate) null_parse: ForestId,
     // --- nullability (§4.2) ---
     /// The fixed-point run that last visited this node.
     pub(crate) null_visited_run: u32,
@@ -164,7 +166,10 @@ pub(crate) struct Node {
 
 // Node size is the parse-mode arena's size per derived node: a field added
 // here costs every one of them.
-const _: () = assert!(std::mem::size_of::<Node>() <= 48);
+const _: () = assert!(std::mem::size_of::<Node>() <= 40);
+// A node that owned heap data (an `Arc` in a kind, say) would cost a
+// reference count per copy and a walk over the dead nodes at every reset.
+const _: () = assert!(!std::mem::needs_drop::<Node>());
 
 impl Node {
     fn new(kind: ExprKind) -> Node {
@@ -173,7 +178,7 @@ impl Node {
             epoch: 0,
             memo_key: DeriveKey::NONE,
             memo_val: NodeId(0),
-            null_parse: None,
+            null_parse: ForestId::NONE,
             null_visited_run: 0,
             deps_head: NO_LINK,
             null_value: false,
@@ -280,9 +285,10 @@ pub struct Language {
     pub(crate) in_parse: bool,
     /// Set by `alloc` when `max_nodes` is exceeded; checked per token.
     pub(crate) budget_hit: bool,
-    /// Node/forest arena sizes at the start of the first parse, for `reset`.
+    /// Node and forest arena sizes at the start of the first parse, for
+    /// `reset`.
     pub(crate) initial_nodes: Option<usize>,
-    pub(crate) initial_forests: Option<usize>,
+    pub(crate) initial_forests: Option<ForestMark>,
     /// The productivity watermark: every node below this index has a
     /// settled productivity mark (see [`crate::prune`]), so a session start
     /// prunes only the nodes above it. `prune_empty` advances it and
@@ -300,8 +306,9 @@ pub struct Language {
     pub(crate) validated: Vec<NodeId>,
     /// Canonical `Term` nodes, one per terminal.
     term_nodes: HashMap<TermId, NodeId>,
-    /// The reduction every reassociating compaction shares.
-    pub(crate) reassoc: crate::compact::ReassocReduction,
+    /// The reduction every reassociating compaction shares: one entry of
+    /// the initial grammar's reduction table.
+    pub(crate) reassoc: RedId,
     /// Canonical forest nodes: the no-parses forest and the `ε`-tree forest.
     pub(crate) forest_nothing: ForestId,
     pub(crate) forest_eps_tree: ForestId,
@@ -313,6 +320,7 @@ impl Language {
         let mut forests = Forest::new();
         let forest_nothing = forests.alloc(ForestNode::Empty);
         let forest_eps_tree = forests.alloc(ForestNode::Eps);
+        let reassoc = forests.reassoc();
         let mut nodes = Vec::with_capacity(64);
         nodes.push(Node::new(ExprKind::Empty)); // NodeId(0): canonical ∅
         nodes.push(Node::new(ExprKind::Eps(forest_eps_tree))); // NodeId(1): canonical ε
@@ -343,7 +351,7 @@ impl Language {
             null_lists: Default::default(),
             validated: Vec::new(),
             term_nodes: HashMap::new(),
-            reassoc: Default::default(),
+            reassoc,
             forest_nothing,
             forest_eps_tree,
         }
@@ -471,7 +479,7 @@ impl Language {
         if n.epoch != epoch {
             n.epoch = epoch;
             n.memo_key = DeriveKey::NONE;
-            n.null_parse = None;
+            n.null_parse = ForestId::NONE;
             n.null_visited_run = 0;
             n.deps_head = NO_LINK;
             let (value, definite) = Node::null_defaults(&n.kind);
@@ -485,17 +493,13 @@ impl Language {
     #[inline]
     pub(crate) fn null_parse_get(&self, id: NodeId) -> Option<ForestId> {
         let n = &self.nodes[id.index()];
-        if n.epoch == self.epoch {
-            n.null_parse
-        } else {
-            None
-        }
+        (n.epoch == self.epoch && n.null_parse != ForestId::NONE).then_some(n.null_parse)
     }
 
     /// Memoizes the node's null-parse forest for the current epoch.
     #[inline]
     pub(crate) fn null_parse_set(&mut self, id: NodeId, f: ForestId) {
-        self.parse_state_mut(id).null_parse = Some(f);
+        self.parse_state_mut(id).null_parse = f;
     }
 
     /// Invalidates every epoch-stamped field of one node, with its memo
@@ -791,14 +795,18 @@ impl Language {
     /// nodes and forests created by parsing and invalidates every memo table
     /// and lattice value.
     ///
-    /// This is a **single epoch bump**, not a sweep: per-node parse state
-    /// (derive memos, nullability values, null-parse forests) is stamped
-    /// with the epoch it was written under, so bumping the counter
-    /// invalidates all of it at once. No per-node clearing loop runs, no
-    /// hash table is rehashed, and no buffer is deallocated — arenas, side
-    /// tables and pools are truncated with their capacity kept for the next
-    /// parse. (The paper clears its memo hash tables between benchmark
-    /// rounds; this achieves the same effect in O(1).)
+    /// Per-node parse state (derive memos, nullability values, null-parse
+    /// forests) is stamped with the epoch it was written under, so **one
+    /// epoch bump** invalidates all of it: no per-node clearing loop runs and
+    /// no hash table is rehashed. The arenas, side tables and pools are cut
+    /// back with their capacity kept for the next parse. Grammar nodes, every
+    /// side table but `labels`, the pools and the forest arena's reduction
+    /// table hold drop-free entries, so cutting those back is a length store
+    /// however many nodes the parse derived. Only the forest arena's own
+    /// nodes hold heap data: the dead ones release each token leaf's two
+    /// name references and each ambiguity node's vector, a few per token.
+    /// (The paper clears its memo hash tables between benchmark rounds; this
+    /// achieves the same effect without visiting a derived node.)
     pub fn reset(&mut self) {
         let (Some(n), Some(f)) = (self.initial_nodes, self.initial_forests) else {
             return; // never parsed; nothing to reset
@@ -812,10 +820,11 @@ impl Language {
         // visits them, and their
         // epoch-stamped memo state dies with the bump below like any other
         // node's. With the automaton idle both boundaries are 0 and this is
-        // the plain initial-grammar truncation. Capacity is retained;
-        // derived nodes own no per-parse heap (their dependency and memo
-        // lists live in the shared pools below), so this drops only
-        // reference counts on shared grammar structure.
+        // the plain initial-grammar truncation. Capacity is retained, and
+        // nodes own nothing to drop (their reductions are table ids, their
+        // dependency and memo lists live in the shared pools below), so the
+        // node arena's cut is a length store. The reduction table is cut at
+        // the same marks as the forest nodes its entries name.
         let keep = n.max(self.auto.boundary);
         self.nodes.truncate(keep);
         self.forests.truncate(f.max(self.auto.forest_boundary));
@@ -823,9 +832,9 @@ impl Language {
         // Truncation reuses node ids, so every per-node side table is cut
         // back with the arena (a reused id must not inherit a dead node's
         // label or automaton state), and cached signature digests die with
-        // the nodes they described. Every table but `labels` (rarely set on
-        // a derived node) holds `Copy` entries, so this stays O(1) in the
-        // number of derived nodes.
+        // the nodes they described. Every table but `labels` (grown only as
+        // far as the highest labelled node, rarely a derived one) holds
+        // `Copy` entries, so this stays O(1) in the number of derived nodes.
         self.labels.truncate(keep);
         self.tmpl_rows.truncate(keep);
         self.auto.node_states.truncate(keep);
@@ -865,7 +874,7 @@ impl Language {
     pub(crate) fn mark_initial(&mut self) {
         if self.initial_nodes.is_none() {
             self.initial_nodes = Some(self.nodes.len());
-            self.initial_forests = Some(self.forests.len());
+            self.initial_forests = Some(self.forests.mark());
         }
     }
 
@@ -890,7 +899,7 @@ impl Language {
             ExprKind::Term(t) => format!("tok {}", self.interner.term_name(*t)),
             ExprKind::Alt(a, b) => format!("∪({}, {})", a.0, b.0),
             ExprKind::Cat(a, b) => format!("◦({}, {})", a.0, b.0),
-            ExprKind::Red(a, f) => format!("↪({}, {f:?})", a.0),
+            ExprKind::Red(a, f) => format!("↪({}, {:?})", a.0, self.forests.reduction(*f)),
             ExprKind::Delta(a) => format!("δ({})", a.0),
             ExprKind::Forward => "forward".to_string(),
             ExprKind::Pending => "pending".to_string(),
@@ -979,7 +988,10 @@ mod tests {
     /// with it: a label on a derived node, a `FullHash` second slot and
     /// overflow list, and the automaton state of a non-canonical derived
     /// node above the automaton boundary must all be gone when the id comes
-    /// back.
+    /// back. The reduction table is cut back as far as the nodes are, no
+    /// further: a `↪` node the automaton keeps still maps its reduction
+    /// after the reset and after the next parse appends new ones, and a
+    /// parse-mode reset returns the table to its initial length.
     #[test]
     fn reused_ids_see_no_side_table_state_after_reset() {
         use crate::config::{MemoStrategy, ParseMode};
@@ -1003,11 +1015,22 @@ mod tests {
         let key = |k: u32| DeriveKey::value(TokKey(k));
 
         let mut session = crate::SessionState::start(&mut lang, s).unwrap();
+        let initial_reds = lang.forests.reduction_count();
         assert!(session.feed(&mut lang, &tok_a).unwrap());
+        // A `↪` node the token derived, with a reduction entry the derive
+        // appended, below the automaton boundary: reset keeps both.
+        let kept = (lang.initial_nodes.unwrap()..lang.auto.boundary)
+            .map(|i| NodeId(i as u32))
+            .find(|&id| match lang.node(id).kind {
+                ExprKind::Red(_, f) => f.index() >= initial_reds,
+                _ => false,
+            })
+            .expect("compaction turns `ε ◦ b` into `b ↪ pair-left`");
+        let kept_red = lang.describe(kept);
         // A copy of the current state's root is isomorphic to it, so it is
         // mapped to that state without moving the automaton boundary.
         let root = session.current();
-        let x = lang.alloc(lang.node(root).kind.clone());
+        let x = lang.alloc(lang.node(root).kind);
         let state = lang.auto_intern(x);
         assert!(state.is_some() && state == lang.auto_state_of(root));
         assert!(x.index() >= lang.auto.boundary, "x must die at reset");
@@ -1020,7 +1043,8 @@ mod tests {
 
         lang.reset();
         assert!(lang.node_count() <= x.index());
-        let session = crate::SessionState::start(&mut lang, s).unwrap();
+        assert_eq!(lang.describe(kept), kept_red, "a kept node maps a kept reduction");
+        let mut session = crate::SessionState::start(&mut lang, s).unwrap();
         let mut y = lang.empty_node();
         while y.index() < x.index() {
             y = lang.cat(ta, tb);
@@ -1033,7 +1057,37 @@ mod tests {
         assert_eq!(lang.memo_get(y, key(2)), None, "a dead overflow list");
         assert_eq!(lang.memo_get(y, key(7)), Some(NodeId(7)));
         assert_eq!(lang.memo_entry_counts(), vec![1]);
+        // `a a` derives past the state the first parse kept, so it appends
+        // reductions: after the kept ones, or over them if reset had cut
+        // the table back further than the nodes.
+        let reds = lang.forests.reduction_count();
+        assert!(session.feed(&mut lang, &tok_a).unwrap());
+        assert!(session.feed(&mut lang, &tok_a).unwrap());
+        assert!(lang.forests.reduction_count() > reds);
+        assert_eq!(lang.describe(kept), kept_red, "new reductions leave kept ones alone");
         session.finish(&mut lang);
+
+        // Parse mode interns no state, so its reset cuts the reduction
+        // table back to the initial grammar's.
+        let mut lang = Language::new(ParserConfig::improved());
+        let a = lang.terminal("a");
+        let b = lang.terminal("b");
+        let (ta, tb) = (lang.term_node(a), lang.term_node(b));
+        let s = lang.forward();
+        let ab = lang.cat(ta, tb);
+        let asb = lang.seq(&[ta, s, tb]);
+        let body = lang.alt(ab, asb);
+        lang.define(s, body);
+        let (tok_a, tok_b) = (lang.token(a, "a"), lang.token(b, "b"));
+        let mut session = crate::SessionState::start(&mut lang, s).unwrap();
+        let initial_reds = lang.forests.reduction_count();
+        for tok in [&tok_a, &tok_a, &tok_b, &tok_b] {
+            assert!(session.feed(&mut lang, tok).unwrap());
+        }
+        assert!(lang.forests.reduction_count() > initial_reds);
+        session.finish(&mut lang);
+        lang.reset();
+        assert_eq!(lang.forests.reduction_count(), initial_reds);
     }
 
     #[test]

@@ -86,8 +86,8 @@ pub use metrics::Metrics;
 pub use names::Name;
 pub use pwd_forest::Reduce;
 pub use pwd_forest::{
-    CanonError, EnumLimits, Forest, ForestId, ForestNode, ForestSummary, Leaf, ParseForest, Tree,
-    TreeCount,
+    CanonError, EnumLimits, Forest, ForestId, ForestMark, ForestNode, ForestSummary, Leaf,
+    ParseForest, RedId, Tree, TreeCount,
 };
 pub use pwd_obs::{Histogram, Phase, PhaseStats, TraceEvent};
 pub use session::{SessionCheckpoint, SessionState};

@@ -110,8 +110,8 @@ impl Language {
 
     /// Approximate resident bytes of the engine's arenas: grammar nodes and
     /// their per-node side tables (labels, memo second slots, template
-    /// rows, automaton states), forest nodes, and the pooled
-    /// memo/dependency/template storage. An O(1) estimate from arena
+    /// rows, automaton states), forest nodes and the reduction table, and
+    /// the pooled memo/dependency/template storage. An O(1) estimate from arena
     /// lengths (not a malloc census; label text is not counted), intended
     /// for session-size accounting and capacity dashboards.
     pub fn arena_bytes(&self) -> usize {
@@ -122,7 +122,7 @@ impl Language {
             + self.memo_more.len() * size_of::<MemoMore>()
             + self.tmpl_rows.len() * size_of::<TmplRow>()
             + self.auto.node_states.len() * size_of::<u32>()
-            + self.forests.len() * size_of::<pwd_forest::ForestNode>()
+            + self.forests.arena_bytes()
             + self.dep_pool.len() * size_of::<DepEntry>()
             + self.memo_pool.len() * size_of::<MemoEntry>()
             + self.class_pool.len() * size_of::<ClassEntry>()

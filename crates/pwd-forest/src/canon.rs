@@ -31,21 +31,22 @@
 use crate::count::TreeCount;
 use crate::forest::{EnumLimits, Forest, ForestId, ForestNode};
 use crate::knot::{DenseKnots, Knot};
-use crate::reduce::{Reduce, ReduceKind};
+use crate::reduce::{Red, RedId};
 use crate::tree::Tree;
 use std::collections::HashSet;
 use std::fmt;
 
-/// Bound on enumerating through an opaque [`Reduce::func`] during
-/// canonicalization. Compiled grammars use structured labels and never hit
-/// this path.
+/// Bound on enumerating through an opaque
+/// [`Reduce::func`](crate::Reduce::func) during canonicalization. Compiled
+/// grammars use structured labels and never hit this path.
 const FUNC_LIMIT: u128 = 512;
 
 /// Canonicalization failure: the forest maps an opaque user function over a
 /// subforest too ambiguous to enumerate through.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CanonError {
-    /// The named [`Reduce::func`] could not be evaluated symbolically.
+    /// The named [`Reduce::func`](crate::Reduce::func) could not be
+    /// evaluated symbolically.
     Opaque(String),
 }
 
@@ -192,7 +193,7 @@ fn eq_nodes(
                 && xs.iter().zip(ys).all(|(x, y)| eq_nodes(fa, *x, fb, *y, assumed))
         }
         (ForestNode::Map(rx, x), ForestNode::Map(ry, y)) => {
-            eq_reduce(fa, rx, fb, ry, assumed) && eq_nodes(fa, *x, fb, *y, assumed)
+            eq_reduce(fa, *rx, fb, *ry, assumed) && eq_nodes(fa, *x, fb, *y, assumed)
         }
         _ => false,
     }
@@ -200,27 +201,25 @@ fn eq_nodes(
 
 fn eq_reduce(
     fa: &Forest,
-    x: &Reduce,
+    x: RedId,
     fb: &Forest,
-    y: &Reduce,
+    y: RedId,
     assumed: &mut HashSet<(u32, u32)>,
 ) -> bool {
-    match (&*x.0, &*y.0) {
-        (ReduceKind::Reassoc, ReduceKind::Reassoc) => true,
-        (ReduceKind::Label(n1, a1), ReduceKind::Label(n2, a2)) => n1 == n2 && a1 == a2,
-        (ReduceKind::Compose(g1, h1), ReduceKind::Compose(g2, h2)) => {
+    match (fa.red(x), fb.red(y)) {
+        (Red::Reassoc, Red::Reassoc) => true,
+        (Red::Label(n1, a1), Red::Label(n2, a2)) => fa.name(n1) == fb.name(n2) && a1 == a2,
+        (Red::Compose(g1, h1), Red::Compose(g2, h2)) => {
             eq_reduce(fa, g1, fb, g2, assumed) && eq_reduce(fa, h1, fb, h2, assumed)
         }
-        (ReduceKind::PairLeft(s1), ReduceKind::PairLeft(s2))
-        | (ReduceKind::PairRight(s1), ReduceKind::PairRight(s2)) => {
-            eq_nodes(fa, *s1, fb, *s2, assumed)
+        (Red::PairLeft(s1), Red::PairLeft(s2)) | (Red::PairRight(s1), Red::PairRight(s2)) => {
+            eq_nodes(fa, s1, fb, s2, assumed)
         }
-        (ReduceKind::MapFirst(g1), ReduceKind::MapFirst(g2))
-        | (ReduceKind::MapSecond(g1), ReduceKind::MapSecond(g2)) => {
+        (Red::MapFirst(g1), Red::MapFirst(g2)) | (Red::MapSecond(g1), Red::MapSecond(g2)) => {
             eq_reduce(fa, g1, fb, g2, assumed)
         }
         // Opaque functions have no structural identity across arenas.
-        (ReduceKind::Func(_, f1), ReduceKind::Func(_, f2)) => std::sync::Arc::ptr_eq(f1, f2),
+        (Red::Func(f1), Red::Func(f2)) => std::sync::Arc::ptr_eq(fa.func(f1).1, fb.func(f2).1),
         _ => false,
     }
 }
@@ -261,13 +260,15 @@ impl Forest {
     /// forest without opaque functions needs no productivity pre-pass: the
     /// constructors annihilate on empty operands, so an unproductive
     /// subforest already comes out as the empty node. A walk that meets a
-    /// knot or an opaque [`Reduce::func`] starts over with the pre-pass.
+    /// knot or an opaque [`Reduce::func`](crate::Reduce::func) starts over
+    /// with the pre-pass.
     ///
     /// # Errors
     ///
     /// [`CanonError::Opaque`] if the forest maps an opaque
-    /// [`Reduce::func`] over a subforest with more than a few hundred trees
-    /// (compiled grammars use structured labels and cannot hit this).
+    /// [`Reduce::func`](crate::Reduce::func) over a subforest with more
+    /// than a few hundred trees (compiled grammars use structured labels and
+    /// cannot hit this).
     pub fn extract_canonical(&self, root: ForestId) -> Result<ParseForest, CanonError> {
         match Canon::run(self, root, false) {
             Err(Stop::Prune) => Canon::run(self, root, true),
@@ -355,10 +356,10 @@ impl<'a> Canon<'a> {
                 // Without the pre-pass, prune as it would: a reduction
                 // pairing with an empty forest has no trees, even where
                 // a non-pair alternative would pass `map-first` untouched.
-                if self.has.is_none() && !self.multiplies(red)? {
+                if self.has.is_none() && !self.multiplies(*red)? {
                     self.out.empty()
                 } else {
-                    self.sym_apply(red, nx)?
+                    self.sym_apply(*red, nx)?
                 }
             }
         })
@@ -367,15 +368,15 @@ impl<'a> Canon<'a> {
     /// Does `red` make at least one tree of each tree it maps (the
     /// pre-pass's productivity rule for a reduction)? It does unless it
     /// pairs with a forest that normalizes to the empty node.
-    fn multiplies(&mut self, red: &Reduce) -> Result<bool, Stop> {
-        Ok(match &*red.0 {
-            ReduceKind::Compose(g, h) => self.multiplies(g)? && self.multiplies(h)?,
-            ReduceKind::PairLeft(s) | ReduceKind::PairRight(s) => {
-                let ns = self.norm(*s)?;
+    fn multiplies(&mut self, red: RedId) -> Result<bool, Stop> {
+        Ok(match self.src.red(red) {
+            Red::Compose(g, h) => self.multiplies(g)? && self.multiplies(h)?,
+            Red::PairLeft(s) | Red::PairRight(s) => {
+                let ns = self.norm(s)?;
                 !matches!(self.out.get(ns), ForestNode::Empty)
             }
-            ReduceKind::MapFirst(g) | ReduceKind::MapSecond(g) => self.multiplies(g)?,
-            ReduceKind::Reassoc | ReduceKind::Label(..) | ReduceKind::Func(..) => true,
+            Red::MapFirst(g) | Red::MapSecond(g) => self.multiplies(g)?,
+            Red::Reassoc | Red::Label(..) | Red::Func(_) => true,
         })
     }
 
@@ -413,27 +414,28 @@ impl<'a> Canon<'a> {
         }
     }
 
-    /// Applies a reduction *symbolically* to a canonical forest.
-    fn sym_apply(&mut self, red: &Reduce, cf: ForestId) -> Result<ForestId, Stop> {
+    /// Applies source reduction `red` *symbolically* to a canonical forest.
+    fn sym_apply(&mut self, red: RedId, cf: ForestId) -> Result<ForestId, Stop> {
         // No trees in, no trees out, whatever the reduction.
         if matches!(self.out.get(cf), ForestNode::Empty) {
             return Ok(cf);
         }
         let start = self.scratch.len();
-        match &*red.0 {
-            ReduceKind::Compose(g, h) => {
+        let src: &'a Forest = self.src;
+        match src.red(red) {
+            Red::Compose(g, h) => {
                 let mid = self.sym_apply(h, cf)?;
                 return self.sym_apply(g, mid);
             }
-            ReduceKind::PairLeft(s) => {
-                let ns = self.norm(*s)?;
+            Red::PairLeft(s) => {
+                let ns = self.norm(s)?;
                 return Ok(self.out.pair(ns, cf));
             }
-            ReduceKind::PairRight(s) => {
-                let ns = self.norm(*s)?;
+            Red::PairRight(s) => {
+                let ns = self.norm(s)?;
                 return Ok(self.out.pair(cf, ns));
             }
-            ReduceKind::Reassoc => {
+            Red::Reassoc => {
                 let mut i = 0;
                 while let Some(alt) = self.alt(cf, i) {
                     i += 1;
@@ -455,8 +457,8 @@ impl<'a> Canon<'a> {
                     }
                 }
             }
-            ReduceKind::MapFirst(g) | ReduceKind::MapSecond(g) => {
-                let first = matches!(&*red.0, ReduceKind::MapFirst(_));
+            entry @ (Red::MapFirst(g) | Red::MapSecond(g)) => {
+                let first = matches!(entry, Red::MapFirst(_));
                 let mut i = 0;
                 while let Some(alt) = self.alt(cf, i) {
                     i += 1;
@@ -474,9 +476,9 @@ impl<'a> Canon<'a> {
                     self.scratch.push(res);
                 }
             }
-            &ReduceKind::Label(ref name, arity) => {
-                let label =
-                    |out: &mut Forest, spine| out.label_with(name, arity, spine, || red.clone());
+            Red::Label(name, arity) => {
+                let sym = self.out.name_symbol(src.name(name));
+                let label = |out: &mut Forest, spine| out.label_sym(sym, arity, spine);
                 if arity == 0 {
                     let e = self.out.eps();
                     return Ok(label(&mut self.out, e));
@@ -484,15 +486,17 @@ impl<'a> Canon<'a> {
                 // A unary label takes its operand whole, ambiguous or not;
                 // an operand without ambiguity in its first `arity - 1`
                 // spine components is its own spine.
-                if arity == 1 || self.plain_spine(cf, arity) {
+                if arity == 1 || self.plain_spine(cf, arity as usize) {
                     return Ok(label(&mut self.out, cf));
                 }
-                self.respine(cf, arity);
+                self.respine(cf, arity as usize);
                 for k in start..self.scratch.len() {
                     self.scratch[k] = label(&mut self.out, self.scratch[k]);
                 }
             }
-            ReduceKind::Func(name, f) => {
+            Red::Func(i) => {
+                let (name, f) = src.func(i);
+                let name = src.name(name);
                 if self.has.is_none() {
                     return Err(Stop::Prune);
                 }
@@ -541,7 +545,8 @@ impl<'a> Canon<'a> {
     /// `f`'s ambiguity into: one right-nested pair spine per distinct
     /// choice of alternatives along its first `arity - 1` components. A
     /// spine that bottoms out early (a non-pair where a pair was expected)
-    /// ends there, as [`Reduce::label`]'s flattening does.
+    /// ends there, as [`Reduce::label`](crate::Reduce::label)'s flattening
+    /// does.
     fn respine(&mut self, f: ForestId, arity: usize) {
         let mut i = 0;
         while let Some(alt) = self.alt(f, i) {
@@ -563,6 +568,7 @@ impl<'a> Canon<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Reduce;
 
     #[test]
     fn canonicalization_evaluates_labels_over_spines() {
@@ -575,7 +581,7 @@ mod tests {
         let ab = fs.alloc(ForestNode::Pair(a, b));
         let ac = fs.alloc(ForestNode::Pair(a, c));
         let amb = fs.alloc(ForestNode::Amb(vec![ab, ac]));
-        let m = fs.alloc(ForestNode::Map(Reduce::label("S", 2), amb));
+        let m = fs.map(Reduce::label("S", 2), amb);
         let canon = fs.extract_canonical(m).unwrap();
         assert_eq!(canon.count(), TreeCount::Finite(2));
         let mut strs: Vec<String> =
@@ -591,14 +597,14 @@ mod tests {
         let a1 = f1.alloc(ForestNode::Leaf(crate::Leaf::new("a", "a")));
         let b1 = f1.alloc(ForestNode::Leaf(crate::Leaf::new("b", "b")));
         let p1 = f1.alloc(ForestNode::Pair(a1, b1));
-        let m1 = f1.alloc(ForestNode::Map(Reduce::label("S", 2), p1));
+        let m1 = f1.map(Reduce::label("S", 2), p1);
         // Shape 2: the same denotation via pair-left over the right leaf
         // (ε_a ◦ b compacted): Map(Label(S,2), Map(PairLeft(a), b)).
         let mut f2 = Forest::new();
         let a2 = f2.alloc(ForestNode::Leaf(crate::Leaf::new("a", "a")));
         let b2 = f2.alloc(ForestNode::Leaf(crate::Leaf::new("b", "b")));
-        let pl = f2.alloc(ForestNode::Map(Reduce::pair_left(a2), b2));
-        let m2 = f2.alloc(ForestNode::Map(Reduce::label("S", 2), pl));
+        let pl = f2.map(Reduce::pair_left(a2), b2);
+        let m2 = f2.map(Reduce::label("S", 2), pl);
         let c1 = f1.extract_canonical(m1).unwrap();
         let c2 = f2.extract_canonical(m2).unwrap();
         assert_eq!(c1.fingerprint(), c2.fingerprint());
@@ -608,7 +614,7 @@ mod tests {
         let a3 = f3.alloc(ForestNode::Leaf(crate::Leaf::new("a", "x")));
         let b3 = f3.alloc(ForestNode::Leaf(crate::Leaf::new("b", "b")));
         let p3 = f3.alloc(ForestNode::Pair(a3, b3));
-        let m3 = f3.alloc(ForestNode::Map(Reduce::label("S", 2), p3));
+        let m3 = f3.map(Reduce::label("S", 2), p3);
         let c3 = f3.extract_canonical(m3).unwrap();
         assert_ne!(c1.fingerprint(), c3.fingerprint());
         assert!(!c1.structural_eq(&c3));
@@ -623,15 +629,15 @@ mod tests {
         let c = f1.alloc(ForestNode::Leaf(crate::Leaf::new("c", "c")));
         let bc = f1.alloc(ForestNode::Pair(b, c));
         let abc = f1.alloc(ForestNode::Pair(a, bc));
-        let re = f1.alloc(ForestNode::Map(Reduce::reassoc(), abc));
-        let m1 = f1.alloc(ForestNode::Map(Reduce::label("S", 2), re));
+        let re = f1.map(Reduce::reassoc(), abc);
+        let m1 = f1.map(Reduce::label("S", 2), re);
         let mut f2 = Forest::new();
         let a2 = f2.alloc(ForestNode::Leaf(crate::Leaf::new("a", "a")));
         let b2 = f2.alloc(ForestNode::Leaf(crate::Leaf::new("b", "b")));
         let c2 = f2.alloc(ForestNode::Leaf(crate::Leaf::new("c", "c")));
         let ab2 = f2.alloc(ForestNode::Pair(a2, b2));
         let abc2 = f2.alloc(ForestNode::Pair(ab2, c2));
-        let m2 = f2.alloc(ForestNode::Map(Reduce::label("S", 2), abc2));
+        let m2 = f2.map(Reduce::label("S", 2), abc2);
         let c1 = f1.extract_canonical(m1).unwrap();
         let cc2 = f2.extract_canonical(m2).unwrap();
         assert_eq!(c1.fingerprint(), cc2.fingerprint());
@@ -668,7 +674,7 @@ mod tests {
     fn opaque_func_small_forest_canonicalizes_large_errors() {
         let mut fs = Forest::new();
         let a = fs.alloc(ForestNode::Leaf(crate::Leaf::new("a", "a")));
-        let m = fs.alloc(ForestNode::Map(Reduce::func("wrap", |t| Tree::node("w", vec![t])), a));
+        let m = fs.map(Reduce::func("wrap", |t| Tree::node("w", vec![t])), a);
         let canon = fs.extract_canonical(m).unwrap();
         assert_eq!(canon.trees(EnumLimits::default())[0].to_string(), "(w a)");
 
@@ -678,7 +684,7 @@ mod tests {
         let amb = fs.reserve();
         let pair = fs.alloc(ForestNode::Pair(amb, leaf));
         fs.set(amb, ForestNode::Amb(vec![leaf, pair]));
-        let m = fs.alloc(ForestNode::Map(Reduce::func("f", |t| t), amb));
+        let m = fs.map(Reduce::func("f", |t| t), amb);
         assert!(matches!(fs.extract_canonical(m), Err(CanonError::Opaque(_))));
     }
 
@@ -691,7 +697,7 @@ mod tests {
         let mut fs = Forest::new();
         let leaf = fs.alloc(ForestNode::Leaf(crate::Leaf::new("a", "a")));
         let amb = fs.reserve();
-        let m = fs.alloc(ForestNode::Map(Reduce::func("wrap", |t| Tree::node("w", vec![t])), amb));
+        let m = fs.map(Reduce::func("wrap", |t| Tree::node("w", vec![t])), amb);
         fs.set(amb, ForestNode::Amb(vec![leaf, m]));
         // The source forest really is infinite: a, (w a), (w (w a)), …
         assert_eq!(fs.count(amb), TreeCount::Infinite);

@@ -8,8 +8,8 @@
 //! live-edge subgraph, so a cycle that cannot contribute a tree (e.g. one
 //! strangled by an empty sibling) still counts exactly.
 
-use crate::forest::{red_refs, Forest, ForestId, ForestNode};
-use crate::reduce::{Reduce, ReduceKind};
+use crate::forest::{Forest, ForestId, ForestNode};
+use crate::reduce::{Red, RedId};
 
 /// The number of distinct trees a forest denotes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -279,17 +279,17 @@ impl Forest {
             ForestNode::Eps | ForestNode::Leaf(_) | ForestNode::Const(_) => true,
             ForestNode::Pair(a, b) => has[a.index()] && has[b.index()],
             ForestNode::Amb(alts) => alts.iter().any(|a| has[a.index()]),
-            ForestNode::Map(red, x) => has[x.index()] && self.mult_positive(red, has),
+            ForestNode::Map(red, x) => has[x.index()] && self.mult_positive(*red, has),
         }
     }
 
     /// Does the reduction produce at least one output per input tree?
-    fn mult_positive(&self, red: &Reduce, has: &[bool]) -> bool {
-        match &*red.0 {
-            ReduceKind::Compose(g, h) => self.mult_positive(g, has) && self.mult_positive(h, has),
-            ReduceKind::PairLeft(s) | ReduceKind::PairRight(s) => has[s.index()],
-            ReduceKind::MapFirst(g) | ReduceKind::MapSecond(g) => self.mult_positive(g, has),
-            ReduceKind::Reassoc | ReduceKind::Label(..) | ReduceKind::Func(..) => true,
+    fn mult_positive(&self, red: RedId, has: &[bool]) -> bool {
+        match self.red(red) {
+            Red::Compose(g, h) => self.mult_positive(g, has) && self.mult_positive(h, has),
+            Red::PairLeft(s) | Red::PairRight(s) => has[s.index()],
+            Red::MapFirst(g) | Red::MapSecond(g) => self.mult_positive(g, has),
+            Red::Reassoc | Red::Label(..) | Red::Func(_) => true,
         }
     }
 
@@ -309,10 +309,10 @@ impl Forest {
             }
             ForestNode::Amb(alts) => out.extend(alts.iter().copied().filter(|a| has[a.index()])),
             ForestNode::Map(red, x) => {
-                if has[x.index()] && self.mult_positive(red, has) {
+                if has[x.index()] && self.mult_positive(*red, has) {
                     out.push(*x);
                     let refs = out.len();
-                    red_refs(red, out);
+                    self.red_refs(*red, out);
                     let mut kept = refs;
                     for k in refs..out.len() {
                         if has[out[k].index()] {
@@ -434,7 +434,18 @@ impl Forest {
             ForestNode::Eps | ForestNode::Leaf(_) | ForestNode::Const(_) => TreeCount::Finite(1),
             ForestNode::Pair(a, b) => of(*a) * of(*b),
             ForestNode::Amb(alts) => alts.iter().fold(TreeCount::Finite(0), |acc, a| acc + of(*a)),
-            ForestNode::Map(red, x) => of(*x) * multiplier(red, of),
+            ForestNode::Map(red, x) => of(*x) * self.multiplier(*red, of),
+        }
+    }
+
+    /// How many output trees a reduction produces per input tree.
+    fn multiplier(&self, red: RedId, of: &impl Fn(ForestId) -> TreeCount) -> TreeCount {
+        match self.red(red) {
+            Red::Compose(g, h) => self.multiplier(g, of) * self.multiplier(h, of),
+            Red::PairLeft(s) | Red::PairRight(s) => of(s),
+            Red::MapFirst(g) | Red::MapSecond(g) => self.multiplier(g, of),
+            // Flattening and user functions are assumed injective per tree.
+            Red::Reassoc | Red::Label(..) | Red::Func(_) => TreeCount::Finite(1),
         }
     }
 }
@@ -449,21 +460,11 @@ fn live_count(memo: &[Option<TreeCount>], has: &[bool], id: ForestId) -> TreeCou
     memo[id.index()].unwrap_or(TreeCount::Infinite)
 }
 
-/// How many output trees a reduction produces per input tree.
-fn multiplier(red: &Reduce, of: &impl Fn(ForestId) -> TreeCount) -> TreeCount {
-    match &*red.0 {
-        ReduceKind::Compose(g, h) => multiplier(g, of) * multiplier(h, of),
-        ReduceKind::PairLeft(s) | ReduceKind::PairRight(s) => of(*s),
-        ReduceKind::MapFirst(g) | ReduceKind::MapSecond(g) => multiplier(g, of),
-        // Flattening and user functions are assumed injective per tree.
-        ReduceKind::Reassoc | ReduceKind::Label(..) | ReduceKind::Func(..) => TreeCount::Finite(1),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::forest::EnumLimits;
+    use crate::Reduce;
 
     #[test]
     fn count_basic_shapes() {

@@ -25,7 +25,9 @@ impl Forest {
                 ForestNode::Const(t) => (format!("{t}"), "box", vec![]),
                 ForestNode::Pair(a, b) => ("•".into(), "circle", vec![*a, *b]),
                 ForestNode::Amb(alts) => ("amb".into(), "doublecircle", alts.clone()),
-                ForestNode::Map(f, x) => (format!("↪ {f:?}"), "diamond", vec![*x]),
+                ForestNode::Map(f, x) => {
+                    (format!("↪ {:?}", self.reduction(*f)), "diamond", vec![*x])
+                }
             };
             let _ = writeln!(
                 out,

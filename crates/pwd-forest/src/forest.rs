@@ -10,9 +10,18 @@
 //! canonical node, hashed once per lookup (a new leaf hashes it once more,
 //! for its structural fingerprint), and a label name gets its symbol
 //! through a `RandomState` map too. A node built on a cons miss shares the
-//! caller's `Leaf` or `Reduce` rather than allocating a new one.
+//! caller's `Leaf` rather than allocating a new one.
+//!
+//! # The reduction table
+//!
+//! A `Map` node holds a [`RedId`]: an index into the arena's append-only
+//! table of reduction entries, which are plain `Copy` data (see
+//! [`Reduce`]). Label names and user-function names are interned once as
+//! symbols, and user functions sit in a side table, so a `Map` node is two
+//! ids, the table has nothing to drop, and [`truncate`](Forest::truncate)
+//! cuts it back with a length store.
 
-use crate::reduce::{Reduce, ReduceKind};
+use crate::reduce::{Red, RedId, RedView, Reduce, ReduceKind, UserFn};
 use crate::tree::{Leaf, Tree};
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
@@ -24,6 +33,10 @@ use std::sync::Arc;
 pub struct ForestId(pub(crate) u32);
 
 impl ForestId {
+    /// An id no arena assigns: a caller can keep "no forest" in a dense
+    /// `ForestId` field without the tag an `Option` adds.
+    pub const NONE: ForestId = ForestId(u32::MAX);
+
     /// The raw index of this node.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -52,8 +65,9 @@ pub enum ForestNode {
     Pair(ForestId, ForestId),
     /// An ambiguity node: the union of the alternatives.
     Amb(Vec<ForestId>),
-    /// A reduction mapped over a forest (from `↪`).
-    Map(Reduce, ForestId),
+    /// A reduction, an entry of the arena's reduction table, mapped over a
+    /// forest (from `↪`).
+    Map(RedId, ForestId),
     /// Placeholder while a cyclic region is mid-construction (see
     /// [`Forest::reserve`]); inert (no parses) if left undefined.
     Cycle,
@@ -87,7 +101,7 @@ enum ConsKey {
     Eps,
     Pair(u32, u32),
     /// Name symbol, arity, spine.
-    Label(u32, usize, u32),
+    Label(u32, u32, u32),
 }
 
 /// A multiplicative hasher for keys of arena-assigned integers. Not for
@@ -141,23 +155,60 @@ struct Cons {
     leaves: HashMap<Leaf, ForestId>,
     /// Constant trees, which hold leaf text: a keyed hash too.
     consts: HashMap<Tree, ForestId>,
-    /// Label names to their symbols.
-    names: HashMap<Arc<str>, u32>,
-    /// `hash_of(name)` per name symbol, the name's share of a label's
-    /// structural hash.
-    name_hashes: Vec<u64>,
 }
 
-impl Cons {
-    /// The symbol of label name `name`, assigned on first sight.
-    fn name_symbol(&mut self, name: &str) -> u32 {
-        if let Some(&sym) = self.names.get(name) {
+/// The names label and function reductions carry, each interned once as a
+/// symbol: the grammar's vocabulary, which [`Forest::truncate`] keeps.
+#[derive(Debug, Default, Clone)]
+struct Names {
+    symbols: HashMap<Arc<str>, u32>,
+    text: Vec<Arc<str>>,
+    /// `hash_of(name)` per symbol, the name's share of a structural hash.
+    hashes: Vec<u64>,
+}
+
+impl Names {
+    /// The symbol of `name`, assigned on first sight.
+    fn symbol(&mut self, name: &str) -> u32 {
+        if let Some(&sym) = self.symbols.get(name) {
             return sym;
         }
-        let sym = self.name_hashes.len() as u32;
-        self.name_hashes.push(hash_of(&name));
-        self.names.insert(Arc::from(name), sym);
+        let sym = self.text.len() as u32;
+        let name: Arc<str> = Arc::from(name);
+        self.hashes.push(hash_of(&name));
+        self.text.push(name.clone());
+        self.symbols.insert(name, sym);
         sym
+    }
+}
+
+/// A user function of the function table: its name symbol and its code.
+#[derive(Clone)]
+struct Func(u32, UserFn);
+
+impl std::fmt::Debug for Func {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Func({})", self.0)
+    }
+}
+
+/// The lengths of an arena's truncatable tables at one moment:
+/// [`Forest::truncate`] cuts the arena back to them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ForestMark {
+    nodes: u32,
+    reds: u32,
+    funcs: u32,
+}
+
+impl ForestMark {
+    /// The later of two marks of one arena, table by table.
+    pub fn max(self, other: ForestMark) -> ForestMark {
+        ForestMark {
+            nodes: self.nodes.max(other.nodes),
+            reds: self.reds.max(other.reds),
+            funcs: self.funcs.max(other.funcs),
+        }
     }
 }
 
@@ -169,7 +220,7 @@ impl Cons {
 ///   [`set`](Forest::set) build nodes in place, placeholders and all — the
 ///   shape an engine needs while tying cyclic knots token by token (the PWD
 ///   core's arena works this way, and [`truncate`](Forest::truncate)
-///   supports its O(1)-ish epoch reset).
+///   cuts it back to a [`mark`](Forest::mark) at the engine's reset).
 /// * **Hash-consed** ([`Forest::hash_consed`]): the canonical constructors
 ///   ([`leaf`](Forest::leaf), [`pair`](Forest::pair), [`amb`](Forest::amb),
 ///   [`label`](Forest::label)) dedup structurally identical subforests to
@@ -190,6 +241,10 @@ impl Cons {
 pub struct Forest {
     nodes: Vec<ForestNode>,
     hashes: Vec<u64>,
+    /// The reduction table `Map` nodes index (see the module docs).
+    reds: Vec<Red>,
+    names: Names,
+    funcs: Vec<Func>,
     cons: Option<Box<Cons>>,
 }
 
@@ -223,7 +278,7 @@ impl Forest {
     /// An empty hash-consed arena: the canonical constructors dedup
     /// structurally identical nodes.
     pub fn hash_consed() -> Forest {
-        Forest { nodes: Vec::new(), hashes: Vec::new(), cons: Some(Box::default()) }
+        Forest { cons: Some(Box::default()), ..Forest::default() }
     }
 
     /// Number of nodes allocated.
@@ -265,6 +320,7 @@ impl Forest {
     /// Appends `node` with structural hash `h`.
     fn push(&mut self, node: ForestNode, h: u64) -> ForestId {
         let id = ForestId(self.nodes.len() as u32);
+        debug_assert!(id != ForestId::NONE, "the arena is full");
         self.nodes.push(node);
         self.hashes.push(h);
         id
@@ -284,12 +340,26 @@ impl Forest {
         self.hashes[id.0 as usize] = h;
     }
 
-    /// Truncates the arena to `len` nodes — the engine-reset path. Only
+    /// The current lengths of the node, reduction and function tables.
+    pub fn mark(&self) -> ForestMark {
+        ForestMark {
+            nodes: self.nodes.len() as u32,
+            reds: self.reds.len() as u32,
+            funcs: self.funcs.len() as u32,
+        }
+    }
+
+    /// Cuts the arena back to `mark` — the engine-reset path. The
+    /// reduction table is a length store; the node arena drops what its
+    /// nodes own (a leaf's names, an ambiguity node's vector). Only
     /// meaningful for raw arenas; a hash-consed arena drops its stale cons
     /// entries too (O(consed nodes)).
-    pub fn truncate(&mut self, len: usize) {
+    pub fn truncate(&mut self, mark: ForestMark) {
+        let len = mark.nodes as usize;
         self.nodes.truncate(len);
         self.hashes.truncate(len);
+        self.reds.truncate(mark.reds as usize);
+        self.funcs.truncate(mark.funcs as usize);
         if let Some(cons) = &mut self.cons {
             let live = |id: &mut ForestId| (id.0 as usize) < len;
             cons.keys.retain(|_, id| live(id));
@@ -297,6 +367,109 @@ impl Forest {
             cons.leaves.retain(|_, id| live(id));
             cons.consts.retain(|_, id| live(id));
         }
+    }
+
+    /// Number of entries in the reduction table.
+    pub fn reduction_count(&self) -> usize {
+        self.reds.len()
+    }
+
+    /// Approximate bytes of the node arena and the reduction table
+    /// (lengths times entry sizes; what nodes own on the heap is not
+    /// counted).
+    pub fn arena_bytes(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<ForestNode>()
+            + self.reds.len() * std::mem::size_of::<Red>()
+    }
+
+    // ------------------------------------------------------------------
+    // The reduction table
+    // ------------------------------------------------------------------
+
+    /// Appends a reduction entry.
+    fn push_red(&mut self, red: Red) -> RedId {
+        let id = RedId(self.reds.len() as u32);
+        self.reds.push(red);
+        id
+    }
+
+    /// The reduction entry `id`.
+    pub(crate) fn red(&self, id: RedId) -> Red {
+        self.reds[id.index()]
+    }
+
+    /// The text of name symbol `sym`.
+    pub(crate) fn name(&self, sym: u32) -> &str {
+        &self.names.text[sym as usize]
+    }
+
+    /// User function `i`: its name symbol and its code.
+    pub(crate) fn func(&self, i: u32) -> (u32, &UserFn) {
+        let Func(name, code) = &self.funcs[i as usize];
+        (*name, code)
+    }
+
+    /// Interns the description `red` into the reduction table; `Map` nodes
+    /// of this arena then map it by the returned id. Forests a pairing
+    /// reduction names must live in this arena.
+    pub fn intern_reduce(&mut self, red: &Reduce) -> RedId {
+        let entry = match &*red.0 {
+            ReduceKind::Compose(g, f) => {
+                let g = self.intern_reduce(g);
+                let f = self.intern_reduce(f);
+                Red::Compose(g, f)
+            }
+            ReduceKind::PairLeft(s) => Red::PairLeft(*s),
+            ReduceKind::PairRight(s) => Red::PairRight(*s),
+            ReduceKind::Reassoc => Red::Reassoc,
+            ReduceKind::MapFirst(g) => Red::MapFirst(self.intern_reduce(g)),
+            ReduceKind::MapSecond(g) => Red::MapSecond(self.intern_reduce(g)),
+            ReduceKind::Label(name, arity) => Red::Label(self.names.symbol(name), *arity as u32),
+            ReduceKind::Func(name, code) => {
+                let name = self.names.symbol(name);
+                self.funcs.push(Func(name, code.clone()));
+                Red::Func(self.funcs.len() as u32 - 1)
+            }
+        };
+        self.push_red(entry)
+    }
+
+    /// A new entry `g ∘ f`: applies `f` first, then `g` (compaction's
+    /// `(p ↪ f) ↪ g ⇒ p ↪ (g ∘ f)`).
+    pub fn compose(&mut self, g: RedId, f: RedId) -> RedId {
+        self.push_red(Red::Compose(g, f))
+    }
+
+    /// A new entry `u ↦ (s, u)` for each tree `s` of forest `s`.
+    pub fn pair_left(&mut self, s: ForestId) -> RedId {
+        self.push_red(Red::PairLeft(s))
+    }
+
+    /// A new entry `u ↦ (u, s)` for each tree `s` of forest `s`.
+    pub fn pair_right(&mut self, s: ForestId) -> RedId {
+        self.push_red(Red::PairRight(s))
+    }
+
+    /// A new reassociation entry, `(t1, (t2, t3)) ↦ ((t1, t2), t3)`. It
+    /// carries no data, so one entry can serve every `Map` node.
+    pub fn reassoc(&mut self) -> RedId {
+        self.push_red(Red::Reassoc)
+    }
+
+    /// A new entry mapping `f` over the first component of a pair.
+    pub fn map_first(&mut self, f: RedId) -> RedId {
+        self.push_red(Red::MapFirst(f))
+    }
+
+    /// A new entry mapping `f` over the second component of a pair.
+    pub fn map_second(&mut self, f: RedId) -> RedId {
+        self.push_red(Red::MapSecond(f))
+    }
+
+    /// Reduction `id`, formatted (`{:?}`) as the [`Reduce`] description it
+    /// stands for.
+    pub fn reduction(&self, id: RedId) -> impl std::fmt::Debug + '_ {
+        RedView { forest: self, id }
     }
 
     // ------------------------------------------------------------------
@@ -434,38 +607,41 @@ impl Forest {
     /// A production-label node: `Map(Label(name, arity), spine)`, consed by
     /// `(name, arity, spine)`. Annihilates on an empty spine forest.
     pub fn label(&mut self, name: &str, arity: usize, spine: ForestId) -> ForestId {
-        self.label_with(name, arity, spine, || Reduce::label(name, arity))
+        let sym = self.name_symbol(name);
+        self.label_sym(sym, arity as u32, spine)
     }
 
-    /// [`label`](Forest::label) whose node, when new, maps `red()` (a
-    /// `Label(name, arity)` reduction) over `spine`.
-    pub(crate) fn label_with(
-        &mut self,
-        name: &str,
-        arity: usize,
-        spine: ForestId,
-        red: impl FnOnce() -> Reduce,
-    ) -> ForestId {
+    /// The symbol of name `name` in this arena, assigned on first sight.
+    pub(crate) fn name_symbol(&mut self, name: &str) -> u32 {
+        self.names.symbol(name)
+    }
+
+    /// [`label`](Forest::label) for the name of symbol `sym`.
+    pub(crate) fn label_sym(&mut self, sym: u32, arity: u32, spine: ForestId) -> ForestId {
         if matches!(self.get(spine), ForestNode::Empty) {
             return self.empty();
         }
-        let Some(cons) = &mut self.cons else { return self.alloc(ForestNode::Map(red(), spine)) };
-        let sym = cons.name_symbol(name);
+        let Some(cons) = &mut self.cons else {
+            let red = self.push_red(Red::Label(sym, arity));
+            return self.alloc(ForestNode::Map(red, spine));
+        };
         match cons.keys.entry(ConsKey::Label(sym, arity, spine.0)) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 e.insert(ForestId(self.nodes.len() as u32));
+                let red = self.push_red(Red::Label(sym, arity));
                 // `compute_hash` of the node, with the name's hash cached.
-                let red_h = mix(16, mix(cons.name_hashes[sym as usize], arity as u64));
+                let red_h = mix(16, mix(self.names.hashes[sym as usize], arity as u64));
                 let h = mix(6, mix(red_h, self.hashes[spine.index()]));
-                self.push(ForestNode::Map(red(), spine), h)
+                self.push(ForestNode::Map(red, spine), h)
             }
         }
     }
 
     /// A generic reduction node (not consed — arbitrary reductions have no
-    /// structural identity).
+    /// structural identity), interning `red` into the reduction table.
     pub fn map(&mut self, red: Reduce, inner: ForestId) -> ForestId {
+        let red = self.intern_reduce(&red);
         self.alloc(ForestNode::Map(red, inner))
     }
 
@@ -522,20 +698,21 @@ impl Forest {
                 }
                 mix(5, h)
             }
-            ForestNode::Map(red, x) => mix(6, mix(self.red_hash(red), self.hashes[x.0 as usize])),
+            ForestNode::Map(red, x) => mix(6, mix(self.red_hash(*red), self.hashes[x.0 as usize])),
         }
     }
 
-    fn red_hash(&self, red: &Reduce) -> u64 {
-        match &*red.0 {
-            ReduceKind::Compose(g, h) => mix(10, mix(self.red_hash(g), self.red_hash(h))),
-            ReduceKind::PairLeft(s) => mix(11, self.hashes[s.0 as usize]),
-            ReduceKind::PairRight(s) => mix(12, self.hashes[s.0 as usize]),
-            ReduceKind::Reassoc => 13,
-            ReduceKind::MapFirst(g) => mix(14, self.red_hash(g)),
-            ReduceKind::MapSecond(g) => mix(15, self.red_hash(g)),
-            ReduceKind::Label(name, arity) => mix(16, mix(hash_of(name), *arity as u64)),
-            ReduceKind::Func(name, _) => mix(17, hash_of(name)),
+    fn red_hash(&self, red: RedId) -> u64 {
+        let name_hash = |sym: u32| self.names.hashes[sym as usize];
+        match self.red(red) {
+            Red::Compose(g, h) => mix(10, mix(self.red_hash(g), self.red_hash(h))),
+            Red::PairLeft(s) => mix(11, self.hashes[s.0 as usize]),
+            Red::PairRight(s) => mix(12, self.hashes[s.0 as usize]),
+            Red::Reassoc => 13,
+            Red::MapFirst(g) => mix(14, self.red_hash(g)),
+            Red::MapSecond(g) => mix(15, self.red_hash(g)),
+            Red::Label(sym, arity) => mix(16, mix(name_hash(sym), arity as u64)),
+            Red::Func(i) => mix(17, name_hash(self.func(i).0)),
         }
     }
 
@@ -556,7 +733,7 @@ impl Forest {
             ForestNode::Amb(alts) => out.extend(alts.iter().copied()),
             ForestNode::Map(red, x) => {
                 out.push(*x);
-                red_refs(red, out);
+                self.red_refs(*red, out);
             }
         }
     }
@@ -672,7 +849,7 @@ impl Forest {
             ForestNode::Map(red, inner) => {
                 let mut out = Vec::new();
                 for t in self.enumerate(*inner, depth - 1, cap) {
-                    self.apply(red, t, depth - 1, &mut out);
+                    self.apply(*red, t, depth - 1, &mut out);
                     if out.len() >= cap {
                         out.truncate(cap);
                         break;
@@ -685,26 +862,26 @@ impl Forest {
 
     /// Applies a reduction to a tree, producing zero or more trees
     /// (reductions that pair with a null-parse *forest* are one-to-many).
-    fn apply(&self, red: &Reduce, t: Tree, depth: usize, out: &mut Vec<Tree>) {
-        match &*red.0 {
-            ReduceKind::Compose(g, h) => {
+    fn apply(&self, red: RedId, t: Tree, depth: usize, out: &mut Vec<Tree>) {
+        match self.red(red) {
+            Red::Compose(g, h) => {
                 let mut mid = Vec::new();
                 self.apply(h, t, depth, &mut mid);
                 for m in mid {
                     self.apply(g, m, depth, out);
                 }
             }
-            ReduceKind::PairLeft(s) => {
-                for l in self.enumerate(*s, depth, usize::MAX) {
+            Red::PairLeft(s) => {
+                for l in self.enumerate(s, depth, usize::MAX) {
                     out.push(Tree::pair(l, t.clone()));
                 }
             }
-            ReduceKind::PairRight(s) => {
-                for r in self.enumerate(*s, depth, usize::MAX) {
+            Red::PairRight(s) => {
+                for r in self.enumerate(s, depth, usize::MAX) {
                     out.push(Tree::pair(t.clone(), r));
                 }
             }
-            ReduceKind::Reassoc => match t {
+            Red::Reassoc => match t {
                 Tree::Pair(t1, rest) => match &*rest {
                     Tree::Pair(t2, t3) => {
                         out.push(Tree::Pair(Arc::new(Tree::Pair(t1, t2.clone())), t3.clone()))
@@ -713,7 +890,7 @@ impl Forest {
                 },
                 other => out.push(other),
             },
-            ReduceKind::MapFirst(g) => match t {
+            Red::MapFirst(g) => match t {
                 Tree::Pair(a, b) => {
                     let mut firsts = Vec::new();
                     self.apply(g, (*a).clone(), depth, &mut firsts);
@@ -723,7 +900,7 @@ impl Forest {
                 }
                 other => out.push(other),
             },
-            ReduceKind::MapSecond(g) => match t {
+            Red::MapSecond(g) => match t {
                 Tree::Pair(a, b) => {
                     let mut seconds = Vec::new();
                     self.apply(g, (*b).clone(), depth, &mut seconds);
@@ -733,22 +910,22 @@ impl Forest {
                 }
                 other => out.push(other),
             },
-            ReduceKind::Label(name, arity) => out.push(Reduce::flatten(t, *arity, name)),
-            ReduceKind::Func(_, f) => out.push(f(t)),
+            Red::Label(sym, arity) => out.push(Reduce::flatten(t, arity as usize, self.name(sym))),
+            Red::Func(i) => out.push((self.func(i).1)(t)),
         }
     }
-}
 
-/// Forest ids referenced from inside a reduction.
-pub(crate) fn red_refs(red: &Reduce, out: &mut Vec<ForestId>) {
-    match &*red.0 {
-        ReduceKind::Compose(g, h) => {
-            red_refs(g, out);
-            red_refs(h, out);
+    /// Forest ids referenced from inside reduction `red`.
+    pub(crate) fn red_refs(&self, red: RedId, out: &mut Vec<ForestId>) {
+        match self.red(red) {
+            Red::Compose(g, h) => {
+                self.red_refs(g, out);
+                self.red_refs(h, out);
+            }
+            Red::PairLeft(s) | Red::PairRight(s) => out.push(s),
+            Red::MapFirst(g) | Red::MapSecond(g) => self.red_refs(g, out),
+            Red::Reassoc | Red::Label(..) | Red::Func(_) => {}
         }
-        ReduceKind::PairLeft(s) | ReduceKind::PairRight(s) => out.push(*s),
-        ReduceKind::MapFirst(g) | ReduceKind::MapSecond(g) => red_refs(g, out),
-        ReduceKind::Reassoc | ReduceKind::Label(..) | ReduceKind::Func(..) => {}
     }
 }
 
@@ -782,8 +959,7 @@ mod tests {
     fn map_applies_reduction() {
         let mut fs = Forest::new();
         let a = fs.alloc(ForestNode::Leaf(Leaf::new("a", "a")));
-        let red = Reduce::func("wrap", |t| Tree::node("w", vec![t]));
-        let m = fs.alloc(ForestNode::Map(red, a));
+        let m = fs.map(Reduce::func("wrap", |t| Tree::node("w", vec![t])), a);
         let ts = fs.trees(m, EnumLimits::default());
         assert_eq!(ts.len(), 1);
         assert_eq!(ts[0].to_string(), "(w a)");
@@ -796,7 +972,7 @@ mod tests {
         let s2 = fs.alloc(ForestNode::Leaf(Leaf::new("y", "y")));
         let s = fs.alloc(ForestNode::Amb(vec![s1, s2]));
         let u = fs.alloc(ForestNode::Leaf(Leaf::new("u", "u")));
-        let m = fs.alloc(ForestNode::Map(Reduce::pair_left(s), u));
+        let m = fs.map(Reduce::pair_left(s), u);
         let mut strs: Vec<String> =
             fs.trees(m, EnumLimits::default()).iter().map(|t| t.to_string()).collect();
         strs.sort();
@@ -811,7 +987,7 @@ mod tests {
         let c = fs.alloc(ForestNode::Leaf(Leaf::new("n", "3")));
         let bc = fs.alloc(ForestNode::Pair(b, c));
         let abc = fs.alloc(ForestNode::Pair(a, bc));
-        let m = fs.alloc(ForestNode::Map(Reduce::reassoc(), abc));
+        let m = fs.map(Reduce::reassoc(), abc);
         let ts = fs.trees(m, EnumLimits::default());
         assert_eq!(ts[0].to_string(), "((1 . 2) . 3)");
     }

@@ -81,9 +81,9 @@ mod tree;
 
 pub use canon::{CanonError, ForestSummary, ParseForest};
 pub use count::TreeCount;
-pub use forest::{EnumLimits, Forest, ForestId, ForestNode};
+pub use forest::{EnumLimits, Forest, ForestId, ForestMark, ForestNode};
 pub use knot::{Knot, KnotTable};
-pub use reduce::Reduce;
+pub use reduce::{RedId, Reduce};
 pub use tree::{Leaf, Tree};
 
 // The serving layers share forests across worker threads.

@@ -28,7 +28,7 @@ fn build((knots, nodes): &(Vec<Op>, Vec<Op>)) -> (Forest, ForestId) {
     let holes: Vec<ForestId> = knots.iter().map(|_| f.reserve()).collect();
     let mut ids = holes.clone();
     for op in nodes {
-        let node = make(&ids, *op);
+        let node = make(&mut f, &ids, *op);
         ids.push(f.alloc(node));
     }
     for (&hole, &(op, a, b, c)) in holes.iter().zip(knots) {
@@ -37,13 +37,14 @@ fn build((knots, nodes): &(Vec<Op>, Vec<Op>)) -> (Forest, ForestId) {
         // alternatives can ground the cycle and make it productive).
         if a % 4 != 0 {
             let op = if op % 2 == 0 { 7 } else { 5 + op % 7 };
-            f.set(hole, make(&ids, (op, a, b, c)));
+            let node = make(&mut f, &ids, (op, a, b, c));
+            f.set(hole, node);
         }
     }
     (f, *ids.last().expect("programs have a node"))
 }
 
-fn make(ids: &[ForestId], (op, a, b, c): Op) -> ForestNode {
+fn make(f: &mut Forest, ids: &[ForestId], (op, a, b, c): Op) -> ForestNode {
     let pick = |x: u32| ids[x as usize % ids.len()];
     match op {
         0 => ForestNode::Empty,
@@ -55,7 +56,7 @@ fn make(ids: &[ForestId], (op, a, b, c): Op) -> ForestNode {
         }
         5 | 6 => ForestNode::Pair(pick(a), pick(b)),
         7 => ForestNode::Amb([pick(a), pick(b), pick(c)][..1 + c as usize % 3].to_vec()),
-        _ => ForestNode::Map(reduce(ids, a, 3), pick(b)),
+        _ => ForestNode::Map(f.intern_reduce(&reduce(ids, a, 3)), pick(b)),
     }
 }
 

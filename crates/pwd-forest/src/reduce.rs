@@ -2,22 +2,33 @@
 //!
 //! The paper's compaction rules insert specific, structured reductions —
 //! pairing with a known tree, reassociation, mapping over one component of a
-//! pair, and composition (§4.3). Representing those as enum variants instead
-//! of opaque closures keeps compaction rewrites inspectable, testable, and —
+//! pair, and composition (§4.3). Representing those as data instead of
+//! opaque closures keeps compaction rewrites inspectable, testable, and —
 //! crucially for the shared-forest layer — *symbolically evaluable*: the
 //! canonicalizer can push a structured reduction through a forest without
 //! enumerating trees. Arbitrary user semantic actions are still supported
 //! via [`Reduce::func`] (canonicalized by bounded enumeration).
+//!
+//! A [`Reduce`] is the public *description* a grammar is built from. A
+//! forest arena interns it once, when the grammar or forest node that maps
+//! it is built, into its reduction table ([`Forest::intern_reduce`]); nodes
+//! then hold the entry's [`RedId`]. Entries are plain `Copy` data — label
+//! names and user functions sit in side tables they index — so the
+//! engine's compaction rules append an entry where they would otherwise
+//! allocate, copying a node copies an id, and cutting the table back is a
+//! length store.
 
-use crate::forest::ForestId;
+use crate::forest::{Forest, ForestId};
 use crate::tree::Tree;
 use std::fmt;
 use std::sync::Arc;
 
-/// A reduction function from trees to trees, applied by `L ↪ f` nodes.
+/// A reduction function from trees to trees, applied by `L ↪ f` nodes: the
+/// description a grammar is built from, interned into a [`Forest`]'s
+/// reduction table when a node that maps it is built.
 ///
-/// Reductions are cheap to clone (`Arc` internally) and thread-safe: a
-/// compiled grammar holding reductions can be shared across threads.
+/// A description shares its parts (`Arc` internally) and is thread-safe,
+/// so building one grammar from it many times copies no closure.
 #[derive(Clone)]
 pub struct Reduce(pub(crate) Arc<ReduceKind>);
 
@@ -48,13 +59,45 @@ pub(crate) enum ReduceKind {
     /// backends canonically comparable.
     Label(Arc<str>, usize),
     /// An arbitrary user function, tagged with a display name.
-    Func(Arc<str>, Arc<dyn Fn(Tree) -> Tree + Send + Sync>),
+    Func(Arc<str>, UserFn),
+}
+
+/// The code of a [`Reduce::func`].
+pub(crate) type UserFn = Arc<dyn Fn(Tree) -> Tree + Send + Sync>;
+
+/// Index of a reduction in a [`Forest`]'s reduction table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RedId(pub(crate) u32);
+
+impl RedId {
+    /// The raw index of this reduction.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One entry of a forest's reduction table: [`ReduceKind`] with its parts
+/// as table ids, a label's name as a symbol of the arena's name table, and
+/// a user function as an index into its function table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Red {
+    /// `g ∘ f`: apply `f` (the second id) first, then `g`.
+    Compose(RedId, RedId),
+    PairLeft(ForestId),
+    PairRight(ForestId),
+    Reassoc,
+    MapFirst(RedId),
+    MapSecond(RedId),
+    /// Name symbol, arity.
+    Label(u32, u32),
+    /// Index into the function table.
+    Func(u32),
 }
 
 impl Reduce {
     /// Composition `self ∘ other`: applies `other` first, then `self`.
-    ///
-    /// Used by the compaction rule `(p ↪ f) ↪ g ⇒ p ↪ (g ∘ f)`.
+    /// (Compaction's rule `(p ↪ f) ↪ g ⇒ p ↪ (g ∘ f)` appends the table
+    /// entry directly: [`Forest::compose`].)
     pub fn compose(self, other: Reduce) -> Reduce {
         Reduce(Arc::new(ReduceKind::Compose(self, other)))
     }
@@ -75,7 +118,7 @@ impl Reduce {
     }
 
     /// `u ↦ (s, u)` for each tree `s` of the referenced forest (which must
-    /// live in the same arena the reduction is applied in).
+    /// live in the arena the reduction is interned in).
     pub fn pair_left(s: ForestId) -> Reduce {
         Reduce(Arc::new(ReduceKind::PairLeft(s)))
     }
@@ -108,8 +151,8 @@ impl Reduce {
         Reduce(Arc::new(ReduceKind::Func(Arc::from(name), Arc::new(f))))
     }
 
-    /// Returns `true` if the two reductions are the same object (pointer
-    /// equality); used by tests and graph printing, not by compaction.
+    /// Returns `true` if the two descriptions are the same object (pointer
+    /// equality).
     pub fn same(&self, other: &Reduce) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
@@ -154,9 +197,50 @@ impl fmt::Debug for Reduce {
     }
 }
 
+/// A table entry formatted as the [`Reduce`] it was interned from (see
+/// [`Forest::reduction`]).
+pub(crate) struct RedView<'a> {
+    pub(crate) forest: &'a Forest,
+    pub(crate) id: RedId,
+}
+
+impl fmt::Debug for RedView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let view = |id| RedView { forest: self.forest, id };
+        match self.forest.red(self.id) {
+            Red::Compose(g, h) => write!(f, "({:?} ∘ {:?})", view(g), view(h)),
+            Red::PairLeft(s) => write!(f, "pair-left({s:?})"),
+            Red::PairRight(s) => write!(f, "pair-right({s:?})"),
+            Red::Reassoc => write!(f, "reassoc"),
+            Red::MapFirst(g) => write!(f, "map-first({:?})", view(g)),
+            Red::MapSecond(g) => write!(f, "map-second({:?})", view(g)),
+            Red::Label(name, arity) => write!(f, "{}#{arity}", self.forest.name(name)),
+            Red::Func(i) => write!(f, "{}", self.forest.name(self.forest.func(i).0)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interned_reductions_format_as_their_description() {
+        let mut fs = Forest::new();
+        let s = fs.alloc(crate::ForestNode::Eps);
+        let f = Reduce::func("f", |t| t);
+        let red = Reduce::label("E", 2)
+            .compose(Reduce::map_first(f).compose(Reduce::pair_left(s)))
+            .compose(Reduce::map_second(Reduce::reassoc()).compose(Reduce::pair_right(s)));
+        let id = fs.intern_reduce(&red);
+        assert_eq!(format!("{:?}", fs.reduction(id)), format!("{red:?}"));
+        // The engine's constructors append entries that read the same way.
+        let pl = fs.pair_left(s);
+        let mf = fs.map_first(pl);
+        let label = fs.intern_reduce(&Reduce::label("E", 2));
+        let c = fs.compose(label, mf);
+        assert_eq!(format!("{:?}", fs.reduction(c)), "(E#2 ∘ map-first(pair-left(ForestId(0))))");
+    }
 
     #[test]
     fn debug_formats() {

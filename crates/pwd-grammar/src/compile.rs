@@ -218,11 +218,12 @@ mod tests {
     /// The parse-mode arena per token on the paper's workload, at the end
     /// of a 1,358-token Python module's parse: it guards both the
     /// grammar-node size and the nodes each token derives (about 193, at
-    /// 48 bytes each, plus the forest and the pools). It reads about
-    /// 11.3 KB; carrying every per-parse slot in a 112-byte node read about
-    /// 29 KB. The node count has its own bound: compaction that walks the
-    /// zombie cycles of left-recursive rules until its fuel runs out built
-    /// about 241 nodes per token.
+    /// 40 bytes each, plus the forest, its reduction table and the pools).
+    /// It reads about 9.9 KB; a 48-byte node holding an `Arc` per reduction
+    /// read 11.3 KB, and carrying every per-parse slot in a 112-byte node
+    /// read about 29 KB. The node count has its own bound: compaction that
+    /// walks the zombie cycles of left-recursive rules until its fuel runs
+    /// out built about 241 nodes per token.
     #[test]
     fn python_parse_arena_stays_under_16_kb_per_token() {
         let src = crate::gen::python_source(1_000, 71);

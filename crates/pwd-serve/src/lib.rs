@@ -1,8 +1,9 @@
 //! `pwd-serve` — a thread-safe, batched parse service over the unified
 //! parser backends.
 //!
-//! PR 1 made `Language::reset()` an O(1) epoch bump, so one compiled PWD
-//! engine can serve an unbounded stream of inputs with zero rebuild cost.
+//! `Language::reset()` is an epoch bump plus a rollback of drop-free
+//! arenas, so one compiled PWD engine can serve an unbounded stream of
+//! inputs with zero rebuild cost.
 //! This crate is the subsystem that actually drives that at scale: it
 //! multiplexes many grammars and many concurrent inputs over pooled engine
 //! sessions, hosting any backend of `derp::api` (PWD improved/original,
@@ -48,8 +49,9 @@
 //!   compile into per-thread sessions via
 //!   [`Parser::fork`](derp::api::Parser::fork) (an arena memcpy, not a
 //!   recompile) and recycles them with
-//!   [`Recognizer::reset`](derp::api::Recognizer::reset) — for PWD the O(1)
-//!   epoch bump — instead of reallocating arenas between inputs.
+//!   [`Recognizer::reset`](derp::api::Recognizer::reset) — for PWD the
+//!   epoch bump and arena rollback — instead of reallocating arenas between
+//!   inputs.
 //! * [`service`] — the **batch front end**. [`ParseService::submit_batch`]
 //!   fans a slice of inputs across a fixed worker pool (work-stealing over
 //!   an atomic cursor, so stragglers do not idle the other workers) and
@@ -85,8 +87,8 @@
 //!                  ▼                                   ──► ParseOutcome
 //!               backend.metrics() ──► memo totals (one pass per input)
 //!                  ▼
-//!               SessionPool[w].checkin ──► Recognizer::reset()  (O(1) epoch
-//!                                          bump: arena kept, state cleared)
+//!               SessionPool[w].checkin ──► Recognizer::reset()  (epoch bump:
+//!                                          arena kept, state cleared)
 //! ```
 //!
 //! # Example

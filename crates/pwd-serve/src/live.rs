@@ -529,7 +529,7 @@ impl ParseService {
 
     /// Finishes a live session: reports the verdict over everything fed and
     /// returns the backend to a session pool, where the next open (or batch
-    /// worker) reuses its warm arena via the O(1) epoch reset.
+    /// worker) reuses its warm arena via the epoch reset.
     ///
     /// # Errors
     ///

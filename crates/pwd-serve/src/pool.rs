@@ -6,8 +6,11 @@
 //! session. The pool is the bridge: the first checkout for a grammar forks
 //! the shared prototype (arena memcpy, no recompile); every later checkout
 //! on the same worker reuses an idle session whose state was cleared by the
-//! O(1) epoch reset at checkin. A warm worker therefore parses with **zero
-//! per-request compilation and zero per-request arena allocation**.
+//! epoch reset at checkin, which cuts the arenas back to the grammar with
+//! their capacity kept (for PWD, length stores on drop-free node and
+//! reduction tables; only the forest's leaves and ambiguity vectors are
+//! released). A warm worker therefore parses with **zero per-request
+//! compilation and zero per-request arena allocation**.
 //!
 //! Pools are per-worker by design — each worker owns its pool exclusively
 //! while running a batch, so checkout/checkin are plain `Vec` operations
@@ -99,8 +102,8 @@ impl SessionPool {
     }
 
     /// Returns a session to the pool, clearing its per-parse state via the
-    /// backend's `reset` (for PWD, the O(1) epoch bump — the arena is kept
-    /// for the next checkout instead of being reallocated).
+    /// backend's `reset` (for PWD, the epoch bump — the arena is cut back
+    /// and kept for the next checkout instead of being reallocated).
     pub fn checkin(&mut self, session: PooledSession) {
         self.release(session.fingerprint, session.backend);
     }

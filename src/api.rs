@@ -33,8 +33,9 @@
 //!    default methods that feed the raw streaming hooks (each run starts
 //!    from a clean slate);
 //! 4. [`Parser::parse_count`] — count derivations, where supported;
-//! 5. [`Recognizer::reset`] — return to the post-compile state (for PWD the
-//!    O(1) epoch bump); [`Recognizer::metrics`] — uniform work counters.
+//! 5. [`Recognizer::reset`] — return to the post-compile state (for PWD an
+//!    epoch bump and an arena rollback); [`Recognizer::metrics`] — uniform
+//!    work counters.
 //!
 //! **Checkpoint = saved derivative.** For the PWD backend a [`Checkpoint`]
 //! is literally the derivative node after `k` tokens — the paper's
