@@ -1,17 +1,16 @@
-//! Shared infrastructure for the figure-regenerating benchmark binaries.
+//! Shared infrastructure for the figure-regenerating benchmark binaries and
+//! the gate runner.
 //!
 //! Every table and figure of the paper's evaluation (§4) has a binary in
 //! `src/bin/` that prints (a) CSV rows `x,series,value` for plotting and
 //! (b) a human-readable summary juxtaposing the paper's headline number
-//! with the measured one. Timing-based figures additionally have Criterion
-//! benches under `benches/`.
+//! with the measured one. The workspace's performance gates are rows of one
+//! runner, `benches/gates.rs`, measured and printed through [`gate`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod trajectory;
-
-pub use trajectory::Trajectory;
+pub mod gate;
 
 use pwd_core::ParserConfig;
 use pwd_grammar::{gen, grammars, Cfg, Compiled};

@@ -234,9 +234,10 @@ impl ForestMark {
 /// canonical node, and a label name once per lookup of its symbol. So no
 /// input can pick colliding cons keys, and no probe hashes text twice.
 ///
-/// Every node carries a structural hash (computed bottom-up at
-/// construction), so [`node_hash`](Forest::node_hash) of a root is a
-/// fingerprint of the whole subgraph.
+/// Every node of a hash-consed arena carries a structural hash (computed
+/// bottom-up at construction), so [`node_hash`](Forest::node_hash) of a
+/// root is a fingerprint of the whole subgraph. A raw arena keeps no
+/// hashes.
 #[derive(Debug, Default, Clone)]
 pub struct Forest {
     nodes: Vec<ForestNode>,
@@ -306,23 +307,30 @@ impl Forest {
     /// deterministic but two *bisimilar* cyclic forests built with
     /// different knot placements may hash differently.
     pub fn node_hash(&self, id: ForestId) -> u64 {
-        self.hashes[id.0 as usize]
+        if self.cons.is_some() {
+            self.hashes[id.0 as usize]
+        } else {
+            0
+        }
     }
 
     /// Allocates a node verbatim (no consing).
     pub fn alloc(&mut self, node: ForestNode) -> ForestId {
-        // Raw arenas never read hashes; skipping the computation keeps the
-        // per-token engine path free of hashing (the PR 1 property).
+        // Raw arenas keep no hashes, so the per-token engine path neither
+        // computes nor stores one.
         let h = if self.cons.is_some() { self.compute_hash(&node) } else { 0 };
         self.push(node, h)
     }
 
-    /// Appends `node` with structural hash `h`.
+    /// Appends `node`; a hash-consed arena also records its structural
+    /// hash `h`.
     fn push(&mut self, node: ForestNode, h: u64) -> ForestId {
         let id = ForestId(self.nodes.len() as u32);
         debug_assert!(id != ForestId::NONE, "the arena is full");
         self.nodes.push(node);
-        self.hashes.push(h);
+        if self.cons.is_some() {
+            self.hashes.push(h);
+        }
         id
     }
 
@@ -335,9 +343,10 @@ impl Forest {
     /// Overwrites a node in place (placeholder patching). The structural
     /// hash is recomputed from the new children (hash-consed arenas only).
     pub fn set(&mut self, id: ForestId, node: ForestNode) {
-        let h = if self.cons.is_some() { self.compute_hash(&node) } else { 0 };
+        if self.cons.is_some() {
+            self.hashes[id.0 as usize] = self.compute_hash(&node);
+        }
         self.nodes[id.0 as usize] = node;
-        self.hashes[id.0 as usize] = h;
     }
 
     /// The current lengths of the node, reduction and function tables.
@@ -374,11 +383,13 @@ impl Forest {
         self.reds.len()
     }
 
-    /// Approximate bytes of the node arena and the reduction table
+    /// Approximate bytes of the per-node vectors (the nodes, and a
+    /// hash-consed arena's structural hashes) and the reduction table
     /// (lengths times entry sizes; what nodes own on the heap is not
     /// counted).
     pub fn arena_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<ForestNode>()
+            + self.hashes.len() * std::mem::size_of::<u64>()
             + self.reds.len() * std::mem::size_of::<Red>()
     }
 
@@ -1063,6 +1074,24 @@ mod tests {
         let u2 = f2.amb(vec![a2, p2]);
         assert_eq!(f1.node_hash(u1), f2.node_hash(u2), "amb order canonicalized by hash");
         assert_ne!(f1.node_hash(p1), f1.node_hash(a1));
+    }
+
+    #[test]
+    fn only_hash_consed_arenas_keep_hashes() {
+        let (node, red) = (std::mem::size_of::<ForestNode>(), std::mem::size_of::<Red>());
+        let mut raw = Forest::new();
+        let a = raw.alloc(ForestNode::Leaf(Leaf::new("a", "a")));
+        let p = raw.reserve();
+        let m = raw.map(Reduce::reassoc(), a);
+        raw.set(p, ForestNode::Pair(a, m));
+        assert_eq!(raw.arena_bytes(), 3 * node + raw.reduction_count() * red);
+        assert!([a, p, m].into_iter().all(|id| raw.node_hash(id) == 0));
+        let mut consed = Forest::hash_consed();
+        let a = consed.leaf("a", "a");
+        let s = consed.label("S", 1, a);
+        assert_eq!(consed.len(), 2);
+        assert_eq!(consed.arena_bytes(), 2 * (node + 8) + consed.reduction_count() * red);
+        assert_ne!(consed.node_hash(s), consed.node_hash(a));
     }
 
     #[test]
