@@ -40,7 +40,7 @@ use std::process::Command;
 /// A row: its name, and the function that measures it (`true` = smoke).
 type Row = (&'static str, fn(&mut Report, bool));
 
-const ROWS: [Row; 12] = [
+const ROWS: [Row; 13] = [
     ("reset_reuse", reset_reuse),
     ("lexeme_diverse", lexeme_diverse),
     ("automaton", automaton),
@@ -48,6 +48,7 @@ const ROWS: [Row; 12] = [
     ("serve_throughput", serve_throughput),
     ("forest_amb", forest_amb),
     ("recovery", recovery),
+    ("api_feed", api_feed),
     ("incremental", incremental),
     ("obs_overhead", obs_overhead),
     ("ablation_nullability", ablation_nullability),
@@ -412,6 +413,25 @@ fn recovery(out: &mut Report, smoke: bool) {
     let at = format!("tokens={}", damaged.len());
     out.record(&format!("{at}/damaged_recovery_on_ns"), repair.a_ns as f64, "ns");
     out.record(&format!("{at}/damaged_repair_slowdown"), repair.ratio, "ratio");
+}
+
+/// What the API edge adds to the engine walk: a `Session` on
+/// `PwdBackend::dfa` fed a lexeme slice (open, `feed_lexemes`, finish)
+/// against `Engine::recognize` on the same tokens, resolved to engine
+/// tokens outside the timing. Per token the session resolves each kind,
+/// feeds it through the backend and keeps its timeline guard. Bound:
+/// session ≤ 2.5 × walk (smoke 3.0).
+fn api_feed(out: &mut Report, smoke: bool) {
+    let grammar = grammars::pl0::cfg();
+    let lexemes = pl0(1000, 0x5EED, ID_REUSE);
+    let mut backend = PwdBackend::dfa(&grammar);
+    let mut walk = Engine::new(&grammar, *backend.compiled().lang.config(), &lexemes);
+    let pair =
+        paired(pick(smoke, 20, 60), || session(&mut backend, &lexemes, false), || walk.recognize());
+    let at = format!("tokens={}", lexemes.len());
+    out.bests(&at, ["session", "walk"], &pair);
+    let bound = pick(smoke, 3.0, 2.5);
+    out.figure(&format!("{at}/session_over_walk"), pair.ratio, "ratio", Some(pair.ratio <= bound));
 }
 
 /// Another text of the same kind as the token at `at`, from elsewhere in

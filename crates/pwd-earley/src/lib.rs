@@ -30,9 +30,10 @@
 #![warn(missing_docs)]
 
 use pwd_forest::{EnumLimits, ParseForest, Tree};
-use pwd_grammar::{analysis, build_sppf, Cfg, ProductionSpans, Symbol};
+use pwd_grammar::{analysis, build_sppf, Cfg, KindMap, ProductionSpans, Symbol};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// An Earley item: production, dot position, origin set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,7 +63,7 @@ impl std::error::Error for UnknownKind {}
 /// An Earley parser compiled from a [`Cfg`].
 #[derive(Debug, Clone)]
 pub struct EarleyParser {
-    cfg: Cfg,
+    cfg: Arc<Cfg>,
     nullable: Vec<bool>,
 }
 
@@ -79,12 +80,18 @@ pub struct EarleyStats {
 impl EarleyParser {
     /// Compiles the parser (precomputes the nullable set).
     pub fn new(cfg: &Cfg) -> EarleyParser {
-        EarleyParser { cfg: cfg.clone(), nullable: analysis::nullable_nonterminals(cfg) }
+        EarleyParser { cfg: Arc::new(cfg.clone()), nullable: analysis::nullable_nonterminals(cfg) }
     }
 
     /// The underlying grammar.
     pub fn cfg(&self) -> &Cfg {
         &self.cfg
+    }
+
+    /// A resolver from token kinds to this parser's terminal indices, over
+    /// its grammar.
+    pub fn kind_map(&self) -> KindMap {
+        KindMap::new(Arc::clone(&self.cfg))
     }
 
     /// Recognizes a sequence of terminal indices.
@@ -108,12 +115,13 @@ impl EarleyParser {
     ///
     /// [`UnknownKind`] if a lexeme kind is not a terminal of the grammar.
     pub fn recognize_lexemes(&self, lexemes: &[pwd_lex::Lexeme]) -> Result<bool, UnknownKind> {
+        let mut kinds = self.kind_map();
         let toks: Result<Vec<u32>, UnknownKind> = lexemes
             .iter()
             .enumerate()
             .map(|(i, l)| {
-                self.cfg
-                    .terminal_index(&l.kind)
+                kinds
+                    .resolve(l.kind.as_kind_ref())
                     .ok_or_else(|| UnknownKind { kind: l.kind.to_string(), position: i })
             })
             .collect();

@@ -31,9 +31,10 @@
 #![warn(missing_docs)]
 
 use pwd_forest::ParseForest;
-use pwd_grammar::{analysis, build_sppf, Cfg, Production, ProductionSpans, Symbol};
+use pwd_grammar::{analysis, build_sppf, Cfg, KindMap, Production, ProductionSpans, Symbol};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Error for token kinds outside the grammar's terminal alphabet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +72,7 @@ enum Action {
 #[derive(Debug, Clone)]
 pub struct GlrParser {
     /// The source grammar (kept for SPPF construction).
-    cfg: Cfg,
+    cfg: Arc<Cfg>,
     /// Productions of the augmented grammar; the last one is `S' → S`.
     prods: Vec<Production>,
     /// ACTION[state][lookahead]; `None` lookahead = end of input.
@@ -193,12 +194,18 @@ impl GlrParser {
             }
         }
 
-        GlrParser { cfg: cfg.clone(), prods, action, goto_nt }
+        GlrParser { cfg: Arc::new(cfg.clone()), prods, action, goto_nt }
     }
 
     /// The source grammar.
     pub fn cfg(&self) -> &Cfg {
         &self.cfg
+    }
+
+    /// A resolver from token kinds to this parser's terminal indices, over
+    /// its grammar.
+    pub fn kind_map(&self) -> KindMap {
+        KindMap::new(Arc::clone(&self.cfg))
     }
 
     /// Number of LR(0) states.
@@ -247,11 +254,13 @@ impl GlrParser {
     ///
     /// [`UnknownKind`] for lexeme kinds outside the grammar.
     pub fn recognize_lexemes(&self, lexemes: &[pwd_lex::Lexeme]) -> Result<bool, UnknownKind> {
+        let mut kinds = self.kind_map();
         let toks: Result<Vec<u32>, UnknownKind> = lexemes
             .iter()
             .enumerate()
             .map(|(i, l)| {
-                self.terminal_index(&l.kind)
+                kinds
+                    .resolve(l.kind.as_kind_ref())
                     .ok_or_else(|| UnknownKind { kind: l.kind.to_string(), position: i })
             })
             .collect();
@@ -280,8 +289,7 @@ impl GlrParser {
     }
 
     /// The terminal index of a kind name, or `None` if the kind is not in
-    /// the grammar. The single-token lookup streaming feeds use (no
-    /// per-token vector).
+    /// the grammar.
     pub fn terminal_index(&self, name: &str) -> Option<u32> {
         self.cfg.terminal_index(name)
     }

@@ -34,8 +34,9 @@ pub struct Production {
 #[derive(Debug, Clone)]
 pub struct Cfg {
     terminals: Vec<String>,
-    /// Terminal name → index: the one kind lookup the compiled PWD
-    /// grammar and the Earley and GLR parsers all resolve tokens through.
+    /// Terminal name → index: how every parser built from this grammar
+    /// resolves a kind name (a lexer's kinds once each, through a
+    /// [`KindMap`](crate::KindMap)).
     term_index: TermMap,
     nonterminals: Vec<String>,
     productions: Vec<Production>,
@@ -151,11 +152,11 @@ impl Cfg {
         &self.terminals
     }
 
-    /// Index of a terminal by name: the per-token kind lookup of every
-    /// parser built from this grammar (the compiled PWD grammar, Earley and
-    /// GLR), one FNV-1a hash of the name. The map is built once and only
-    /// read, so input cannot lengthen its probes. Inlined: parsers in other
-    /// crates call it once per token.
+    /// Index of a terminal by name, one FNV-1a hash of the name: how a
+    /// kind known only by name resolves, once per token on the string
+    /// paths, and how a [`KindMap`](crate::KindMap) fills each entry of a
+    /// lexer's table. The map is built once and only read, so input cannot
+    /// lengthen its probes. Inlined: parsers in other crates call it.
     #[inline]
     pub fn terminal_index(&self, name: &str) -> Option<u32> {
         self.term_index.get(name).copied()

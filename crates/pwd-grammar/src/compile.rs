@@ -7,6 +7,7 @@
 //! direct pointers into the (cyclic) graph via `forward`/`define`.
 
 use crate::cfg::{Cfg, Symbol};
+use crate::kinds::KindMap;
 use pwd_core::{Language, NodeId, ParserConfig, PwdError, Reduce, TermId, Token};
 use std::borrow::Cow;
 use std::fmt;
@@ -21,9 +22,9 @@ pub struct Compiled {
     /// The start node.
     pub start: NodeId,
     term_ids: Vec<TermId>,
-    /// The source grammar, for its terminal names and kind lookup (shared
-    /// by every fork).
-    cfg: Arc<Cfg>,
+    /// Token kinds to terminal indices, over the source grammar (shared by
+    /// every fork).
+    kinds: KindMap,
     /// One token per CFG terminal when the engine reads no lexemes
     /// ([`ParserConfig::class_keyed`]); empty otherwise.
     canonical: Vec<Token>,
@@ -118,13 +119,21 @@ impl Compiled {
         }
 
         let start = nts[cfg.start() as usize];
-        Compiled { lang, start, term_ids, cfg: Arc::new(cfg.clone()), canonical }
+        let kinds = KindMap::new(Arc::new(cfg.clone()));
+        Compiled { lang, start, term_ids, kinds, canonical }
     }
 
     /// Every terminal kind name of the grammar, in CFG index order — the
     /// candidate alphabet error recovery probes derivatives against.
     pub fn terminal_names(&self) -> &[String] {
-        self.cfg.terminal_names()
+        self.kinds.cfg().terminal_names()
+    }
+
+    /// The resolver from token kinds to this grammar's terminal indices,
+    /// the indices [`token_at`](Compiled::token_at) takes.
+    #[inline]
+    pub fn kinds(&mut self) -> &mut KindMap {
+        &mut self.kinds
     }
 
     /// Creates a token of the named terminal kind, or `None` if the kind is
@@ -136,24 +145,21 @@ impl Compiled {
     /// token — its lexeme is the kind's name — and the interner stays at
     /// one token per terminal however much distinct text is parsed.
     pub fn token(&mut self, kind: &str, lexeme: &str) -> Option<Token> {
-        self.token_ref(kind, lexeme).map(|(tok, _)| tok.into_owned())
+        let t = self.kinds.cfg().terminal_index(kind)?;
+        self.token_at(t, lexeme).map(|(tok, _)| tok.into_owned())
     }
 
-    /// [`token`](Compiled::token) for a caller about to feed the engine:
-    /// the token, borrowed when it is the kind's canonical token (so a feed
-    /// costs no reference-count traffic, and the lexeme is never read),
-    /// together with the engine to feed it to. Inlined: it runs once per
-    /// token fed, from another crate.
+    /// [`token`](Compiled::token) for a caller about to feed the engine,
+    /// by terminal index (from [`kinds`](Compiled::kinds)), or `None` if
+    /// the grammar has no terminal `t`: the token, borrowed when it is the
+    /// kind's canonical token (so a feed costs no reference-count traffic,
+    /// and the lexeme is never read), together with the engine to feed it
+    /// to. Inlined: it runs once per token fed, from another crate.
     #[inline]
-    pub fn token_ref(
-        &mut self,
-        kind: &str,
-        lexeme: &str,
-    ) -> Option<(Cow<'_, Token>, &mut Language)> {
-        let t = self.cfg.terminal_index(kind)? as usize;
-        let tok = match self.canonical.get(t) {
+    pub fn token_at(&mut self, t: u32, lexeme: &str) -> Option<(Cow<'_, Token>, &mut Language)> {
+        let tok = match self.canonical.get(t as usize) {
             Some(tok) => Cow::Borrowed(tok),
-            None => Cow::Owned(self.lang.token(self.term_ids[t], lexeme)),
+            None => Cow::Owned(self.lang.token(*self.term_ids.get(t as usize)?, lexeme)),
         };
         Some((tok, &mut self.lang))
     }
@@ -163,7 +169,8 @@ impl Compiled {
         self.term_ids[t as usize]
     }
 
-    /// Converts a lexer output stream into engine tokens.
+    /// Converts a lexer output stream into engine tokens, resolving each
+    /// kind through [`kinds`](Compiled::kinds).
     ///
     /// # Errors
     ///
@@ -172,14 +179,25 @@ impl Compiled {
         &mut self,
         lexemes: &[pwd_lex::Lexeme],
     ) -> Result<Vec<Token>, UnknownTerminal> {
-        let mut out = Vec::with_capacity(lexemes.len());
-        for (i, l) in lexemes.iter().enumerate() {
-            let Some((tok, _)) = self.token_ref(&l.kind, &l.text) else {
-                return Err(UnknownTerminal { kind: l.kind.to_string(), position: i });
-            };
-            out.push(tok.into_owned());
+        let kinds = &mut self.kinds;
+        if let Some(position) =
+            lexemes.iter().position(|l| kinds.resolve(l.kind.as_kind_ref()).is_none())
+        {
+            let kind = lexemes[position].kind.to_string();
+            return Err(UnknownTerminal { kind, position });
         }
-        Ok(out)
+        // Every kind resolves, so the tokens are built by one exact-size
+        // collect, with no capacity check per token.
+        let Compiled { lang, term_ids, canonical, .. } = self;
+        let tokens = lexemes.iter().map(|l| {
+            let t = kinds.resolve(l.kind.as_kind_ref()).expect("resolved above") as usize;
+            // The text is read only where the engine reads lexemes.
+            match canonical.get(t) {
+                Some(tok) => tok.clone(),
+                None => lang.token(term_ids[t], &l.text),
+            }
+        });
+        Ok(tokens.collect())
     }
 
     /// Convenience: recognize a lexeme stream.
@@ -328,19 +346,21 @@ mod tests {
     }
 
     #[test]
-    fn token_ref_borrows_the_canonical_token_and_matches_token() {
+    fn token_at_borrows_the_canonical_token_and_matches_token() {
         let config =
             ParserConfig { mode: pwd_core::ParseMode::Recognize, ..ParserConfig::improved() };
         let mut c = Compiled::compile(&arith(), config);
+        let num = arith().terminal_index("NUM").unwrap();
         let owned = c.token("NUM", "7").unwrap();
-        let (tok, _) = c.token_ref("NUM", "8").unwrap();
+        let (tok, _) = c.token_at(num, "8").unwrap();
         assert!(matches!(tok, Cow::Borrowed(_)), "class-keyed kinds share one token");
         assert_eq!(*tok, owned);
         let mut parse = Compiled::compile(&arith(), ParserConfig::improved());
-        let (tok, _) = parse.token_ref("NUM", "8").unwrap();
+        let (tok, _) = parse.token_at(num, "8").unwrap();
         assert!(matches!(tok, Cow::Owned(_)), "parse mode interns each lexeme");
         assert_eq!(tok.lexeme(), "8");
-        assert!(parse.token_ref("NOPE", "x").is_none());
+        assert!(parse.token("NOPE", "x").is_none());
+        assert!(parse.token_at(arith().terminal_count() as u32, "x").is_none());
     }
 
     #[test]

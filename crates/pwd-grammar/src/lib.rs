@@ -33,6 +33,7 @@ mod cfg;
 mod compile;
 pub mod gen;
 pub mod grammars;
+mod kinds;
 mod normalize;
 mod random;
 pub mod sppf;
@@ -40,6 +41,7 @@ mod transform;
 
 pub use cfg::{Cfg, CfgBuilder, CfgError, Production, Symbol};
 pub use compile::{Compiled, UnknownTerminal};
+pub use kinds::KindMap;
 pub use normalize::{eliminate_epsilon, eliminate_units};
 pub use random::{random_cfg, random_input, RandomCfgConfig};
 pub use sppf::{build_sppf, ProductionSpans};

@@ -15,27 +15,34 @@
 //! batch [`Lexer::tokenize`] drains the same scan into owned [`Lexeme`]s
 //! for callers that still want a slice: one shared copy of the input and
 //! one vector per call, not two strings per token.
+//!
+//! A token's kind is the index of the rule that matched it, in the lexer's
+//! shared [`KindTable`] of rule names: the integer a parser maps to its
+//! terminal once per lexer (see the `kind` module).
 
+use crate::kind::{Kind, KindRef, KindTable};
 use crate::scanner::Scanner;
 use crate::shared::SharedStr;
 use crate::source::{ScannedToken, TokenSource};
 use crate::span::{Position, Span};
 use pwd_regex::{Dfa, Regex};
 use std::fmt;
+use std::sync::Arc;
 
-/// A lexical token produced by a [`Lexer`]: rule name, matched text, byte
+/// A lexical token produced by a [`Lexer`]: kind, matched text, byte
 /// offset.
 ///
-/// Both strings are [`SharedStr`] handles: `kind` shares the lexer rule's
-/// name and `text` is a slice of one shared copy of the text it was cut
-/// from, so a lexeme owns no string of its own. It keeps that shared text
-/// alive, and outlives both the input string and the [`Lexer`]. Equality
-/// and hashing compare the strings, never their backing, so a lexed token
-/// equals one built by hand with `"…".into()`.
+/// `kind` is an index into the lexer's shared [`KindTable`] and `text` a
+/// [`SharedStr`] slice of one shared copy of the text it was cut from, so a
+/// lexeme owns no string of its own. It keeps that shared text alive, and
+/// outlives both the input string and the [`Lexer`]. Equality and hashing
+/// compare the strings, never their backing, so a lexed token equals one
+/// built by hand with `"…".into()`. A lexeme is 56 bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Lexeme {
-    /// Name of the rule that matched (the token kind).
-    pub kind: SharedStr,
+    /// The token kind: the rule that matched, by index into the lexer's
+    /// kind table.
+    pub kind: Kind,
     /// The matched text.
     pub text: SharedStr,
     /// Byte offset of the match start in the input.
@@ -89,11 +96,6 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-struct Rule {
-    name: SharedStr,
-    skip: bool,
-}
-
 /// A table-driven, longest-match lexer.
 ///
 /// # Examples
@@ -114,14 +116,20 @@ struct Rule {
 /// # }
 /// ```
 pub struct Lexer {
-    rules: Vec<Rule>,
+    /// The rule names in rule order, then any extra kinds.
+    kinds: Arc<KindTable>,
+    /// Is rule `i` a skip rule?
+    skip: Vec<bool>,
     scanner: Scanner,
 }
 
 /// Builder for [`Lexer`].
 #[derive(Default)]
 pub struct LexerBuilder {
-    rules: Vec<Rule>,
+    /// `(name, skip)` of each rule, in rule order.
+    rules: Vec<(String, bool)>,
+    /// Kinds the lexer's tokenizer emits beyond its rules' names.
+    extra_kinds: Vec<&'static str>,
     /// Each rule's automaton, in rule order; merged by [`build`](Self::build).
     dfas: Vec<Dfa>,
 }
@@ -168,8 +176,15 @@ impl LexerBuilder {
         Ok(self)
     }
 
+    /// Appends kinds that no rule produces to the lexer's kind table, after
+    /// the rules' names: kinds a tokenizer built on the lexer emits itself.
+    pub(crate) fn extra_kinds(mut self, names: &[&'static str]) -> Self {
+        self.extra_kinds.extend_from_slice(names);
+        self
+    }
+
     fn push(mut self, name: &str, re: &Regex, skip: bool) -> Self {
-        self.rules.push(Rule { name: name.into(), skip });
+        self.rules.push((name.to_string(), skip));
         self.dfas.push(Dfa::build(re));
         self
     }
@@ -177,7 +192,12 @@ impl LexerBuilder {
     /// Finalizes the lexer, merging the rules' automata into the one DFA it
     /// scans with.
     pub fn build(self) -> Lexer {
-        Lexer { scanner: Scanner::build(&self.dfas), rules: self.rules }
+        let names = self.rules.iter().map(|(name, _)| name.as_str());
+        Lexer {
+            kinds: KindTable::new(names.chain(self.extra_kinds.iter().copied())),
+            skip: self.rules.iter().map(|&(_, skip)| skip).collect(),
+            scanner: Scanner::build(&self.dfas),
+        }
     }
 }
 
@@ -202,9 +222,9 @@ impl Lexer {
     ///     .build();
     /// let mut src = lexer.source("1 23");
     /// let t = src.next_token().unwrap()?;
-    /// assert_eq!((t.kind, t.text, t.span.start), ("NUM", "1", 0));
+    /// assert_eq!((t.kind.as_str(), t.text, t.span.start), ("NUM", "1", 0));
     /// let t = src.next_token().unwrap()?;
-    /// assert_eq!((t.kind, t.text, t.span.start), ("NUM", "23", 2));
+    /// assert_eq!((t.kind.as_str(), t.text, t.span.start), ("NUM", "23", 2));
     /// assert!(src.next_token().is_none());
     /// # Ok(())
     /// # }
@@ -217,12 +237,12 @@ impl Lexer {
     ///
     /// A batch shim over [`source`](Lexer::source): drains the streaming
     /// scan into owned [`Lexeme`]s. Every lexeme's text is a slice of one
-    /// shared copy of `input` and its kind a handle to the rule's name, so
-    /// a call on up to 128 KiB of input allocates a constant number of times
-    /// whatever the token count: that copy and the vector (reserved at one
-    /// lexeme per two bytes of input, at most 65,536 lexemes, and trimmed
-    /// once if more than half of it is unused). Past that, the vector
-    /// regrows by doubling as tokens arrive.
+    /// shared copy of `input` and its kind an index into the lexer's kind
+    /// table, so a call on up to 128 KiB of input allocates a constant
+    /// number of times whatever the token count: that copy and the vector
+    /// (reserved at one lexeme per two bytes of input, at most 65,536
+    /// lexemes, and trimmed once if more than half of it is unused). Past
+    /// that, the vector regrows by doubling as tokens arrive.
     /// Prefer feeding the source directly to a parser session when the
     /// vector itself is not needed.
     ///
@@ -255,16 +275,17 @@ impl Lexer {
         self.scanner.scan(rest)
     }
 
-    /// Name of rule `i` (the token kind it produces).
-    pub(crate) fn rule_name(&self, i: usize) -> &str {
-        &self.rules[i].name
+    /// The lexer's kinds: its rule names in rule order, then the kinds its
+    /// tokenizer adds. A token's kind is an index into this table.
+    pub fn kinds(&self) -> &Arc<KindTable> {
+        &self.kinds
     }
 
     /// The lexeme rule `i` matched at `span`, its text cut from `text`, a
     /// shared copy of the input from byte `base` on.
     pub(crate) fn lexeme(&self, i: usize, text: &SharedStr, base: usize, span: Span) -> Lexeme {
         Lexeme {
-            kind: self.rules[i].name.clone(),
+            kind: Kind::at(&self.kinds, i as u32),
             text: text.slice(span.start - base..span.end - base),
             offset: span.start,
         }
@@ -272,7 +293,7 @@ impl Lexer {
 
     /// Is rule `i` a skip rule (matches discarded)?
     pub(crate) fn rule_is_skip(&self, i: usize) -> bool {
-        self.rules[i].skip
+        self.skip[i]
     }
 }
 
@@ -307,7 +328,7 @@ impl SourceTokens<'_, '_> {
             };
             let start = self.pos;
             self.pos += len;
-            if !self.lexer.rules[i].skip {
+            if !self.lexer.skip[i] {
                 return Some(Ok((i, Span::new(start, self.pos))));
             }
         }
@@ -319,7 +340,7 @@ impl TokenSource for SourceTokens<'_, '_> {
     fn next_token(&mut self) -> Option<Result<ScannedToken<'_>, LexError>> {
         let (lexer, input) = (self.lexer, self.input);
         Some(self.next_match()?.map(|(i, span)| ScannedToken {
-            kind: lexer.rule_name(i),
+            kind: KindRef::at(&lexer.kinds, i as u32),
             text: span.slice(input),
             span,
         }))
@@ -327,17 +348,18 @@ impl TokenSource for SourceTokens<'_, '_> {
 }
 
 /// The most lexemes a batch tokenization reserves up front: 65,536, or
-/// 4.5 MiB of vector. Larger inputs grow the vector by doubling from there
+/// 3.5 MiB of vector. Larger inputs grow the vector by doubling from there
 /// as their tokens arrive (one lexeme per two bytes of a 100 MB input would
-/// be 3.6 GB in one request, which strict overcommit refuses).
+/// be 2.8 GB in one request, which strict overcommit refuses).
 const MAX_RESERVED_LEXEMES: usize = 1 << 16;
 
 /// Lexemes to reserve for `input`: one per two bytes, capped at
 /// [`MAX_RESERVED_LEXEMES`]. Every token covers at least one byte, so a
 /// batch tokenization of up to 128 KiB regrows its vector at most once, and
-/// source text (several bytes per token) never. A lexeme is 72 bytes, so
-/// that reserves 36 bytes per input byte; the vector is finished with
-/// [`trim_lexemes`].
+/// source text (several bytes per token) never. A lexeme is 56 bytes (its
+/// kind a table handle and an index, 16 bytes; its text 32; its offset
+/// 8), so that reserves 28 bytes per input byte; the vector is finished
+/// with [`trim_lexemes`].
 pub(crate) fn lexeme_capacity(input: &str) -> usize {
     (input.len() / 2 + 1).min(MAX_RESERVED_LEXEMES)
 }
@@ -353,6 +375,10 @@ pub(crate) fn trim_lexemes(out: &mut Vec<Lexeme>) {
         out.shrink_to_fit();
     }
 }
+
+// A lexeme is a table handle plus an index (16 bytes), a text slice (32)
+// and an offset (8); a batch tokenization reserves vectors of them.
+const _: () = assert!(std::mem::size_of::<Lexeme>() <= 56);
 
 #[cfg(test)]
 mod tests {
@@ -458,7 +484,7 @@ mod tests {
         let err = src.next_token().unwrap().unwrap_err();
         assert_eq!(err.span.start, 3);
         let t = src.next_token().unwrap().unwrap();
-        assert_eq!((t.kind, t.text), ("NUM", "34"), "stream resumes after the error");
+        assert_eq!((t.kind.as_str(), t.text), ("NUM", "34"), "stream resumes after the error");
         assert!(src.next_token().is_none());
     }
 

@@ -14,6 +14,10 @@
 //! fusing lex and parse into one pass. [`Lexer::tokenize`] is a batch shim
 //! over the same scan for callers that want an owned `Vec<Lexeme>`.
 //!
+//! A token's kind is an integer: an index into its lexer's shared
+//! [`KindTable`] of rule names ([`Kind`], borrowed as [`KindRef`]), so a
+//! parser maps kinds to terminals once per lexer, not once per token.
+//!
 //! # Quick start
 //!
 //! ```
@@ -43,6 +47,7 @@
 #![warn(missing_docs)]
 
 mod buffer;
+mod kind;
 mod lexer;
 mod python;
 mod scanner;
@@ -52,6 +57,7 @@ mod span;
 mod timed;
 
 pub use buffer::{SourceBuffer, TokenEdit};
+pub use kind::{Kind, KindRef, KindTable};
 pub use lexer::{LexError, Lexeme, Lexer, LexerBuilder, SourceTokens};
 pub use python::{tokenize_python, PyLexError, KEYWORDS};
 pub use shared::SharedStr;

@@ -13,6 +13,7 @@
 //! columns, and no Unicode identifiers. None of these affect the parser
 //! workload shape.
 
+use crate::kind::Kind;
 use crate::lexer::{lexeme_capacity, trim_lexemes, LexError, Lexeme, Lexer, LexerBuilder};
 use crate::shared::SharedStr;
 use std::fmt;
@@ -88,14 +89,38 @@ pub(crate) fn flat_rules() -> Vec<(&'static str, String, bool)> {
     rules
 }
 
-/// The flat scanner, plus the kinds of the layout tokens the indentation
-/// pass synthesizes, shared by every call.
+/// The kinds the indentation pass synthesizes, in the order they follow
+/// the flat rules' names in the lexer's kind table; the keywords follow
+/// them, in [`KEYWORDS`] order.
+const LAYOUT: [&str; 4] = ["NEWLINE", "INDENT", "DEDENT", "ENDMARKER"];
+
+/// What a flat rule's tokens do in the indentation pass.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// A physical line break.
+    LineBreak,
+    /// An opening bracket.
+    Open,
+    /// A closing bracket.
+    Close,
+    /// An identifier, re-kinded when it is a keyword.
+    Name,
+    /// Any other token.
+    Other,
+}
+
+/// The flat scanner, each rule's role, and the layout and keyword kinds of
+/// its kind table, shared by every call.
 struct Flat {
     lexer: Lexer,
-    newline: SharedStr,
-    indent: SharedStr,
-    dedent: SharedStr,
-    endmarker: SharedStr,
+    /// Role of each rule, by rule index.
+    roles: Vec<Role>,
+    newline: Kind,
+    indent: Kind,
+    dedent: Kind,
+    endmarker: Kind,
+    /// Table index of the first keyword kind.
+    keywords: u32,
     /// Text of a final NEWLINE the source itself does not end with.
     line_break: SharedStr,
 }
@@ -104,18 +129,33 @@ fn flat() -> &'static Flat {
     static FLAT: OnceLock<Flat> = OnceLock::new();
     FLAT.get_or_init(|| {
         let rules = flat_rules();
+        let lexer = LexerBuilder::new()
+            .rule_list(rules.iter().map(|(kind, pattern, skip)| (*kind, pattern.as_str(), *skip)))
+            .expect("static pattern")
+            .extra_kinds(&LAYOUT)
+            .extra_kinds(KEYWORDS)
+            .build();
+        let roles = rules
+            .iter()
+            .map(|(kind, _, _)| match *kind {
+                "NL" => Role::LineBreak,
+                "(" | "[" | "{" => Role::Open,
+                ")" | "]" | "}" => Role::Close,
+                "NAME" => Role::Name,
+                _ => Role::Other,
+            })
+            .collect();
+        let layout = rules.len() as u32;
+        let kind = |i: u32| Kind::at(lexer.kinds(), layout + i);
         Flat {
-            lexer: LexerBuilder::new()
-                .rule_list(
-                    rules.iter().map(|(kind, pattern, skip)| (*kind, pattern.as_str(), *skip)),
-                )
-                .expect("static pattern")
-                .build(),
-            newline: "NEWLINE".into(),
-            indent: "INDENT".into(),
-            dedent: "DEDENT".into(),
-            endmarker: "ENDMARKER".into(),
+            roles,
+            newline: kind(0),
+            indent: kind(1),
+            dedent: kind(2),
+            endmarker: kind(3),
+            keywords: layout + LAYOUT.len() as u32,
             line_break: "\n".into(),
+            lexer,
         }
     })
 }
@@ -125,13 +165,14 @@ fn flat() -> &'static Flat {
 ///
 /// One pass over the flat scan. Every lexeme's text is a slice of one
 /// shared copy of `src` (layout tokens take the empty slice at their
-/// offset) and every kind a shared handle, so a call allocates a constant
-/// number of times however many tokens it produces: that copy, the
-/// indentation stack (room for 32 levels) and the vector (reserved at one
-/// lexeme per two bytes, at most 65,536 lexemes, and trimmed once if more
-/// than half of it is unused). Only nesting deeper than 32 levels, text
-/// averaging under two bytes per token, or more than 65,536 tokens regrows
-/// them (the vector by doubling).
+/// offset) and every kind an index into the scanner's shared kind table,
+/// which holds the layout kinds and the keywords too, so a call allocates
+/// a constant number of times however many tokens it produces: that copy,
+/// the indentation stack (room for 32 levels) and the vector (reserved at
+/// one lexeme per two bytes, at most 65,536 lexemes, and trimmed once if
+/// more than half of it is unused). Only nesting deeper than 32 levels,
+/// text averaging under two bytes per token, or more than 65,536 tokens
+/// regrows them (the vector by doubling).
 ///
 /// # Errors
 ///
@@ -158,11 +199,14 @@ fn flat() -> &'static Flat {
 pub fn tokenize_python(src: &str) -> Result<Vec<Lexeme>, PyLexError> {
     let flat = flat();
     let text = SharedStr::from(src);
-    let layout = |kind: &SharedStr, at: usize| Lexeme {
+    let layout = |kind: &Kind, at: usize| Lexeme {
         kind: kind.clone(),
         text: text.slice(at..at),
         offset: at,
     };
+    // Is `t` a NEWLINE, INDENT or DEDENT?
+    let is_layout =
+        |t: &Lexeme| (flat.newline.index()..flat.endmarker.index()).contains(&t.kind.index());
     let mut scan = flat.lexer.source(src);
     let mut out: Vec<Lexeme> = Vec::with_capacity(lexeme_capacity(src));
     // Room for deeper nesting than real code reaches, so the stack does
@@ -175,8 +219,8 @@ pub fn tokenize_python(src: &str) -> Result<Vec<Lexeme>, PyLexError> {
 
     while let Some(item) = scan.next_match() {
         let (rule, span) = item?;
-        match flat.lexer.rule_name(rule) {
-            "NL" => {
+        match flat.roles[rule] {
+            Role::LineBreak => {
                 if depth == 0 {
                     // Emit a logical NEWLINE only after actual content.
                     if out.last().is_some_and(|t| !is_layout(t)) {
@@ -191,7 +235,7 @@ pub fn tokenize_python(src: &str) -> Result<Vec<Lexeme>, PyLexError> {
                 }
                 last_nl_end = span.end;
             }
-            name => {
+            role => {
                 if at_line_start && depth == 0 {
                     let col = indent_width(&src[last_nl_end..span.start]);
                     let current = *indents.last().expect("indent stack nonempty");
@@ -213,14 +257,16 @@ pub fn tokenize_python(src: &str) -> Result<Vec<Lexeme>, PyLexError> {
                     }
                     at_line_start = false;
                 }
-                match name {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth = depth.saturating_sub(1),
+                match role {
+                    Role::Open => depth += 1,
+                    Role::Close => depth = depth.saturating_sub(1),
                     _ => {}
                 }
                 let mut lexeme = flat.lexer.lexeme(rule, &text, 0, span);
-                if name == "NAME" && KEYWORDS.contains(&lexeme.text.as_str()) {
-                    lexeme.kind = lexeme.text.clone();
+                if role == Role::Name {
+                    if let Some(k) = KEYWORDS.iter().position(|k| *k == lexeme.text.as_str()) {
+                        lexeme.kind = Kind::at(flat.lexer.kinds(), flat.keywords + k as u32);
+                    }
                 }
                 out.push(lexeme);
             }
@@ -238,11 +284,6 @@ pub fn tokenize_python(src: &str) -> Result<Vec<Lexeme>, PyLexError> {
     out.push(layout(&flat.endmarker, src.len()));
     trim_lexemes(&mut out);
     Ok(out)
-}
-
-/// Is `t` a NEWLINE, INDENT or DEDENT?
-fn is_layout(t: &Lexeme) -> bool {
-    t.kind == "NEWLINE" || t.kind == "INDENT" || t.kind == "DEDENT"
 }
 
 /// Width of a whitespace prefix: spaces count 1, tabs advance to the next

@@ -1,9 +1,8 @@
 //! [`SharedStr`]: an immutable string slice that shares its allocation.
 //!
-//! A [`Lexeme`](crate::Lexeme)'s kind and text are `SharedStr`s. The kind is
-//! a handle to the lexer rule's name and the text a slice of one shared copy
-//! of the lexed input, so producing a token stream allocates a constant
-//! number of times per call instead of twice per token. Equality, ordering
+//! A [`Lexeme`](crate::Lexeme)'s text is a `SharedStr`: a slice of one
+//! shared copy of the lexed input, so producing a token stream allocates a
+//! constant number of times per call instead of once per token. Equality
 //! and hashing follow the string alone, never the backing it was cut from.
 
 use std::fmt;
@@ -36,9 +35,22 @@ pub struct SharedStr {
 }
 
 impl SharedStr {
-    /// The string this handle denotes.
+    /// The string this handle denotes. Inlined: token streams read it once
+    /// per token, from other crates.
+    #[inline]
     pub fn as_str(&self) -> &str {
         &self.backing[self.start..self.end]
+    }
+
+    /// The length in bytes, read from the stored range: no slice is cut.
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Is the string empty? Read from the stored range, as
+    /// [`len`](SharedStr::len) is.
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
     }
 
     /// A handle to `range` (byte offsets into this string) sharing the same
@@ -70,6 +82,7 @@ impl From<String> for SharedStr {
 impl Deref for SharedStr {
     type Target = str;
 
+    #[inline]
     fn deref(&self) -> &str {
         self.as_str()
     }
@@ -131,6 +144,7 @@ mod tests {
         let num = whole.slice(8..10);
         assert_eq!(x, "x");
         assert_eq!(num, SharedStr::from("42"));
+        assert_eq!((num.len(), num.is_empty(), whole.slice(3..3).is_empty()), (2, false, true));
         assert_eq!(hash_of(&num), hash_of(&SharedStr::from("42")));
         assert_eq!(hash_of(&num), hash_of("42"), "hashed as the str it denotes");
         assert_eq!(format!("{num:?}"), "\"42\"");

@@ -22,11 +22,14 @@
 //! accepts any `TokenSource`, so the same stream can drive PWD, Earley, or
 //! GLR without materializing tokens.
 
+use crate::kind::KindRef;
 use crate::lexer::{LexError, Lexeme};
 use crate::span::Span;
 
-/// One token pulled from a [`TokenSource`]: a kind name, the matched text,
-/// and its byte [`Span`] — all borrowed, nothing owned.
+/// One token pulled from a [`TokenSource`]: a kind, the matched text, and
+/// its byte [`Span`] — all borrowed, nothing owned. A lexer's token names
+/// its kind by index into the lexer's kind table; a bare kind sequence's
+/// by name.
 ///
 /// The borrows are tied to the pull (`next_token` takes `&mut self`), so a
 /// scanned token must be consumed — fed to a parser, interned, or copied —
@@ -34,8 +37,8 @@ use crate::span::Span;
 /// lexer run zero-copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScannedToken<'a> {
-    /// The token kind (lexer rule name / grammar terminal).
-    pub kind: &'a str,
+    /// The token kind (lexer rule / grammar terminal).
+    pub kind: KindRef<'a>,
     /// The matched text (for [`KindSource`], the kind itself).
     pub text: &'a str,
     /// Byte range of the match in the underlying buffer (token-index range
@@ -76,11 +79,12 @@ impl<'a> LexemeSource<'a> {
 }
 
 impl TokenSource for LexemeSource<'_> {
+    #[inline]
     fn next_token(&mut self) -> Option<Result<ScannedToken<'_>, LexError>> {
         let l = self.lexemes.get(self.pos)?;
         self.pos += 1;
         Some(Ok(ScannedToken {
-            kind: &l.kind,
+            kind: l.kind.as_kind_ref(),
             text: &l.text,
             span: Span::new(l.offset, l.offset + l.text.len()),
         }))
@@ -104,10 +108,15 @@ impl<'a, S: AsRef<str>> KindSource<'a, S> {
 }
 
 impl<S: AsRef<str>> TokenSource for KindSource<'_, S> {
+    #[inline]
     fn next_token(&mut self) -> Option<Result<ScannedToken<'_>, LexError>> {
         let k = self.kinds.get(self.pos)?.as_ref();
         self.pos += 1;
-        Some(Ok(ScannedToken { kind: k, text: k, span: Span::new(self.pos - 1, self.pos) }))
+        Some(Ok(ScannedToken {
+            kind: KindRef::name(k),
+            text: k,
+            span: Span::new(self.pos - 1, self.pos),
+        }))
     }
 }
 
@@ -123,9 +132,9 @@ mod tests {
         ];
         let mut src = LexemeSource::new(&lexemes);
         let t = src.next_token().unwrap().unwrap();
-        assert_eq!((t.kind, t.text, t.span), ("ID", "ab", Span::new(0, 2)));
+        assert_eq!((t.kind.as_str(), t.text, t.span), ("ID", "ab", Span::new(0, 2)));
         let t = src.next_token().unwrap().unwrap();
-        assert_eq!((t.kind, t.text, t.span), ("NUM", "42", Span::new(3, 5)));
+        assert_eq!((t.kind.as_str(), t.text, t.span), ("NUM", "42", Span::new(3, 5)));
         assert!(src.next_token().is_none());
     }
 
@@ -134,7 +143,7 @@ mod tests {
         let kinds = ["a", "b"];
         let mut src = KindSource::new(&kinds);
         let t = src.next_token().unwrap().unwrap();
-        assert_eq!((t.kind, t.text), ("a", "a"));
+        assert_eq!((t.kind.as_str(), t.text), ("a", "a"));
         assert_eq!(t.span, Span::new(0, 1));
         assert!(src.next_token().unwrap().is_ok());
         assert!(src.next_token().is_none());

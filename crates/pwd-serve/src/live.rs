@@ -432,8 +432,9 @@ impl ParseService {
     /// positions above the restored rung are discarded — those positions
     /// were re-derived and no longer exist on the session's timeline.
     ///
-    /// An out-of-range edit (`at + remove` beyond the fed stream) fails
-    /// with the session untouched. A mid-refeed engine error **closes**
+    /// An out-of-range edit (`at + remove` beyond the fed stream), or one
+    /// inserting a kind outside the grammar, fails with the session
+    /// untouched. A mid-refeed engine error **closes**
     /// the session: the edit would otherwise be half-applied, leaving a
     /// stream the client cannot reconstruct.
     ///
@@ -450,17 +451,20 @@ impl ParseService {
     ) -> Result<SpliceReport, ServeError> {
         let t0 = self.obs.enabled().then(Instant::now);
         let mut live = self.take(id)?;
-        // The engine validates the range before touching anything; compute
-        // the same predicate here so the error path knows whether the
-        // session is still pristine (put back) or mid-splice (close).
+        // The engine validates the range and the inserted kinds before
+        // touching anything; compute the range predicate here so the error
+        // path knows whether the session is still pristine (put back) or
+        // mid-splice (close).
         let in_range = at.checked_add(remove).is_some_and(|end| end <= live.session.tokens_fed());
-        let pairs: Vec<(&str, &str)> = match insert {
-            Input::Kinds(kinds) => kinds.iter().map(|k| (k.as_str(), k.as_str())).collect(),
-            Input::Lexemes(lexemes) => {
-                lexemes.iter().map(|l| (l.kind.as_str(), l.text.as_str())).collect()
+        let spliced = match insert {
+            Input::Kinds(kinds) => {
+                let pairs: Vec<(&str, &str)> =
+                    kinds.iter().map(|k| (k.as_str(), k.as_str())).collect();
+                live.session.splice_tokens(at, remove, &pairs)
             }
+            Input::Lexemes(lexemes) => live.session.splice_lexemes(at, remove, lexemes),
         };
-        match live.session.splice_tokens(at, remove, &pairs) {
+        match spliced {
             Ok(out) => {
                 // Checkpoints are position-sorted (each new one is at or
                 // beyond the last), so "above the rung" is a suffix.
@@ -504,7 +508,7 @@ impl ParseService {
                 Ok(report)
             }
             Err(e) => {
-                if in_range {
+                if in_range && !e.is_unknown_kind() {
                     self.close(live);
                 } else {
                     self.put(id, live);
@@ -1031,6 +1035,24 @@ mod tests {
         let status = service.session_status(id).unwrap();
         assert_eq!(status.tokens_fed, 2);
         assert_eq!(status.stats.splices, 0);
+        service.feed_chunk(id, &Input::from_kinds(&["b", "b"])).unwrap();
+        assert!(service.finish_session(id).unwrap().accepted);
+    }
+
+    #[test]
+    fn a_splice_inserting_an_unknown_kind_leaves_the_session_untouched() {
+        let service = service();
+        let cfg = pairs();
+        let id = service.open_session(&cfg).unwrap();
+        service.feed_chunk(id, &Input::from_kinds(&["a", "a"])).unwrap();
+        let lexemes = vec![Lexeme { kind: "NOPE".into(), text: "x".into(), offset: 1 }];
+        for insert in [Input::from_kinds(&["b", "NOPE"]), Input::from_lexemes(lexemes)] {
+            match service.splice_session(id, 1, 1, &insert) {
+                Err(ServeError::Backend(e)) => assert!(e.is_unknown_kind(), "{e}"),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(service.session_status(id).unwrap().tokens_fed, 2);
         service.feed_chunk(id, &Input::from_kinds(&["b", "b"])).unwrap();
         assert!(service.finish_session(id).unwrap().accepted);
     }

@@ -96,8 +96,8 @@
 use crate::core::{ParseMode, ParserConfig, PwdError, RecoveryBudget, SessionState};
 use crate::earley::{EarleyChart, EarleyParser, EarleyStats};
 use crate::glr::{GlrParser, GlrStats};
-use crate::grammar::{build_sppf, Cfg, Compiled};
-use crate::lex::{LexError, Lexeme};
+use crate::grammar::{build_sppf, Cfg, Compiled, KindMap};
+use crate::lex::{KindRef, LexError, Lexeme};
 use crate::recover::{self, Diagnostic, InputToken, RecoveryState};
 use std::collections::VecDeque;
 use std::fmt;
@@ -139,6 +139,22 @@ impl BackendError {
 
     fn unknown_kind(backend: &'static str, message: impl fmt::Display) -> BackendError {
         BackendError { backend, message: message.to_string(), unknown_kind: true }
+    }
+
+    /// The error for the token at `position` whose kind is not a terminal
+    /// of the grammar.
+    pub(crate) fn outside_grammar(
+        backend: &'static str,
+        position: usize,
+        kind: &str,
+    ) -> BackendError {
+        let message = format!("token {position} has kind {kind:?} outside the grammar");
+        BackendError::unknown_kind(backend, message)
+    }
+
+    /// The error for a terminal index the grammar does not have.
+    fn no_terminal(backend: &'static str, terminal: u32) -> BackendError {
+        BackendError::unknown_kind(backend, format!("terminal {terminal} is outside the grammar"))
     }
 
     /// Was this error raised because a fed token's kind is not a terminal
@@ -452,8 +468,16 @@ pub trait Recognizer: Send + Sync {
     /// [`BackendError`] for malformed grammars.
     fn begin(&mut self) -> Result<(), BackendError>;
 
-    /// Feeds one token (kind + lexeme text) to the open session. Returns
-    /// whether the session is still viable (`false` = dead).
+    /// The backend's resolver from token kinds to the terminal indices of
+    /// its grammar, which [`feed_terminal`](Recognizer::feed_terminal)
+    /// takes. A pooled backend keeps it across sessions, so a lexer's kinds
+    /// are mapped once, not once per session or per token.
+    fn kinds(&mut self) -> &mut KindMap;
+
+    /// Feeds one token — its terminal index in the grammar (see
+    /// [`kinds`](Recognizer::kinds)) and its lexeme text — to the open
+    /// session: the per-token hook every feed path ends in. Returns whether
+    /// the session is still viable (`false` = dead).
     ///
     /// This is deliberately the *cheap* hook: it must not pay for a
     /// sentence-hood probe (which costs GLR a full end-of-input reduce
@@ -464,11 +488,28 @@ pub trait Recognizer: Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`BackendError`] for kinds outside the grammar's alphabet, engine
+    /// [`BackendError`] for a terminal index outside the grammar, engine
     /// resource limits, or feeding without an open session. A token that
     /// kills the language is *not* an error — it returns `Ok(false)`, and
     /// the verdict stays retrievable.
-    fn feed(&mut self, kind: &str, text: &str) -> Result<bool, BackendError>;
+    fn feed_terminal(&mut self, terminal: u32, text: &str) -> Result<bool, BackendError>;
+
+    /// Feeds one token by kind name: resolves the name, then
+    /// [`feed_terminal`](Recognizer::feed_terminal).
+    ///
+    /// # Errors
+    ///
+    /// As [`feed_terminal`](Recognizer::feed_terminal); a kind outside the
+    /// grammar's alphabet is an error for which
+    /// [`BackendError::is_unknown_kind`] holds, raised before the session
+    /// changes.
+    fn feed(&mut self, kind: &str, text: &str) -> Result<bool, BackendError> {
+        let kind = KindRef::name(kind);
+        match self.kinds().resolve(kind) {
+            Some(terminal) => self.feed_terminal(terminal, text),
+            None => Err(unknown_kind(self, kind)),
+        }
+    }
 
     /// Tokens fed to the open session (0 when none is open).
     fn tokens_fed(&self) -> usize;
@@ -577,10 +618,10 @@ pub trait Recognizer: Send + Sync {
     /// instrumentation.
     fn set_obs(&mut self, _enabled: bool) {}
 
-    /// The token kinds the open session can consume next — error
-    /// recovery's candidate set, sorted for determinism. Empty when no
-    /// session is open, when the session is dead, or for recognizers
-    /// without the capability (the default).
+    /// The terminals (grammar terminal indices) the open session can
+    /// consume next — error recovery's candidate set, in no particular
+    /// order. Empty when no session is open, when the session is dead, or
+    /// for recognizers without the capability (the default).
     ///
     /// Each backend answers from its own state representation: PWD
     /// trial-derives a cloned session state w.r.t. every grammar terminal
@@ -588,9 +629,9 @@ pub trait Recognizer: Send + Sync {
     /// Earley reads the exact expected set off its chart frontier, and
     /// GLR reports the terminals its GSS frontier can actually shift
     /// (trial shifts on the raw session, below the checkpoint guard).
-    /// The result is exact for grammars without useless symbols: `feed`
-    /// of a reported kind returns viable.
-    fn expected_kinds(&mut self) -> Vec<String> {
+    /// The result is exact for grammars without useless symbols: feeding
+    /// a reported terminal returns viable.
+    fn expected_terminals(&mut self) -> Vec<u32> {
         Vec::new()
     }
 
@@ -748,9 +789,18 @@ fn feed_raw<R: Recognizer + ?Sized, S: TokenSource + ?Sized>(
     r.begin()?;
     while let Some(item) = src.next_token() {
         let t = item.map_err(|e| BackendError::new(r.name(), e))?;
-        r.feed(t.kind, t.text)?;
+        let Some(terminal) = r.kinds().resolve(t.kind) else {
+            return Err(unknown_kind(r, t.kind));
+        };
+        r.feed_terminal(terminal, t.text)?;
     }
     Ok(())
+}
+
+/// The error for feeding `r` a token of `kind`, which its grammar lacks.
+#[cold]
+fn unknown_kind<R: Recognizer + ?Sized>(r: &R, kind: KindRef<'_>) -> BackendError {
+    BackendError::outside_grammar(r.name(), r.tokens_fed(), kind.as_str())
 }
 
 // ---------------------------------------------------------------------
@@ -834,26 +884,37 @@ pub struct Session<'a> {
 /// rollback overshoot stays within one stride of the damage point.
 const MAX_RUNGS: usize = 256;
 
-/// The fed token stream of an incremental session: each token's kind and
-/// text appended to one byte arena, addressed by a fixed-size record per
-/// token. A splice or rollback drops records, leaving their bytes dead in
-/// the arena; once the dead bytes outnumber the live ones, the arena is
-/// rebuilt from the live records, so it stays within twice the live text
-/// and each rebuild is paid for by as many dropped bytes as it copies.
+/// The fed token stream of an incremental session: each token's terminal
+/// index and the offset and length of its text, appended to one text arena.
+/// Refeeding a recorded token resolves nothing. A splice or rollback drops
+/// records, leaving their bytes dead in the arena; once the dead bytes
+/// outnumber the live ones, the arena is rebuilt from the live records, so
+/// it stays within twice the live text and each rebuild is paid for by as
+/// many dropped bytes as it copies.
 #[derive(Default)]
 struct History {
-    bytes: String,
-    /// `bytes[start..split]` is the kind, `bytes[split..end]` the text.
+    text: String,
+    /// One record per token; a splice moves the records after it.
     records: Vec<Recorded>,
-    /// Bytes of `bytes` no record addresses.
+    /// Bytes of `text` no record addresses.
     dead: usize,
 }
 
+/// One recorded token: 16 bytes.
 #[derive(Clone, Copy)]
 struct Recorded {
+    /// Where the token's text starts in the arena.
     start: usize,
-    split: usize,
-    end: usize,
+    /// Its length in bytes.
+    len: u32,
+    /// Its terminal index.
+    terminal: u32,
+}
+
+impl Recorded {
+    fn end(&self) -> usize {
+        self.start + self.len as usize
+    }
 }
 
 impl History {
@@ -861,31 +922,34 @@ impl History {
         self.records.len()
     }
 
-    /// The kind and text of token `pos`.
-    fn get(&self, pos: usize) -> (&str, &str) {
+    /// The terminal and text of token `pos`.
+    fn get(&self, pos: usize) -> (u32, &str) {
         let r = self.records[pos];
-        (&self.bytes[r.start..r.split], &self.bytes[r.split..r.end])
+        (r.terminal, &self.text[r.start..r.end()])
     }
 
-    fn append(bytes: &mut String, kind: &str, text: &str) -> Recorded {
-        let start = bytes.len();
-        bytes.push_str(kind);
-        let split = bytes.len();
-        bytes.push_str(text);
-        Recorded { start, split, end: bytes.len() }
+    fn append(arena: &mut String, terminal: u32, text: &str) -> Recorded {
+        let start = arena.len();
+        arena.push_str(text);
+        let len = u32::try_from(text.len()).expect("a token's text is under 4 GiB");
+        Recorded { start, len, terminal }
     }
 
-    fn push(&mut self, kind: &str, text: &str) {
-        let r = History::append(&mut self.bytes, kind, text);
+    fn push(&mut self, terminal: u32, text: &str) {
+        let r = History::append(&mut self.text, terminal, text);
         self.records.push(r);
     }
 
     /// Replaces the `remove` tokens at `at` with `insert`.
-    fn splice(&mut self, at: usize, remove: usize, insert: &[(&str, &str)]) {
-        self.dead += self.records[at..at + remove].iter().map(|r| r.end - r.start).sum::<usize>();
-        let bytes = &mut self.bytes;
-        self.records
-            .splice(at..at + remove, insert.iter().map(|(k, t)| History::append(bytes, k, t)));
+    fn splice<'t>(
+        &mut self,
+        at: usize,
+        remove: usize,
+        insert: impl Iterator<Item = (u32, &'t str)>,
+    ) {
+        self.dead += self.records[at..at + remove].iter().map(|r| r.len as usize).sum::<usize>();
+        let arena = &mut self.text;
+        self.records.splice(at..at + remove, insert.map(|(t, x)| History::append(arena, t, x)));
         self.rebuild_if_sparse();
     }
 
@@ -894,25 +958,27 @@ impl History {
         if len >= self.records.len() {
             return;
         }
-        self.dead += self.records[len..].iter().map(|r| r.end - r.start).sum::<usize>();
+        self.dead += self.records[len..].iter().map(|r| r.len as usize).sum::<usize>();
         self.records.truncate(len);
         self.rebuild_if_sparse();
     }
 
     fn rebuild_if_sparse(&mut self) {
-        if self.dead <= self.bytes.len() - self.dead {
+        if self.dead <= self.text.len() - self.dead {
             return;
         }
-        let mut bytes = String::with_capacity(2 * (self.bytes.len() - self.dead));
+        let mut text = String::with_capacity(2 * (self.text.len() - self.dead));
         for r in &mut self.records {
-            let start = bytes.len();
-            bytes.push_str(&self.bytes[r.start..r.end]);
-            *r = Recorded { start, split: start + (r.split - r.start), end: bytes.len() };
+            let start = text.len();
+            text.push_str(&self.text[r.start..r.end()]);
+            r.start = start;
         }
-        self.bytes = bytes;
+        self.text = text;
         self.dead = 0;
     }
 }
+
+const _: () = assert!(std::mem::size_of::<Recorded>() == 16);
 
 /// The per-session bookkeeping behind [`Session::splice_tokens`]: the fed
 /// token history (the splice coordinate system), the memoized per-position
@@ -935,6 +1001,9 @@ struct IncrementalState {
     /// Current rung spacing (doubles when the ladder would exceed
     /// [`MAX_RUNGS`]).
     stride: usize,
+    /// The terminals of the tokens the running splice inserts, resolved
+    /// before it changes anything (kept to reuse its allocation).
+    inserted: Vec<u32>,
     /// Cumulative splice counters, surfaced through [`Session::metrics`].
     tokens_reused: u64,
     tokens_refed: u64,
@@ -1033,8 +1102,8 @@ impl<'a> Session<'a> {
     /// [`splice`](Session::splice) instead of reparsing from scratch.
     ///
     /// The remembered stream costs no allocation per token: each token's
-    /// kind and text bytes are appended to one arena, and a fixed-size
-    /// record per token (three offsets) addresses them. A splice replaces
+    /// text bytes are appended to one arena, and a 16-byte record per token
+    /// holds its terminal index and addresses its text. A splice replaces
     /// records in place and appends only the inserted tokens' bytes; the
     /// bytes of replaced or rolled-back tokens stay in the arena until they
     /// outnumber the live ones, when the arena is rebuilt from the live
@@ -1067,6 +1136,7 @@ impl<'a> Session<'a> {
             ladder: vec![(0, cp0)],
             stale: 0..0,
             stride: 1,
+            inserted: Vec::new(),
             tokens_reused: 0,
             tokens_refed: 0,
             ladder_rollback_distance: 0,
@@ -1105,13 +1175,15 @@ impl<'a> Session<'a> {
     /// The one way in for feeding: every `feed*` method drains its input
     /// through here, as a [`TokenSource`] (`spanned` = its spans are worth
     /// reporting; bare kind feeds carry none), in one of two loops, so each
-    /// token takes exactly one feed path. Recovery off, each borrowed token
-    /// is fed as it stands and, in incremental mode, recorded; a lex error
-    /// aborts. Recovery on, each token takes the fast path (checkpoint +
-    /// feed); only a token that dies is copied, with the next
-    /// [`RecoveryBudget::lookahead`] tokens pulled behind it for repair
-    /// scoring and fed afterwards, and a lex error becomes a diagnostic when
-    /// the loop reaches it.
+    /// token takes exactly one feed path. Each token's kind is resolved to
+    /// its terminal once, here at the edge: a lexer's kind through the
+    /// backend's [`KindMap`] (one array read), a bare name by name. Recovery
+    /// off, each borrowed token is fed as it stands and, in incremental
+    /// mode, recorded; a lex error or an unknown kind aborts. Recovery on,
+    /// each token takes the fast path (checkpoint + feed); only a token that
+    /// dies is copied, with the next [`RecoveryBudget::lookahead`] tokens
+    /// pulled behind it for repair scoring and fed afterwards, and a lex
+    /// error becomes a diagnostic when the loop reaches it.
     fn feed_from<S: TokenSource + ?Sized>(
         &mut self,
         src: &mut S,
@@ -1119,20 +1191,26 @@ impl<'a> Session<'a> {
     ) -> Result<FeedOutcome, BackendError> {
         let Some(rs) = self.recovery.as_mut() else {
             while let Some(item) = src.next_token() {
-                let t = item.map_err(|e| BackendError::new(self.name(), e))?;
-                self.feed_tracked(t.kind, t.text)?;
+                let backend = self.backend.get();
+                let t = item.map_err(|e| BackendError::new(backend.name(), e))?;
+                let Some(terminal) = backend.kinds().resolve(t.kind) else {
+                    return Err(unknown_kind(backend, t.kind));
+                };
+                backend.feed_terminal(terminal, t.text)?;
+                if self.incremental.is_some() {
+                    self.record(terminal, t.text)?;
+                }
             }
             return self.outcome();
         };
         // Tokens (and lex errors) pulled as lookahead, not yet fed.
         let mut pulled: VecDeque<Result<InputToken<'static>, LexError>> = VecDeque::new();
         loop {
+            let backend = self.backend.get();
             let item = match pulled.pop_front() {
                 Some(item) => item,
                 None => match src.next_token() {
-                    Some(item) => {
-                        item.map(|t| InputToken::new(t.kind, t.text, spanned.then_some(t.span)))
-                    }
+                    Some(item) => item.map(|t| InputToken::new(backend, t, spanned)),
                     None => break,
                 },
             };
@@ -1143,7 +1221,7 @@ impl<'a> Session<'a> {
                     continue;
                 }
             };
-            let Some(failure) = recover::feed_recovering(self.backend.get(), rs, &tok)? else {
+            let Some(failure) = recover::feed_recovering(backend, rs, &tok)? else {
                 continue;
             };
             let tok = tok.into_owned();
@@ -1151,39 +1229,34 @@ impl<'a> Session<'a> {
             while ready < rs.budget.lookahead {
                 let Some(item) = src.next_token() else { break };
                 ready += usize::from(item.is_ok());
-                pulled.push_back(item.map(|t| {
-                    InputToken::new(t.kind, t.text, spanned.then_some(t.span)).into_owned()
-                }));
+                pulled.push_back(item.map(|t| InputToken::new(backend, t, spanned).into_owned()));
             }
             let lookahead: Vec<InputToken> =
                 pulled.iter().filter_map(|item| item.as_ref().ok().map(InputToken::view)).collect();
-            recover::repair(self.backend.get(), rs, failure, &tok, &lookahead)?;
+            recover::repair(backend, rs, failure, &tok, &lookahead)?;
         }
         self.outcome()
     }
 
-    /// Feeds one token through the backend and, in incremental mode,
-    /// records it in the splice bookkeeping. Every non-recovery feed path
-    /// funnels through here (recovery and incremental are mutually
-    /// exclusive, so recovery paths never need the bookkeeping).
-    fn feed_tracked(&mut self, kind: &str, text: &str) -> Result<bool, BackendError> {
-        let viable = self.backend.get().feed(kind, text)?;
-        if let Some(inc) = self.incremental.as_mut() {
-            inc.history.push(kind, text);
-            inc.sigs.push(None);
-            let at = inc.history.len();
-            self.note_position(at)?;
-        }
-        Ok(viable)
+    /// Records a token just fed in the splice bookkeeping of incremental
+    /// mode. Every non-recovery feed path calls it after each feed
+    /// (recovery and incremental are mutually exclusive, so recovery paths
+    /// never need the bookkeeping).
+    fn record(&mut self, terminal: u32, text: &str) -> Result<(), BackendError> {
+        let inc = self.incremental.as_mut().expect("incremental enabled on this path");
+        inc.history.push(terminal, text);
+        inc.sigs.push(None);
+        let at = inc.history.len();
+        self.note_position(at).map(|_| ())
     }
 
     /// Refeeds the already-recorded token at history position `pos` during
-    /// a splice: [`feed_tracked`](Session::feed_tracked) minus the push.
+    /// a splice: a feed and [`record`](Session::record) minus the push.
     /// Returns the signature that was memoized at position `pos + 1`.
     fn refeed_recorded(&mut self, pos: usize) -> Result<Option<StateSignature>, BackendError> {
         let inc = self.incremental.as_ref().expect("incremental enabled on this path");
-        let (kind, text) = inc.history.get(pos);
-        self.backend.get().feed(kind, text)?;
+        let (terminal, text) = inc.history.get(pos);
+        self.backend.get().feed_terminal(terminal, text)?;
         self.note_position(pos + 1)
     }
 
@@ -1368,19 +1441,51 @@ impl<'a> Session<'a> {
     /// [`rollback`](Session::rollback) timeline semantics, because the
     /// rung restore *is* a rollback.
     ///
+    /// Each inserted kind is resolved by name, once, before anything
+    /// changes; the recorded stream and every refeed carry terminal indices.
+    ///
     /// # Errors
     ///
     /// [`BackendError`] if incremental mode is off, the range exceeds the
-    /// fed stream, a kind is outside the grammar, or the backend hits a
-    /// resource limit mid-refeed (the session should then be discarded).
+    /// fed stream or an inserted kind is outside the grammar (the session
+    /// is then untouched), or the backend hits a resource limit mid-refeed
+    /// (the session should then be discarded).
     pub fn splice_tokens(
         &mut self,
         at: usize,
         remove: usize,
         insert: &[(&str, &str)],
     ) -> Result<SpliceOutcome, BackendError> {
+        self.splice_with(at, remove, insert)
+    }
+
+    /// [`splice_tokens`](Session::splice_tokens) for lexed tokens: each
+    /// inserted lexeme's kind resolves through the backend's [`KindMap`].
+    /// [`splice`](Session::splice) takes this path with the tokens its
+    /// relex produced.
+    ///
+    /// # Errors
+    ///
+    /// As [`splice_tokens`](Session::splice_tokens).
+    pub fn splice_lexemes(
+        &mut self,
+        at: usize,
+        remove: usize,
+        insert: &[Lexeme],
+    ) -> Result<SpliceOutcome, BackendError> {
+        self.splice_with(at, remove, insert)
+    }
+
+    /// The splice behind [`splice_tokens`](Session::splice_tokens) and
+    /// [`splice_lexemes`](Session::splice_lexemes).
+    fn splice_with<T: Inserted>(
+        &mut self,
+        at: usize,
+        remove: usize,
+        insert: &[T],
+    ) -> Result<SpliceOutcome, BackendError> {
         let name = self.name();
-        let Some(inc) = self.incremental.as_ref() else {
+        let Some(inc) = self.incremental.as_mut() else {
             return Err(BackendError::new(
                 name,
                 "splice requires enable_incremental() on a fresh session",
@@ -1392,6 +1497,16 @@ impl<'a> Session<'a> {
                 name,
                 format!("splice range {at}..{} exceeds the {len} fed tokens", at + remove),
             ));
+        }
+        // Resolve the inserted kinds, once each, before anything changes.
+        let kinds = self.backend.get().kinds();
+        inc.inserted.clear();
+        for (i, tok) in insert.iter().enumerate() {
+            let kind = tok.token().0;
+            let Some(terminal) = kinds.resolve(kind) else {
+                return Err(BackendError::outside_grammar(name, at + i, kind.as_str()));
+            };
+            inc.inserted.push(terminal);
         }
         if remove == 0 && insert.is_empty() {
             let outcome = self.outcome()?;
@@ -1405,8 +1520,11 @@ impl<'a> Session<'a> {
         }
         if at == len && remove == 0 {
             // Pure append: the current state is already the re-entry point.
-            for (k, t) in insert {
-                self.feed_tracked(k, t)?;
+            for (i, tok) in insert.iter().enumerate() {
+                let terminal = self.incremental.as_ref().expect("checked above").inserted[i];
+                let text = tok.token().1;
+                self.backend.get().feed_terminal(terminal, text)?;
+                self.record(terminal, text)?;
             }
             let inc = self.incremental.as_mut().expect("checked above");
             inc.tokens_refed += insert.len() as u64;
@@ -1452,7 +1570,8 @@ impl<'a> Session<'a> {
         // removed token die; the inserted tokens' slots are placeholders
         // the refeed below always overwrites (inserted tokens are always
         // refed); everything beyond shifts by the edit's length delta.
-        inc.history.splice(at, remove, insert);
+        let texts = insert.iter().map(|tok| tok.token().1);
+        inc.history.splice(at, remove, inc.inserted.iter().copied().zip(texts));
         inc.sigs.splice(at + 1..at + 1 + remove, std::iter::repeat_n(None, insert.len()));
 
         let refeed = self.refeed_spliced(at, remove, insert.len(), rung_pos, &end_cp, old_sig);
@@ -1585,9 +1704,7 @@ impl<'a> Session<'a> {
         }
         let edit =
             buf.splice(start, end, replacement).map_err(|e| BackendError::new(self.name(), e))?;
-        let pairs: Vec<(&str, &str)> =
-            edit.inserted.iter().map(|l| (l.kind.as_str(), l.text.as_str())).collect();
-        self.splice_tokens(edit.start, edit.removed, &pairs)
+        self.splice_lexemes(edit.start, edit.removed, &edit.inserted)
     }
 
     /// Closes the session: was the full fed input accepted?
@@ -1686,7 +1803,24 @@ struct OneToken<'a>(Option<(&'a str, &'a str)>);
 impl TokenSource for OneToken<'_> {
     fn next_token(&mut self) -> Option<Result<ScannedToken<'_>, LexError>> {
         let (kind, text) = self.0.take()?;
-        Some(Ok(ScannedToken { kind, text, span: Span::new(0, 0) }))
+        Some(Ok(ScannedToken { kind: KindRef::name(kind), text, span: Span::new(0, 0) }))
+    }
+}
+
+/// A token a splice inserts: its kind and its text.
+trait Inserted {
+    fn token(&self) -> (KindRef<'_>, &str);
+}
+
+impl Inserted for (&str, &str) {
+    fn token(&self) -> (KindRef<'_>, &str) {
+        (KindRef::name(self.0), self.1)
+    }
+}
+
+impl Inserted for Lexeme {
+    fn token(&self) -> (KindRef<'_>, &str) {
+        (self.kind.as_kind_ref(), &self.text)
     }
 }
 
@@ -1787,18 +1921,24 @@ impl Recognizer for PwdBackend {
         Ok(())
     }
 
-    fn feed(&mut self, kind: &str, text: &str) -> Result<bool, BackendError> {
+    #[inline]
+    fn kinds(&mut self) -> &mut KindMap {
+        self.compiled.kinds()
+    }
+
+    #[inline]
+    fn feed_terminal(&mut self, terminal: u32, text: &str) -> Result<bool, BackendError> {
+        let label = self.label;
+        let Some(state) = self.session.as_mut() else {
+            return Err(BackendError::no_session(label));
+        };
         // Interning happens here, at the memo boundary: the streaming lexer
         // hands out borrowed text, and only the engine's interner turns it
         // into a `TokKey` — unless the configuration never reads lexemes,
         // where the kind's canonical token is fed by reference and nothing
-        // is interned (`Compiled::token_ref`).
-        let label = self.label;
-        let (tok, lang) = self.compiled.token_ref(kind, text).ok_or_else(|| {
-            BackendError::unknown_kind(label, format!("unknown terminal {kind:?}"))
-        })?;
-        let Some(state) = self.session.as_mut() else {
-            return Err(BackendError::no_session(label));
+        // is interned (`Compiled::token_at`).
+        let Some((tok, lang)) = self.compiled.token_at(terminal, text) else {
+            return Err(BackendError::no_terminal(label, terminal));
         };
         // The core session counts the token even on a budget error, so the
         // guard must too — count first, then feed.
@@ -1874,35 +2014,31 @@ impl Recognizer for PwdBackend {
         }
     }
 
-    fn expected_kinds(&mut self) -> Vec<String> {
+    fn expected_terminals(&mut self) -> Vec<u32> {
         // Derivative-based candidate discovery: clone the session state
         // (one small Copy-able struct — the arena is shared) and trial-feed
-        // each grammar terminal. A candidate is expected iff its derivative
-        // from the current state is non-empty, which for PWD is *precise*
-        // viability. Warm automaton rows and memo entries make repeat
-        // probes cheap.
+        // each grammar terminal, its name as its text. A candidate is
+        // expected iff its derivative from the current state is non-empty,
+        // which for PWD is *precise* viability. Warm automaton rows and memo
+        // entries make repeat probes cheap.
         let Some(state) = self.session.as_ref() else {
             return Vec::new();
         };
         if !state.is_viable() || self.compiled.lang.budget_exhausted() {
             return Vec::new();
         }
-        let names: Vec<String> = self.compiled.terminal_names().to_vec();
+        let mut trial = state.clone();
+        let terminals = self.compiled.terminal_names().len() as u32;
         let mut out = Vec::new();
-        let mut probes = 0u64;
-        for name in names {
-            let Some(tok) = self.compiled.token(&name, &name) else {
-                continue;
-            };
-            let state = self.session.as_ref().expect("session checked above");
-            let mut trial = state.clone();
-            probes += 1;
-            if matches!(trial.feed(&mut self.compiled.lang, &tok), Ok(true)) {
-                out.push(name);
+        for t in 0..terminals {
+            let name = self.compiled.terminal_names()[t as usize].clone();
+            let (tok, lang) = self.compiled.token_at(t, &name).expect("a grammar terminal");
+            trial.clone_from(self.session.as_ref().expect("session checked above"));
+            if matches!(trial.feed(lang, &tok), Ok(true)) {
+                out.push(t);
             }
         }
-        self.compiled.lang.note_recovery_probes(probes);
-        out.sort();
+        self.compiled.lang.note_recovery_probes(u64::from(terminals));
         out
     }
 
@@ -2069,6 +2205,7 @@ fn obs_install(obs: &mut Option<Box<PhaseStats>>, enabled: bool) {
 /// session, a checkpoint is a chart-prefix length.
 pub struct EarleyBackend {
     parser: EarleyParser,
+    kinds: KindMap,
     runs: u64,
     last: EarleyStats,
     chart: Option<EarleyChart>,
@@ -2080,21 +2217,12 @@ pub struct EarleyBackend {
     obs: Option<Box<PhaseStats>>,
 }
 
-impl EarleyBackend {
-    fn kind_to_token(&self, kind: &str) -> Result<u32, BackendError> {
-        self.parser.cfg().terminal_index(kind).ok_or_else(|| {
-            BackendError::unknown_kind(
-                "earley",
-                format!("token {} has kind {kind:?} outside the grammar", self.tokens_fed()),
-            )
-        })
-    }
-}
-
 impl Recognizer for EarleyBackend {
     fn prepare(cfg: &Cfg) -> EarleyBackend {
+        let parser = EarleyParser::new(cfg);
         EarleyBackend {
-            parser: EarleyParser::new(cfg),
+            kinds: parser.kind_map(),
+            parser,
             runs: 0,
             last: EarleyStats::default(),
             chart: None,
@@ -2116,8 +2244,14 @@ impl Recognizer for EarleyBackend {
         Ok(())
     }
 
-    fn feed(&mut self, kind: &str, text: &str) -> Result<bool, BackendError> {
-        let tok = self.kind_to_token(kind)?;
+    fn kinds(&mut self) -> &mut KindMap {
+        &mut self.kinds
+    }
+
+    fn feed_terminal(&mut self, tok: u32, text: &str) -> Result<bool, BackendError> {
+        if tok as usize >= self.parser.cfg().terminal_count() {
+            return Err(BackendError::no_terminal("earley", tok));
+        }
         let Some(chart) = self.chart.as_mut() else {
             return Err(BackendError::no_session("earley"));
         };
@@ -2185,24 +2319,14 @@ impl Recognizer for EarleyBackend {
         obs_install(&mut self.obs, enabled);
     }
 
-    fn expected_kinds(&mut self) -> Vec<String> {
+    fn expected_terminals(&mut self) -> Vec<u32> {
         // The chart frontier carries the expected set directly: every item
         // with a terminal after its dot. Exact — a scan of a reported
         // terminal always yields a non-empty next set.
-        let Some(chart) = self.chart.as_ref() else {
-            return Vec::new();
-        };
-        if chart.is_dead() {
-            return Vec::new();
+        match self.chart.as_ref() {
+            Some(chart) if !chart.is_dead() => self.parser.expected_terminals(chart),
+            _ => Vec::new(),
         }
-        let mut names: Vec<String> = self
-            .parser
-            .expected_terminals(chart)
-            .into_iter()
-            .map(|t| self.parser.cfg().terminal_name(t).to_string())
-            .collect();
-        names.sort();
-        names
     }
 
     fn record_recover_span(&mut self, nanos: u64) {
@@ -2234,6 +2358,7 @@ impl Parser for EarleyBackend {
     fn fork(&self) -> Box<dyn Parser> {
         Box::new(EarleyBackend {
             parser: self.parser.clone(),
+            kinds: self.kinds.clone(),
             runs: 0,
             last: EarleyStats::default(),
             chart: None,
@@ -2270,6 +2395,7 @@ impl Parser for EarleyBackend {
 /// session, a checkpoint snapshots the stack frontier.
 pub struct GlrBackend {
     parser: GlrParser,
+    kinds: KindMap,
     runs: u64,
     last: GlrStats,
     session: Option<crate::glr::GlrSession>,
@@ -2281,21 +2407,12 @@ pub struct GlrBackend {
     obs: Option<Box<PhaseStats>>,
 }
 
-impl GlrBackend {
-    fn kind_to_token(&self, kind: &str) -> Result<u32, BackendError> {
-        self.parser.terminal_index(kind).ok_or_else(|| {
-            BackendError::unknown_kind(
-                "glr",
-                format!("token {} has kind {kind:?} outside the grammar", self.tokens_fed()),
-            )
-        })
-    }
-}
-
 impl Recognizer for GlrBackend {
     fn prepare(cfg: &Cfg) -> GlrBackend {
+        let parser = GlrParser::new(cfg);
         GlrBackend {
-            parser: GlrParser::new(cfg),
+            kinds: parser.kind_map(),
+            parser,
             runs: 0,
             last: GlrStats::default(),
             session: None,
@@ -2317,11 +2434,17 @@ impl Recognizer for GlrBackend {
         Ok(())
     }
 
-    fn feed(&mut self, kind: &str, text: &str) -> Result<bool, BackendError> {
+    fn kinds(&mut self) -> &mut KindMap {
+        &mut self.kinds
+    }
+
+    fn feed_terminal(&mut self, tok: u32, text: &str) -> Result<bool, BackendError> {
         // Viability only — the sentence probe (a full EOF-lookahead reduce
         // phase on a frontier snapshot) runs in `prefix_is_sentence`, on
         // demand, so batch feeding never pays for it.
-        let tok = self.kind_to_token(kind)?;
+        if tok as usize >= self.parser.cfg().terminal_count() {
+            return Err(BackendError::no_terminal("glr", tok));
+        }
         let Some(session) = self.session.as_mut() else {
             return Err(BackendError::no_session("glr"));
         };
@@ -2390,7 +2513,7 @@ impl Recognizer for GlrBackend {
         obs_install(&mut self.obs, enabled);
     }
 
-    fn expected_kinds(&mut self) -> Vec<String> {
+    fn expected_terminals(&mut self) -> Vec<u32> {
         // The SLR action table over the GSS frontier gives a cheap
         // superset (a reduce chain may strand every stack); filter it down
         // to the terminals that actually shift by trial-feeding the raw
@@ -2402,17 +2525,14 @@ impl Recognizer for GlrBackend {
         if session.is_dead() {
             return Vec::new();
         }
-        let candidates = self.parser.expected_terminals(session);
-        let mut names = Vec::new();
-        for t in candidates {
+        let mut candidates = self.parser.expected_terminals(session);
+        candidates.retain(|&t| {
             let cp = session.checkpoint();
-            if self.parser.feed(session, t) {
-                names.push(self.parser.cfg().terminal_name(t).to_string());
-            }
+            let shifts = self.parser.feed(session, t);
             session.rollback(&cp);
-        }
-        names.sort();
-        names
+            shifts
+        });
+        candidates
     }
 
     fn record_recover_span(&mut self, nanos: u64) {
@@ -2444,6 +2564,7 @@ impl Parser for GlrBackend {
     fn fork(&self) -> Box<dyn Parser> {
         Box::new(GlrBackend {
             parser: self.parser.clone(),
+            kinds: self.kinds.clone(),
             runs: 0,
             last: GlrStats::default(),
             session: None,

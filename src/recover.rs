@@ -15,8 +15,9 @@
 //! viable here?" is just "which candidate tokens have a non-empty
 //! derivative from the current state?". When a feed dies, the driver
 //! rolls back to the pre-feed checkpoint (a pointer restore) and probes
-//! the candidate set reported by
-//! [`Recognizer::expected_kinds`](crate::api::Recognizer::expected_kinds):
+//! the candidate terminals reported by
+//! [`Recognizer::expected_terminals`](crate::api::Recognizer::expected_terminals),
+//! fed by terminal index (their names appear only in diagnostics):
 //!
 //! * the PWD backend answers by trial-deriving a cloned session state
 //!   w.r.t. every grammar terminal — reusing warm automaton rows and memo
@@ -111,8 +112,9 @@
 //! # }
 //! ```
 
-use crate::api::{BackendError, Checkpoint, Parser};
+use crate::api::{BackendError, Checkpoint, Parser, ScannedToken};
 use crate::lex::{Position, SourceMap, Span};
+use std::borrow::Cow;
 use std::fmt;
 
 pub use pwd_core::RecoveryBudget;
@@ -246,48 +248,78 @@ pub fn attach_positions(diagnostics: &mut [Diagnostic], src: &str) {
     }
 }
 
-/// One input token as the recovery driver sees it, plus the source span
-/// when the feed path knows it. Kind and text are [`Cow`]s: the session's
-/// feed loop borrows every token straight from its source for the fast
-/// path (recovery adds zero allocations per clean token), and copies only
-/// a dying token and the lookahead pulled behind it — a pulled token's
-/// borrow dies on the next `next_token` call.
-///
-/// [`Cow`]: std::borrow::Cow
+/// One input token as the recovery driver sees it: its terminal, resolved
+/// once when the token was pulled (`None` when its kind is outside the
+/// grammar), the kind's name for diagnostics, its text, and the source span
+/// when the feed path knows it. Kind name and text are [`Cow`]s: the
+/// session's feed loop borrows every token straight from its source for
+/// the fast path (recovery adds zero allocations per clean token), and
+/// copies only a dying token and the lookahead pulled behind it — a pulled
+/// token's borrow dies on the next `next_token` call.
 #[derive(Debug, Clone)]
 pub(crate) struct InputToken<'a> {
-    pub(crate) kind: std::borrow::Cow<'a, str>,
-    pub(crate) text: std::borrow::Cow<'a, str>,
+    pub(crate) terminal: Option<u32>,
+    pub(crate) kind: Cow<'a, str>,
+    pub(crate) text: Cow<'a, str>,
     pub(crate) span: Option<Span>,
 }
 
 impl<'a> InputToken<'a> {
-    pub(crate) fn new(kind: &'a str, text: &'a str, span: Option<Span>) -> InputToken<'a> {
+    /// `t` resolved against `backend`'s grammar, with its span when
+    /// `spanned`.
+    pub(crate) fn new(
+        backend: &mut dyn Parser,
+        t: ScannedToken<'a>,
+        spanned: bool,
+    ) -> InputToken<'a> {
         InputToken {
-            kind: std::borrow::Cow::Borrowed(kind),
-            text: std::borrow::Cow::Borrowed(text),
-            span,
+            terminal: backend.kinds().resolve(t.kind),
+            kind: Cow::Borrowed(t.kind.as_str()),
+            text: Cow::Borrowed(t.text),
+            span: spanned.then_some(t.span),
         }
     }
 
     /// Detaches the token from its source (copying only borrowed text).
     pub(crate) fn into_owned(self) -> InputToken<'static> {
         InputToken {
-            kind: std::borrow::Cow::Owned(self.kind.into_owned()),
-            text: std::borrow::Cow::Owned(self.text.into_owned()),
+            terminal: self.terminal,
+            kind: Cow::Owned(self.kind.into_owned()),
+            text: Cow::Owned(self.text.into_owned()),
             span: self.span,
         }
     }
 
     /// A borrowed view of this token.
     pub(crate) fn view(&self) -> InputToken<'_> {
-        InputToken::new(&self.kind, &self.text, self.span)
+        InputToken {
+            terminal: self.terminal,
+            kind: Cow::Borrowed(&self.kind),
+            text: Cow::Borrowed(&self.text),
+            span: self.span,
+        }
     }
+}
 
-    /// `(kind, text)`, as a backend feed takes them.
-    fn pair(&self) -> (&str, &str) {
-        (&self.kind, &self.text)
+/// Feeds `tok` to `backend`: an error for a kind outside the grammar.
+fn feed_input(backend: &mut dyn Parser, tok: &InputToken<'_>) -> Result<bool, BackendError> {
+    match tok.terminal {
+        Some(t) => backend.feed_terminal(t, &tok.text),
+        None => Err(BackendError::outside_grammar(backend.name(), backend.tokens_fed(), &tok.kind)),
     }
+}
+
+/// The candidate terminals at the current position, with their names:
+/// [`Recognizer::expected_terminals`](crate::api::Recognizer::expected_terminals)
+/// sorted by name and cut to `max`.
+fn candidates(backend: &mut dyn Parser, max: usize) -> Vec<(u32, String)> {
+    let terminals = backend.expected_terminals();
+    let cfg = backend.kinds().cfg();
+    let mut named: Vec<(u32, String)> =
+        terminals.into_iter().map(|t| (t, cfg.terminal_name(t).to_string())).collect();
+    named.sort_by(|a, b| a.1.cmp(&b.1));
+    named.truncate(max);
+    named
 }
 
 /// Per-session recovery ledger: the budget, what has been spent, and the
@@ -304,9 +336,9 @@ pub(crate) struct RecoveryState {
     /// Byte offset just past the last spanned token seen — where an
     /// end-of-input diagnostic points its (zero-width) caret.
     last_end: Option<usize>,
-    /// Recent insert/substitute winners `(token_index, kind)` — the
+    /// Recent insert/substitute winners `(token_index, terminal)` — the
     /// anti-cascade memory (see [`CASCADE_KIND_CAP`]).
-    recent_kinds: Vec<(usize, String)>,
+    recent_kinds: Vec<(usize, u32)>,
     /// Token indices of all charged repairs — the flail detector's
     /// memory (see [`FLAIL_CAP`]).
     recent_repairs: Vec<usize>,
@@ -350,18 +382,18 @@ impl RecoveryState {
     /// in a dense cluster is almost always digging a structural hole
     /// (e.g. `"("` in expression grammars swallows any continuation) that
     /// end-of-input completion can never refill.
-    fn overused(&self, kind: &str, index: usize) -> bool {
+    fn overused(&self, terminal: u32, index: usize) -> bool {
         self.recent_kinds
             .iter()
-            .filter(|(i, k)| index.saturating_sub(*i) <= CASCADE_WINDOW && k == kind)
+            .filter(|&&(i, t)| index.saturating_sub(i) <= CASCADE_WINDOW && t == terminal)
             .count()
             >= CASCADE_KIND_CAP
     }
 
     /// Records an insert/substitute winner for the anti-cascade window.
-    fn note_repair_kind(&mut self, index: usize, kind: &str) {
+    fn note_repair_kind(&mut self, index: usize, terminal: u32) {
         self.recent_kinds.retain(|(i, _)| index.saturating_sub(*i) <= CASCADE_WINDOW);
-        self.recent_kinds.push((index, kind.to_string()));
+        self.recent_kinds.push((index, terminal));
     }
 
     /// Records a token dropped during post-exhaustion salvage, coalescing
@@ -477,6 +509,8 @@ fn min_cost(b: &RecoveryBudget) -> u32 {
 /// A scored repair option at one failure point.
 struct Option_ {
     kind: RepairKind,
+    /// The inserted or substituted terminal.
+    terminal: Option<u32>,
     cost: u32,
     /// Real input tokens (the offending one + lookahead) consumed viably.
     progress: usize,
@@ -518,24 +552,22 @@ pub(crate) fn feed_recovering(
         // Dead despite recovery (resource errors, callers feeding past a
         // fatal error): degrade to the recovery-off path — a dead feed
         // is cheap and stays dead.
-        return backend.feed(&tok.kind, &tok.text).map(|_| None);
+        return feed_input(backend, tok).map(|_| None);
     }
-    let cp = backend.checkpoint()?;
-    let unknown = match backend.feed(&tok.kind, &tok.text) {
-        Ok(true) => return Ok(None),
-        Ok(false) => {
-            // The token killed the language; rewind to the pre-feed
-            // derivative (restores viability) and repair from there.
-            backend.rollback(&cp)?;
-            false
-        }
-        // Unknown kinds error *before* touching session state, so the
-        // pre-feed state is still current — repairable (the lexer matched
-        // something the grammar has no terminal for).
-        Err(e) if e.is_unknown_kind() => true,
-        Err(e) => return Err(e),
+    // An unknown kind never reaches the session, so the current state is
+    // the pre-feed state — repairable (the lexer matched something the
+    // grammar has no terminal for).
+    let Some(terminal) = tok.terminal else {
+        return Ok(Some(Failure { index, unknown: true }));
     };
-    Ok(Some(Failure { index, unknown }))
+    let cp = backend.checkpoint()?;
+    if backend.feed_terminal(terminal, &tok.text)? {
+        return Ok(None);
+    }
+    // The token killed the language; rewind to the pre-feed derivative
+    // (restores viability) and repair from there.
+    backend.rollback(&cp)?;
+    Ok(Some(Failure { index, unknown: false }))
 }
 
 /// Repairs the token [`feed_recovering`] could not feed, scoring the
@@ -563,14 +595,14 @@ fn salvage_feed(
     tok: &InputToken<'_>,
 ) -> Result<(), BackendError> {
     if !backend.is_viable() {
-        return backend.feed(&tok.kind, &tok.text).map(|_| ());
+        return feed_input(backend, tok).map(|_| ());
     }
-    let cp = backend.checkpoint()?;
-    match backend.feed(&tok.kind, &tok.text) {
-        Ok(true) => return Ok(()),
-        Ok(false) => backend.rollback(&cp)?,
-        Err(e) if e.is_unknown_kind() => {}
-        Err(e) => return Err(e),
+    if let Some(terminal) = tok.terminal {
+        let cp = backend.checkpoint()?;
+        if backend.feed_terminal(terminal, &tok.text)? {
+            return Ok(());
+        }
+        backend.rollback(&cp)?;
     }
     rs.note_dropped(index, tok);
     Ok(())
@@ -597,9 +629,7 @@ fn repair_at(
         };
     }
 
-    let mut expected = backend.expected_kinds();
-    expected.sort();
-    expected.truncate(rs.budget.max_candidates);
+    let expected = candidates(backend, rs.budget.max_candidates);
     let la_max = rs.budget.lookahead.min(lookahead.len());
     // In the input's tail (the last few tokens) survival stops
     // discriminating — there is little or nothing left to survive — so
@@ -617,19 +647,21 @@ fn repair_at(
         }
         options.push(Option_ {
             kind: RepairKind::Skip,
+            terminal: None,
             cost: rs.budget.skip_cost,
             progress,
             rank: 2,
         });
     }
-    for cand in &expected {
+    for (cand, name) in &expected {
+        let cand = *cand;
         // Anti-cascade veto: a kind that keeps winning dense repairs
         // stops competing; skip and the other candidates take over.
         if rs.overused(cand, index) {
             continue;
         }
         if rs.can_afford(rs.budget.substitute_cost) {
-            let seq = [(cand.as_str(), tok.text.as_ref())];
+            let seq = [(cand, tok.text.as_ref())];
             if let Some(la) = probe(backend, &seq, lookahead, la_max)? {
                 let bonus = if frontier {
                     frontier_bonus(backend, &seq, lookahead, rs.budget.max_candidates)?
@@ -637,7 +669,8 @@ fn repair_at(
                     0
                 };
                 options.push(Option_ {
-                    kind: RepairKind::Substitute(cand.clone()),
+                    kind: RepairKind::Substitute(name.clone()),
+                    terminal: Some(cand),
                     cost: rs.budget.substitute_cost,
                     progress: 1 + la + bonus,
                     rank: 1,
@@ -647,8 +680,8 @@ fn repair_at(
         // Insertion keeps the offending token, so it is only viable when
         // that token parses after the inserted one — which also rules it
         // out entirely for unknown kinds.
-        if !unknown && rs.can_afford(rs.budget.insert_cost) {
-            let seq = [(cand.as_str(), cand.as_str()), (tok.kind.as_ref(), tok.text.as_ref())];
+        if let (Some(terminal), true) = (tok.terminal, rs.can_afford(rs.budget.insert_cost)) {
+            let seq = [(cand, name.as_str()), (terminal, tok.text.as_ref())];
             if let Some(la) = probe(backend, &seq, lookahead, la_max)? {
                 let bonus = if frontier {
                     frontier_bonus(backend, &seq, lookahead, rs.budget.max_candidates)?
@@ -656,7 +689,8 @@ fn repair_at(
                     0
                 };
                 options.push(Option_ {
-                    kind: RepairKind::Insert(cand.clone()),
+                    kind: RepairKind::Insert(name.clone()),
+                    terminal: Some(cand),
                     cost: rs.budget.insert_cost,
                     progress: 1 + la + bonus,
                     rank: 0,
@@ -688,18 +722,18 @@ fn repair_at(
         RepairKind::Insert(k) => format!("{found_desc}; inserted {k:?} before it"),
         RepairKind::Substitute(k) => format!("{found_desc}; substituted {k:?} for it"),
     };
-    match &best.kind {
-        RepairKind::Skip => {}
-        RepairKind::Insert(k) => {
-            backend.feed(k, k)?;
-            backend.feed(&tok.kind, &tok.text)?;
+    match (&best.kind, best.terminal) {
+        (RepairKind::Insert(k), Some(t)) => {
+            backend.feed_terminal(t, k)?;
+            feed_input(backend, tok)?;
         }
-        RepairKind::Substitute(k) => {
-            backend.feed(k, &tok.text)?;
+        (RepairKind::Substitute(_), Some(t)) => {
+            backend.feed_terminal(t, &tok.text)?;
         }
+        _ => {}
     }
-    if let RepairKind::Insert(k) | RepairKind::Substitute(k) = &best.kind {
-        rs.note_repair_kind(index, k);
+    if let Some(t) = best.terminal {
+        rs.note_repair_kind(index, t);
     }
     rs.recent_repairs.retain(|i| index.saturating_sub(*i) <= FLAIL_WINDOW);
     rs.recent_repairs.push(index);
@@ -709,7 +743,7 @@ fn repair_at(
         span: tok.span,
         position: None,
         found: Some(tok.kind.to_string()),
-        expected,
+        expected: expected.into_iter().map(|(_, name)| name).collect(),
         repair: Some(Repair { kind: best.kind, cost: best.cost }),
         severity: Severity::Error,
         message,
@@ -726,7 +760,7 @@ fn repair_at(
 /// is restored either way.
 fn frontier_bonus(
     backend: &mut dyn Parser,
-    seq: &[(&str, &str)],
+    seq: &[(u32, &str)],
     tail: &[InputToken<'_>],
     max_candidates: usize,
 ) -> Result<usize, BackendError> {
@@ -762,7 +796,7 @@ fn option_key(kind: &RepairKind) -> &str {
 /// is not viable here. The session is restored either way.
 fn probe(
     backend: &mut dyn Parser,
-    seq: &[(&str, &str)],
+    seq: &[(u32, &str)],
     lookahead: &[InputToken<'_>],
     la_max: usize,
 ) -> Result<Option<usize>, BackendError> {
@@ -779,15 +813,15 @@ fn probe(
 fn trial_feed<'t>(
     backend: &mut dyn Parser,
     cp: &Checkpoint,
-    seq: &[(&'t str, &'t str)],
+    seq: &[(u32, &'t str)],
     input: impl Iterator<Item = &'t InputToken<'t>>,
 ) -> Result<usize, BackendError> {
+    let input = input.map_while(|tok| Some((tok.terminal?, tok.text.as_ref())));
     let mut fed = 0;
-    for (kind, text) in seq.iter().copied().chain(input.map(InputToken::pair)) {
-        match backend.feed(kind, text) {
+    for (terminal, text) in seq.iter().copied().chain(input) {
+        match backend.feed_terminal(terminal, text) {
             Ok(true) => fed += 1,
             Ok(false) => break,
-            Err(e) if e.is_unknown_kind() => break,
             Err(e) => {
                 let _ = backend.rollback(cp);
                 return Err(e);
@@ -824,14 +858,12 @@ pub(crate) fn repair_eof(
     let found = find_completion(backend, affordable, rs.budget.max_candidates)?;
     match found {
         Some(seq) => {
-            for kind in seq {
-                let expected = {
-                    let mut e = backend.expected_kinds();
-                    e.sort();
-                    e.truncate(rs.budget.max_candidates);
-                    e
-                };
-                backend.feed(&kind, &kind)?;
+            for (terminal, kind) in seq {
+                let expected = candidates(backend, rs.budget.max_candidates)
+                    .into_iter()
+                    .map(|(_, name)| name)
+                    .collect();
+                backend.feed_terminal(terminal, &kind)?;
                 rs.charge(rs.budget.insert_cost);
                 rs.diagnostics.push(Diagnostic {
                     token_index: index,
@@ -860,13 +892,14 @@ pub(crate) fn repair_eof(
 }
 
 /// Depth-first search for the shortest (then lexicographically first)
-/// insertion sequence completing the current prefix. Iterative deepening
-/// keeps it shortest-first; the candidate sets are tiny in practice.
+/// insertion sequence completing the current prefix, as `(terminal, name)`
+/// pairs. Iterative deepening keeps it shortest-first; the candidate sets
+/// are tiny in practice.
 fn find_completion(
     backend: &mut dyn Parser,
     max_depth: u32,
     max_candidates: usize,
-) -> Result<Option<Vec<String>>, BackendError> {
+) -> Result<Option<Vec<(u32, String)>>, BackendError> {
     for depth in 1..=max_depth {
         if let Some(seq) = complete_at_depth(backend, depth, max_candidates)? {
             return Ok(Some(seq));
@@ -879,13 +912,10 @@ fn complete_at_depth(
     backend: &mut dyn Parser,
     depth: u32,
     max_candidates: usize,
-) -> Result<Option<Vec<String>>, BackendError> {
-    let mut candidates = backend.expected_kinds();
-    candidates.sort();
-    candidates.truncate(max_candidates);
-    for cand in candidates {
+) -> Result<Option<Vec<(u32, String)>>, BackendError> {
+    for cand in candidates(backend, max_candidates) {
         let cp = backend.checkpoint()?;
-        let alive = match backend.feed(&cand, &cand) {
+        let alive = match backend.feed_terminal(cand.0, &cand.1) {
             Ok(v) => v,
             Err(e) => {
                 let _ = backend.rollback(&cp);
