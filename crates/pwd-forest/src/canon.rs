@@ -82,7 +82,8 @@ pub struct ParseForest {
 pub struct ForestSummary {
     /// Exact tree count (`Finite`/`Overflow`/`Infinite`).
     pub count: TreeCount,
-    /// Longest acyclic path in the forest graph.
+    /// Longest path from the root, with every strongly connected component
+    /// contracted to one node (on an acyclic forest, the longest path).
     pub depth: usize,
     /// Nodes reachable from the root (the packed size, not the tree count).
     pub node_count: usize,
@@ -139,20 +140,23 @@ impl ParseForest {
         self.forest.reachable_count(self.root)
     }
 
-    /// Longest acyclic path from the root.
+    /// Longest path from the root, with every strongly connected component
+    /// contracted to one node — see [`Forest::depth`].
     pub fn depth(&self) -> usize {
         self.forest.depth(self.root)
     }
 
-    /// The wire summary: count, depth, node count, fingerprint. One
-    /// post-order pass computes the first three; a cyclic forest takes the
-    /// separate passes, whose count needs the SCC analysis.
+    /// The wire summary: count, depth, node count, fingerprint. The first
+    /// three come from one walk of the forest (two, on a cyclic one, whose
+    /// count also needs the cycles of live edges).
     pub fn summary(&self) -> ForestSummary {
-        let (count, depth, node_count) = self
-            .forest
-            .acyclic_summary(self.root)
-            .unwrap_or_else(|| (self.count(), self.depth(), self.node_count()));
-        ForestSummary { count, depth, node_count, fingerprint: self.fingerprint() }
+        let census = self.forest.census(self.root);
+        ForestSummary {
+            count: census.values[self.root.index()],
+            depth: census.depth,
+            node_count: census.nodes,
+            fingerprint: self.fingerprint(),
+        }
     }
 
     /// Graphviz DOT export of the forest graph — see [`Forest::to_dot`].
@@ -303,7 +307,7 @@ impl<'a> Canon<'a> {
     fn run(src: &'a Forest, root: ForestId, prune: bool) -> Result<ParseForest, Stop> {
         let mut canon = Canon {
             src,
-            has: prune.then(|| src.has_tree_vector(root)),
+            has: prune.then(|| src.survey::<bool>(root).values),
             out: Forest::hash_consed(),
             memo: DenseKnots::new(src.len()),
             scratch: Vec::new(),
@@ -353,30 +357,8 @@ impl<'a> Canon<'a> {
             }
             ForestNode::Map(red, x) => {
                 let nx = self.norm(*x)?;
-                // Without the pre-pass, prune as it would: a reduction
-                // pairing with an empty forest has no trees, even where
-                // a non-pair alternative would pass `map-first` untouched.
-                if self.has.is_none() && !self.multiplies(*red)? {
-                    self.out.empty()
-                } else {
-                    self.sym_apply(*red, nx)?
-                }
+                self.sym_apply(*red, nx)?
             }
-        })
-    }
-
-    /// Does `red` make at least one tree of each tree it maps (the
-    /// pre-pass's productivity rule for a reduction)? It does unless it
-    /// pairs with a forest that normalizes to the empty node.
-    fn multiplies(&mut self, red: RedId) -> Result<bool, Stop> {
-        Ok(match self.src.red(red) {
-            Red::Compose(g, h) => self.multiplies(g)? && self.multiplies(h)?,
-            Red::PairLeft(s) | Red::PairRight(s) => {
-                let ns = self.norm(s)?;
-                !matches!(self.out.get(ns), ForestNode::Empty)
-            }
-            Red::MapFirst(g) | Red::MapSecond(g) => self.multiplies(g)?,
-            Red::Reassoc | Red::Label(..) | Red::Func(_) => true,
         })
     }
 
@@ -471,7 +453,9 @@ impl<'a> Canon<'a> {
                             let gb = self.sym_apply(g, b)?;
                             self.out.pair(a, gb)
                         }
-                        _ => alt,
+                        // Not a pair: `g` maps the whole tree, as in
+                        // `Forest::apply`.
+                        _ => self.sym_apply(g, alt)?,
                     };
                     self.scratch.push(res);
                 }

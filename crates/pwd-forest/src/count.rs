@@ -1,12 +1,26 @@
-//! Exact tree counting over (possibly cyclic) shared forests.
+//! Forest statistics from one walk: exact tree counting over (possibly
+//! cyclic) shared forests, productivity, depth and size.
 //!
-//! Counting never enumerates: it is a memoized traversal of the forest DAG
-//! with `u128` arithmetic, an explicit [`TreeCount::Overflow`] outcome when
-//! even 128 bits saturate (exponentially ambiguous grammars reach 2¹²⁸
-//! parses within a few hundred tokens), and [`TreeCount::Infinite`] when
-//! the forest has a *productive* cycle — detected by SCC analysis of the
-//! live-edge subgraph, so a cycle that cannot contribute a tree (e.g. one
-//! strangled by an empty sibling) still counts exactly.
+//! Every statistic reads one iterative Tarjan walk, [`Forest::each_scc`],
+//! which hands each strongly connected component (SCC) under a root to its
+//! caller, children first, and one node-value function, `value`, generic
+//! over a [`Semiring`]: `bool` answers [`Forest::has_tree`], [`TreeCount`]
+//! answers [`Forest::count`]. A node without a cycle takes its value from
+//! its children's, which the walk has already handed over; a cyclic SCC
+//! takes the least fixed point, by a worklist over its members. Counting
+//! never enumerates: `u128` arithmetic with an explicit
+//! [`TreeCount::Overflow`] when even 128 bits saturate (exponentially
+//! ambiguous grammars reach 2¹²⁸ parses within a few hundred tokens), and
+//! [`TreeCount::Infinite`] exactly on a cycle of *live* edges (edges
+//! between nodes that have a tree) and on what reaches one. A walk that
+//! met a cycle runs once more over live edges to find those, so a cycle
+//! that cannot contribute a tree (one strangled by an empty sibling) still
+//! counts exactly.
+//!
+//! A reduction multiplies the trees it maps by the same factor whatever
+//! their shape: `map-first(g)` and `map-second(g)` apply `g` to the whole
+//! tree when it is not a pair, in [`Forest::trees`] and in canonical forms
+//! alike, so counts, enumeration and canonical forms agree.
 
 use crate::forest::{Forest, ForestId, ForestNode};
 use crate::reduce::{Red, RedId};
@@ -78,12 +92,73 @@ impl std::fmt::Display for TreeCount {
     }
 }
 
-/// The per-count analysis state, shared by `has_tree` and `count`.
-struct Analysis {
-    /// Reachable node ids (reduction-embedded forests included).
-    reachable: Vec<ForestId>,
-    /// `has[v]`: does node `v` denote at least one (finite) tree?
-    has: Vec<bool>,
+/// The two operations a node's value is built from: `plus` joins the
+/// alternatives of an ambiguity node, `times` the two sides of a pair and a
+/// reduction's multiplier. `ZERO` is the value of no trees and annihilates
+/// under `times`.
+pub(crate) trait Semiring: Copy + PartialEq {
+    /// The value of no trees.
+    const ZERO: Self;
+    /// The value of one tree.
+    const ONE: Self;
+    /// The value of the union of two tree sets.
+    fn plus(self, other: Self) -> Self;
+    /// The value of the cross product of two tree sets.
+    fn times(self, other: Self) -> Self;
+}
+
+/// Has a tree at all.
+impl Semiring for bool {
+    const ZERO: bool = false;
+    const ONE: bool = true;
+
+    fn plus(self, other: bool) -> bool {
+        self || other
+    }
+
+    fn times(self, other: bool) -> bool {
+        self && other
+    }
+}
+
+/// How many trees.
+impl Semiring for TreeCount {
+    const ZERO: TreeCount = TreeCount::Finite(0);
+    const ONE: TreeCount = TreeCount::Finite(1);
+
+    fn plus(self, other: TreeCount) -> TreeCount {
+        self + other
+    }
+
+    fn times(self, other: TreeCount) -> TreeCount {
+        self * other
+    }
+}
+
+/// A strongly connected component, as [`Forest::each_scc`] hands it over.
+pub(crate) struct Scc<'a> {
+    /// Its nodes.
+    pub(crate) nodes: &'a [ForestId],
+    /// Does it hold a cycle: two or more nodes, or one with an edge to
+    /// itself?
+    pub(crate) cyclic: bool,
+    /// The longest path from it, in edges, with every SCC contracted to
+    /// one node.
+    pub(crate) height: usize,
+}
+
+/// What one walk from a root learns.
+pub(crate) struct Survey<S> {
+    /// Each reachable node's value: `ZERO` exactly where the node has no
+    /// tree, and exact wherever no cycle is reachable (see
+    /// [`Forest::census`] for counts that are exact everywhere).
+    pub(crate) values: Vec<S>,
+    /// Nodes reachable from the root.
+    pub(crate) nodes: usize,
+    /// The root's [`Scc::height`].
+    pub(crate) depth: usize,
+    /// Did the walk meet a cycle?
+    pub(crate) cyclic: bool,
 }
 
 impl Forest {
@@ -92,372 +167,223 @@ impl Forest {
     /// Computed as a least fixed point, so a bare cycle with no grounded
     /// alternative has no tree.
     pub fn has_tree(&self, f: ForestId) -> bool {
-        self.analyze(f).has[f.index()]
+        self.survey::<bool>(f).values[f.index()]
     }
 
     /// Counts the trees of the forest rooted at `f` — exactly, without
     /// enumerating any.
     pub fn count(&self, f: ForestId) -> TreeCount {
-        let analysis = self.analyze(f);
-        // Fast path: a single post-order pass that detects back-edges as it
-        // goes. Acyclic forests (every finite-ambiguity parse) never pay
-        // for SCC analysis; a detected cycle falls back to the full
-        // Tarjan-based classification.
-        match self.try_count_acyclic(f, &analysis) {
-            Some(count) => count,
-            None => {
-                let infinite = self.productive_cycle_nodes(&analysis);
-                self.count_with(f, &analysis, &infinite)
-            }
-        }
+        self.census(f).values[f.index()]
     }
 
-    /// One-pass memoized post-order count, bailing out (`None`) on the
-    /// first live back-edge (a cycle, where infinite-ambiguity
-    /// classification is needed).
-    fn try_count_acyclic(&self, root: ForestId, analysis: &Analysis) -> Option<TreeCount> {
-        const UNSEEN: u8 = 0;
-        const OPEN: u8 = 1;
-        const DONE: u8 = 2;
-        let mut state = vec![UNSEEN; self.len()];
-        let mut memo: Vec<Option<TreeCount>> = vec![None; self.len()];
-        let mut stack: Vec<(ForestId, bool)> = vec![(root, false)];
-        let mut succ = Vec::new();
-        while let Some((v, post)) = stack.pop() {
-            let i = v.index();
-            if !post {
-                if state[i] == DONE {
-                    continue;
+    /// [`survey`](Forest::survey) in the counting semiring, with counts
+    /// exact at the root and at every node it reaches over live edges: a
+    /// walk that met a cycle runs once more, over live edges, where a cycle
+    /// pumps unboundedly many trees.
+    pub(crate) fn census(&self, root: ForestId) -> Survey<TreeCount> {
+        let mut survey = self.survey::<TreeCount>(root);
+        if survey.cyclic {
+            let has: Vec<bool> = survey.values.iter().map(|c| !c.is_zero()).collect();
+            let counts = &mut survey.values;
+            self.each_scc(root, Some(&has), |scc| {
+                for &v in scc.nodes {
+                    counts[v.index()] = match scc.cyclic {
+                        true => TreeCount::Infinite,
+                        // A child off the live edges keeps its zero.
+                        false => self.value(v, |c| counts[c.index()]),
+                    };
                 }
-                if state[i] == OPEN {
-                    return None; // live back-edge: cyclic
-                }
-                if !analysis.has[i] {
-                    memo[i] = Some(TreeCount::Finite(0));
-                    state[i] = DONE;
-                    continue;
-                }
-                state[i] = OPEN;
-                stack.push((v, true));
-                succ.clear();
-                self.live_successors(v, &analysis.has, &mut succ);
-                for s in &succ {
-                    match state[s.index()] {
-                        DONE => {}
-                        OPEN => return None,
-                        _ => stack.push((*s, false)),
-                    }
-                }
+            });
+        }
+        survey
+    }
+
+    /// The one walk: every node reachable from `root` valued in `S`, and
+    /// the forest's size and depth.
+    pub(crate) fn survey<S: Semiring>(&self, root: ForestId) -> Survey<S> {
+        let mut values = vec![S::ZERO; self.len()];
+        let (mut nodes, mut depth, mut cyclic) = (0, 0, false);
+        let mut fixpoint = Fixpoint::default();
+        self.each_scc(root, None, |scc| {
+            nodes += scc.nodes.len();
+            // The root's SCC comes last.
+            depth = scc.height;
+            if scc.cyclic {
+                cyclic = true;
+                fixpoint.solve(self, scc.nodes, &mut values);
             } else {
-                memo[i] = Some(self.count_eval(v, &|id| live_count(&memo, &analysis.has, id)));
-                state[i] = DONE;
+                let v = scc.nodes[0];
+                values[v.index()] = self.value(v, |c| values[c.index()]);
             }
-        }
-        memo[root.index()].or(Some(TreeCount::Finite(0)))
+        });
+        Survey { values, nodes, depth, cyclic }
     }
 
-    /// Tree count, depth and reachable node count of the forest rooted at
-    /// `root`, in one post-order pass over every reachable node — or `None`
-    /// on the first back-edge, live or not. On an acyclic forest a node's
-    /// count is zero exactly when it has no tree, so no productivity pass
-    /// is needed, and the three figures equal [`count`](Forest::count),
-    /// [`depth`](Forest::depth) and
-    /// [`reachable_count`](Forest::reachable_count).
-    pub(crate) fn acyclic_summary(&self, root: ForestId) -> Option<(TreeCount, usize, usize)> {
-        const UNSEEN: u8 = 0;
-        const OPEN: u8 = 1;
-        const DONE: u8 = 2;
-        let mut state = vec![UNSEEN; self.len()];
-        let mut counts = vec![TreeCount::Finite(0); self.len()];
-        let mut depths = vec![0usize; self.len()];
-        let mut nodes = 0;
-        let mut stack: Vec<(ForestId, bool)> = vec![(root, false)];
-        let mut succ = Vec::new();
-        while let Some((v, post)) = stack.pop() {
-            let i = v.index();
-            succ.clear();
-            self.successors(v, &mut succ);
-            if !post {
-                match state[i] {
-                    DONE => continue,
-                    OPEN => return None,
-                    _ => {}
-                }
-                state[i] = OPEN;
-                nodes += 1;
-                stack.push((v, true));
-                for s in &succ {
-                    match state[s.index()] {
-                        DONE => {}
-                        OPEN => return None,
-                        _ => stack.push((*s, false)),
-                    }
-                }
-            } else {
-                depths[i] = succ.iter().map(|s| depths[s.index()] + 1).max().unwrap_or(0);
-                counts[i] = self.count_eval(v, &|id| counts[id.index()]);
-                state[i] = DONE;
-            }
-        }
-        Some((counts[root.index()], depths[root.index()], nodes))
-    }
-
-    /// The `has_tree` bit for every node reachable from `root` (crate
-    /// hook for the canonicalizer's productivity pruning).
-    pub(crate) fn has_tree_vector(&self, root: ForestId) -> Vec<bool> {
-        self.analyze(root).has
-    }
-
-    /// Reachability + the `has_tree` least fixed point (worklist over
-    /// reverse dependencies; each node re-evaluates once per in-edge flip).
-    /// The reverse edges live in one flat CSR array — no per-node
-    /// allocation on this path.
-    fn analyze(&self, root: ForestId) -> Analysis {
-        let n = self.len();
-        let mut seen = vec![false; n];
-        let mut reachable = Vec::new();
-        let mut stack = vec![root];
-        let mut succ = Vec::new();
-        // (child, parent) edge list, compacted into CSR below.
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut seen[id.index()], true) {
-                continue;
-            }
-            reachable.push(id);
-            succ.clear();
-            self.successors(id, &mut succ);
-            for s in &succ {
-                edges.push((s.0, id.0));
-                if !seen[s.index()] {
-                    stack.push(*s);
-                }
-            }
-        }
-        // CSR: preds of node c are pred_flat[pred_start[c]..pred_start[c+1]].
-        let mut pred_start = vec![0u32; n + 1];
-        for &(c, _) in &edges {
-            pred_start[c as usize + 1] += 1;
-        }
-        for i in 0..n {
-            pred_start[i + 1] += pred_start[i];
-        }
-        let mut pred_flat = vec![0u32; edges.len()];
-        let mut cursor = pred_start.clone();
-        for &(c, p) in &edges {
-            pred_flat[cursor[c as usize] as usize] = p;
-            cursor[c as usize] += 1;
-        }
-        let mut has = vec![false; n];
-        // Seed: ground nodes, then propagate flips through predecessors.
-        let mut work: Vec<ForestId> = reachable
-            .iter()
-            .copied()
-            .filter(|v| {
-                matches!(self.get(*v), ForestNode::Eps | ForestNode::Leaf(_) | ForestNode::Const(_))
-            })
-            .collect();
-        for v in &work {
-            has[v.index()] = true;
-        }
-        while let Some(v) = work.pop() {
-            let (a, b) = (pred_start[v.index()] as usize, pred_start[v.index() + 1] as usize);
-            for &pred in &pred_flat[a..b] {
-                let p = ForestId(pred);
-                if !has[p.index()] && self.has_eval(p, &has) {
-                    has[p.index()] = true;
-                    work.push(p);
-                }
-            }
-        }
-        Analysis { reachable, has }
-    }
-
-    fn has_eval(&self, v: ForestId, has: &[bool]) -> bool {
+    /// The value of node `v` in `S`, from its children's values `of`.
+    fn value<S: Semiring>(&self, v: ForestId, of: impl Fn(ForestId) -> S) -> S {
         match self.get(v) {
-            ForestNode::Empty | ForestNode::Cycle => false,
-            ForestNode::Eps | ForestNode::Leaf(_) | ForestNode::Const(_) => true,
-            ForestNode::Pair(a, b) => has[a.index()] && has[b.index()],
-            ForestNode::Amb(alts) => alts.iter().any(|a| has[a.index()]),
-            ForestNode::Map(red, x) => has[x.index()] && self.mult_positive(*red, has),
+            ForestNode::Empty | ForestNode::Cycle => S::ZERO,
+            ForestNode::Eps | ForestNode::Leaf(_) | ForestNode::Const(_) => S::ONE,
+            ForestNode::Pair(a, b) => of(*a).times(of(*b)),
+            ForestNode::Amb(alts) => alts.iter().fold(S::ZERO, |acc, a| acc.plus(of(*a))),
+            ForestNode::Map(red, x) => of(*x).times(self.multiplier(*red, &of)),
         }
     }
 
-    /// Does the reduction produce at least one output per input tree?
-    fn mult_positive(&self, red: RedId, has: &[bool]) -> bool {
+    /// What reduction `red` makes of each tree it maps, whatever the
+    /// tree's shape: the pairing forests' values, multiplied.
+    fn multiplier<S: Semiring>(&self, red: RedId, of: &impl Fn(ForestId) -> S) -> S {
         match self.red(red) {
-            Red::Compose(g, h) => self.mult_positive(g, has) && self.mult_positive(h, has),
-            Red::PairLeft(s) | Red::PairRight(s) => has[s.index()],
-            Red::MapFirst(g) | Red::MapSecond(g) => self.mult_positive(g, has),
-            Red::Reassoc | Red::Label(..) | Red::Func(_) => true,
-        }
-    }
-
-    /// Edges along which tree *multiplicity* flows: a cycle of live edges
-    /// through a productive node pumps unboundedly many distinct trees.
-    fn live_successors(&self, v: ForestId, has: &[bool], out: &mut Vec<ForestId>) {
-        match self.get(v) {
-            ForestNode::Empty
-            | ForestNode::Eps
-            | ForestNode::Leaf(_)
-            | ForestNode::Const(_)
-            | ForestNode::Cycle => {}
-            ForestNode::Pair(a, b) => {
-                if has[a.index()] && has[b.index()] {
-                    out.extend([*a, *b]);
-                }
-            }
-            ForestNode::Amb(alts) => out.extend(alts.iter().copied().filter(|a| has[a.index()])),
-            ForestNode::Map(red, x) => {
-                if has[x.index()] && self.mult_positive(*red, has) {
-                    out.push(*x);
-                    let refs = out.len();
-                    self.red_refs(*red, out);
-                    let mut kept = refs;
-                    for k in refs..out.len() {
-                        if has[out[k].index()] {
-                            out[kept] = out[k];
-                            kept += 1;
-                        }
-                    }
-                    out.truncate(kept);
-                }
-            }
-        }
-    }
-
-    /// Nodes on a productive cycle (SCC of ≥ 2 nodes, or a live self-loop)
-    /// — exactly the nodes whose count is infinite.
-    fn productive_cycle_nodes(&self, analysis: &Analysis) -> Vec<bool> {
-        let n = self.len();
-        let mut infinite = vec![false; n];
-        // Iterative Tarjan over the live-edge subgraph.
-        let mut index: Vec<Option<u32>> = vec![None; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut scc_stack: Vec<ForestId> = Vec::new();
-        let mut next_index = 0u32;
-        // Frames: (node, end of its successors in `succs`, next position).
-        // A frame's successors sit just above its parent's, so the one
-        // shared stack pops with the frames.
-        let mut call: Vec<(ForestId, usize, usize)> = Vec::new();
-        let mut succs: Vec<ForestId> = Vec::new();
-        for &root in &analysis.reachable {
-            if index[root.index()].is_some() {
-                continue;
-            }
-            let mut enter = Some(root);
-            loop {
-                if let Some(v) = enter.take() {
-                    index[v.index()] = Some(next_index);
-                    low[v.index()] = next_index;
-                    next_index += 1;
-                    on_stack[v.index()] = true;
-                    scc_stack.push(v);
-                    let start = succs.len();
-                    self.live_successors(v, &analysis.has, &mut succs);
-                    call.push((v, succs.len(), start));
-                }
-                let Some((v, end, pos)) = call.last_mut() else { break };
-                let v = *v;
-                if *pos < *end {
-                    let w = succs[*pos];
-                    *pos += 1;
-                    if index[w.index()].is_none() {
-                        enter = Some(w);
-                    } else if on_stack[w.index()] {
-                        low[v.index()] = low[v.index()].min(index[w.index()].unwrap());
-                        if v == w {
-                            infinite[v.index()] = true; // live self-loop
-                        }
-                    }
-                    continue;
-                }
-                call.pop();
-                succs.truncate(call.last().map_or(0, |&(_, parent_end, _)| parent_end));
-                if low[v.index()] == index[v.index()].unwrap() {
-                    // Pop the SCC; size ≥ 2 means a genuine cycle.
-                    let at = scc_stack.iter().rposition(|&w| w == v).unwrap();
-                    let genuine = scc_stack.len() - at >= 2;
-                    for w in scc_stack.drain(at..) {
-                        on_stack[w.index()] = false;
-                        infinite[w.index()] |= genuine;
-                    }
-                }
-                if let Some(&(parent, _, _)) = call.last() {
-                    let p = parent.index();
-                    low[p] = low[p].min(low[v.index()]);
-                }
-            }
-        }
-        infinite
-    }
-
-    /// Memoized post-order count over the live subgraph.
-    fn count_with(&self, root: ForestId, analysis: &Analysis, infinite: &[bool]) -> TreeCount {
-        let mut memo: Vec<Option<TreeCount>> = vec![None; self.len()];
-        let mut stack: Vec<(ForestId, bool)> = vec![(root, false)];
-        let mut succ = Vec::new();
-        while let Some((v, post)) = stack.pop() {
-            let i = v.index();
-            if !post {
-                if memo[i].is_some() {
-                    continue;
-                }
-                if !analysis.has[i] {
-                    memo[i] = Some(TreeCount::Finite(0));
-                    continue;
-                }
-                if infinite[i] {
-                    memo[i] = Some(TreeCount::Infinite);
-                    continue;
-                }
-                stack.push((v, true));
-                succ.clear();
-                self.live_successors(v, &analysis.has, &mut succ);
-                for s in &succ {
-                    if memo[s.index()].is_none() {
-                        stack.push((*s, false));
-                    }
-                }
-            } else if memo[i].is_none() {
-                memo[i] = Some(self.count_eval(v, &|id| live_count(&memo, &analysis.has, id)));
-            }
-        }
-        memo[root.index()].unwrap_or(TreeCount::Finite(0))
-    }
-
-    /// The count of node `v` from the counts of its children, `of`.
-    fn count_eval(&self, v: ForestId, of: &impl Fn(ForestId) -> TreeCount) -> TreeCount {
-        match self.get(v) {
-            ForestNode::Empty | ForestNode::Cycle => TreeCount::Finite(0),
-            ForestNode::Eps | ForestNode::Leaf(_) | ForestNode::Const(_) => TreeCount::Finite(1),
-            ForestNode::Pair(a, b) => of(*a) * of(*b),
-            ForestNode::Amb(alts) => alts.iter().fold(TreeCount::Finite(0), |acc, a| acc + of(*a)),
-            ForestNode::Map(red, x) => of(*x) * self.multiplier(*red, of),
-        }
-    }
-
-    /// How many output trees a reduction produces per input tree.
-    fn multiplier(&self, red: RedId, of: &impl Fn(ForestId) -> TreeCount) -> TreeCount {
-        match self.red(red) {
-            Red::Compose(g, h) => self.multiplier(g, of) * self.multiplier(h, of),
+            Red::Compose(g, h) => self.multiplier(g, of).times(self.multiplier(h, of)),
             Red::PairLeft(s) | Red::PairRight(s) => of(s),
             Red::MapFirst(g) | Red::MapSecond(g) => self.multiplier(g, of),
             // Flattening and user functions are assumed injective per tree.
-            Red::Reassoc | Red::Label(..) | Red::Func(_) => TreeCount::Finite(1),
+            Red::Reassoc | Red::Label(..) | Red::Func(_) => S::ONE,
+        }
+    }
+
+    /// Tarjan's algorithm, iteratively, from `root`: hands every SCC
+    /// reachable from it to `visit`, children first, so every edge out of
+    /// an SCC leads to one handed over before it. With `live`, the walk
+    /// follows only edges between nodes it marks (and starts only from a
+    /// marked root). Beyond three arrays as long as the arena, time and
+    /// memory are linear in the nodes and edges reached.
+    pub(crate) fn each_scc(
+        &self,
+        root: ForestId,
+        live: Option<&[bool]>,
+        mut visit: impl FnMut(Scc<'_>),
+    ) {
+        const UNSEEN: u32 = 0;
+        const DONE: u32 = u32::MAX;
+        let followed = |w: ForestId| live.is_none_or(|has| has[w.index()]);
+        if !followed(root) {
+            return;
+        }
+        // `num[v]`: UNSEEN, DONE once v's SCC is handed over, else v's
+        // visit number while it waits on Tarjan's stack.
+        let mut num = vec![UNSEEN; self.len()];
+        let mut low = vec![0u32; self.len()];
+        let mut height = vec![0usize; self.len()];
+        let mut stack: Vec<ForestId> = Vec::new();
+        // Frames: a node and where its successors start in `succs`, plus
+        // the next one to follow. The top frame's successors end `succs`.
+        let mut frames: Vec<(ForestId, usize, usize)> = Vec::new();
+        let mut succs: Vec<ForestId> = Vec::new();
+        let mut next = 1;
+        let mut enter = Some(root);
+        loop {
+            if let Some(v) = enter.take() {
+                num[v.index()] = next;
+                low[v.index()] = next;
+                next += 1;
+                stack.push(v);
+                let start = succs.len();
+                self.successors(v, &mut succs);
+                frames.push((v, start, start));
+            }
+            let Some((v, start, pos)) = frames.last_mut() else { break };
+            let (v, start) = (*v, *start);
+            if let Some(&w) = succs.get(*pos) {
+                *pos += 1;
+                match num[w.index()] {
+                    _ if !followed(w) => {}
+                    UNSEEN => enter = Some(w),
+                    DONE => {}
+                    on_stack => low[v.index()] = low[v.index()].min(on_stack),
+                }
+                continue;
+            }
+            frames.pop();
+            let out = &succs[start..];
+            // Edges to SCCs already handed over leave v's SCC; the others
+            // stay inside it.
+            height[v.index()] = out
+                .iter()
+                .filter(|w| num[w.index()] == DONE)
+                .map(|w| height[w.index()] + 1)
+                .max()
+                .unwrap_or(0);
+            if low[v.index()] == num[v.index()] {
+                let at = stack.iter().rposition(|&w| w == v).expect("v is on the stack");
+                let nodes = &stack[at..];
+                let h = nodes.iter().map(|w| height[w.index()]).max().unwrap_or(0);
+                for w in nodes {
+                    num[w.index()] = DONE;
+                    height[w.index()] = h;
+                }
+                // A lone node is cyclic through an edge to itself.
+                let cyclic = nodes.len() > 1 || out.contains(&v);
+                visit(Scc { nodes, cyclic, height: h });
+                stack.truncate(at);
+            }
+            succs.truncate(start);
+            if let Some(&(parent, ..)) = frames.last() {
+                low[parent.index()] = low[parent.index()].min(low[v.index()]);
+            }
         }
     }
 }
 
-/// A child's count during a live-subgraph count: zero without a tree, else
-/// its memo entry. A live child without one can only sit on a cycle,
-/// which `productive_cycle_nodes` marked — defensively infinite.
-fn live_count(memo: &[Option<TreeCount>], has: &[bool], id: ForestId) -> TreeCount {
-    if !has[id.index()] {
-        return TreeCount::Finite(0);
+/// The least fixed point of [`Forest::value`] over one cyclic SCC, whose
+/// children outside it are final: every member is evaluated once, and one
+/// that becomes nonzero wakes its parents inside the SCC. Nodes only ever
+/// turn nonzero, so a member is evaluated once plus once per child that
+/// turns. The buffers are kept across the SCCs of one walk.
+#[derive(Default)]
+struct Fixpoint {
+    /// Each member's position in its SCC; stale entries are told apart by
+    /// checking the SCC.
+    slot: Vec<u32>,
+    /// Per member, its first link in `parents`.
+    head: Vec<u32>,
+    /// Links: a parent's position and the next link.
+    parents: Vec<(u32, u32)>,
+    work: Vec<u32>,
+    succ: Vec<ForestId>,
+}
+
+impl Fixpoint {
+    fn solve<S: Semiring>(&mut self, forest: &Forest, nodes: &[ForestId], values: &mut [S]) {
+        const END: u32 = u32::MAX;
+        self.slot.resize(forest.len(), 0);
+        for (i, v) in nodes.iter().enumerate() {
+            self.slot[v.index()] = i as u32;
+        }
+        self.head.clear();
+        self.head.resize(nodes.len(), END);
+        self.parents.clear();
+        for (i, &v) in nodes.iter().enumerate() {
+            self.succ.clear();
+            forest.successors(v, &mut self.succ);
+            for w in &self.succ {
+                let c = self.slot[w.index()] as usize;
+                if nodes.get(c) == Some(w) {
+                    self.parents.push((i as u32, self.head[c]));
+                    self.head[c] = self.parents.len() as u32 - 1;
+                }
+            }
+        }
+        self.work.clear();
+        self.work.extend(0..nodes.len() as u32);
+        while let Some(i) = self.work.pop() {
+            let v = nodes[i as usize];
+            if values[v.index()] != S::ZERO {
+                continue;
+            }
+            let x = forest.value(v, |c| values[c.index()]);
+            if x == S::ZERO {
+                continue;
+            }
+            values[v.index()] = x;
+            let mut link = self.head[i as usize];
+            while link != END {
+                let (parent, next) = self.parents[link as usize];
+                self.work.push(parent);
+                link = next;
+            }
+        }
     }
-    memo[id.index()].unwrap_or(TreeCount::Infinite)
 }
 
 #[cfg(test)]
@@ -527,6 +453,26 @@ mod tests {
     }
 
     #[test]
+    fn a_long_ring_is_solved_in_linear_time() {
+        // A ring of ambiguity nodes grounded at one node: every node has a
+        // tree, and the ring pumps infinitely many. Re-evaluating the ring
+        // until nothing changes would take about n² evaluations here.
+        let n = 100_000;
+        let mut fs = Forest::new();
+        let leaf = fs.alloc(ForestNode::Leaf(Leafy::leaf()));
+        let ring: Vec<ForestId> = (0..n).map(|_| fs.reserve()).collect();
+        for (i, &v) in ring.iter().enumerate() {
+            let next = ring[(i + 1) % n];
+            let alts = if i == n / 2 { vec![next, leaf] } else { vec![next] };
+            fs.set(v, ForestNode::Amb(alts));
+        }
+        assert!(fs.has_tree(ring[0]));
+        assert_eq!(fs.count(ring[0]), TreeCount::Infinite);
+        assert_eq!(fs.reachable_count(ring[0]), n + 1);
+        assert_eq!(fs.depth(ring[0]), 1, "the ring counts as one node");
+    }
+
+    #[test]
     fn overflow_is_explicit_not_saturating_silence() {
         // 2^130 via a chain of 130 binary ambiguity pairs.
         let mut fs = Forest::hash_consed();
@@ -580,6 +526,19 @@ mod tests {
         let u = fs.leaf("u", "u");
         let m = fs.map(Reduce::pair_left(s), u);
         assert_eq!(fs.count(m), TreeCount::Finite(2));
+        // `map-first(g)` maps a tree that is not a pair whole: pairing it
+        // with no tree leaves none, by every query.
+        let e = fs.empty();
+        let dead = fs.map(Reduce::map_first(Reduce::pair_left(e)), u);
+        assert_eq!(fs.count(dead), TreeCount::Finite(0));
+        assert!(!fs.has_tree(dead));
+        assert!(fs.trees(dead, EnumLimits::default()).is_empty());
+        assert_eq!(fs.extract_canonical(dead).unwrap().count(), TreeCount::Finite(0));
+        assert_eq!(fs.extract_canonical_pruned(dead).unwrap().count(), TreeCount::Finite(0));
+        // And pairing it with `s` makes one tree per tree of `s`.
+        let two = fs.map(Reduce::map_first(Reduce::pair_left(s)), u);
+        assert_eq!(fs.count(two), TreeCount::Finite(2));
+        assert_eq!(fs.trees(two, EnumLimits::default()).len(), 2);
     }
 
     #[test]

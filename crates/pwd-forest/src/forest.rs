@@ -752,61 +752,15 @@ impl Forest {
     /// Number of nodes reachable from `root` (reduction-embedded forests
     /// included).
     pub fn reachable_count(&self, root: ForestId) -> usize {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![root];
-        let mut succ = Vec::new();
-        let mut count = 0;
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut seen[id.0 as usize], true) {
-                continue;
-            }
-            count += 1;
-            succ.clear();
-            self.successors(id, &mut succ);
-            stack.extend(succ.iter().copied());
-        }
-        count
+        self.survey::<bool>(root).nodes
     }
 
-    /// Longest acyclic path from `root` (in edges); back-edges of cyclic
-    /// forests contribute zero. Iterative.
+    /// Longest path from `root`, in edges, with every strongly connected
+    /// component contracted to one node: the longest path on an acyclic
+    /// forest, and on a cyclic one the same whatever order its nodes were
+    /// built in.
     pub fn depth(&self, root: ForestId) -> usize {
-        // memo: None = unvisited; Some(None) = on stack; Some(Some(d)) = done.
-        let mut memo: Vec<Option<Option<usize>>> = vec![None; self.nodes.len()];
-        let mut stack: Vec<(ForestId, bool)> = vec![(root, false)];
-        let mut succ = Vec::new();
-        while let Some((id, post)) = stack.pop() {
-            let i = id.0 as usize;
-            if post {
-                succ.clear();
-                self.successors(id, &mut succ);
-                let d = succ
-                    .iter()
-                    .map(|s| match memo[s.0 as usize] {
-                        Some(Some(d)) => d + 1,
-                        _ => 0, // back-edge (still on stack) or unvisited via cycle
-                    })
-                    .max()
-                    .unwrap_or(0);
-                memo[i] = Some(Some(d));
-            } else {
-                match memo[i] {
-                    Some(Some(_)) => continue,
-                    Some(None) => continue, // already on stack (cycle)
-                    None => {}
-                }
-                memo[i] = Some(None);
-                stack.push((id, true));
-                succ.clear();
-                self.successors(id, &mut succ);
-                for s in &succ {
-                    if memo[s.0 as usize].is_none() {
-                        stack.push((*s, false));
-                    }
-                }
-            }
-        }
-        memo[root.0 as usize].flatten().unwrap_or(0)
+        self.survey::<bool>(root).depth
     }
 
     // ------------------------------------------------------------------
@@ -873,6 +827,9 @@ impl Forest {
 
     /// Applies a reduction to a tree, producing zero or more trees
     /// (reductions that pair with a null-parse *forest* are one-to-many).
+    /// `map-first(g)` and `map-second(g)` apply `g` to the whole tree when
+    /// it is not a pair, so a reduction makes as many trees of every tree
+    /// it maps as [`count`](Forest::count) multiplies by.
     fn apply(&self, red: RedId, t: Tree, depth: usize, out: &mut Vec<Tree>) {
         match self.red(red) {
             Red::Compose(g, h) => {
@@ -909,7 +866,7 @@ impl Forest {
                         out.push(Tree::Pair(Arc::new(a2), b.clone()));
                     }
                 }
-                other => out.push(other),
+                other => self.apply(g, other, depth, out),
             },
             Red::MapSecond(g) => match t {
                 Tree::Pair(a, b) => {
@@ -919,7 +876,7 @@ impl Forest {
                         out.push(Tree::Pair(a.clone(), Arc::new(b2)));
                     }
                 }
-                other => out.push(other),
+                other => self.apply(g, other, depth, out),
             },
             Red::Label(sym, arity) => out.push(Reduce::flatten(t, arity as usize, self.name(sym))),
             Red::Func(i) => out.push((self.func(i).1)(t)),
@@ -1109,5 +1066,24 @@ mod tests {
         fs.set(ph, ForestNode::Amb(vec![a, r]));
         assert!(fs.depth(ph) <= 2);
         assert_eq!(fs.reachable_count(ph), 3);
+    }
+
+    #[test]
+    fn depth_contracts_cycles() {
+        // ph = a | (ph . c), with c three pairs deep: the cycle through ph
+        // and r is one node of the path, whichever of the two a walk
+        // enters first.
+        let mut fs = Forest::hash_consed();
+        let a = fs.leaf("a", "a");
+        let mut c = a;
+        for _ in 0..3 {
+            c = fs.pair(c, a);
+        }
+        let ph = fs.reserve();
+        let r = fs.alloc(ForestNode::Pair(ph, c));
+        fs.set(ph, ForestNode::Amb(vec![a, r]));
+        assert_eq!(fs.depth(c), 3);
+        assert_eq!(fs.depth(ph), 4);
+        assert_eq!(fs.depth(r), 4);
     }
 }

@@ -18,8 +18,15 @@
 //!   not the (possibly exponential) tree set it denotes.
 //! * **Exact counting** — [`Forest::count`] returns a [`TreeCount`]: an
 //!   exact `u128`, an explicit [`TreeCount::Overflow`], or
-//!   [`TreeCount::Infinite`] (detected via SCC analysis of the productive
-//!   subgraph, never by diverging).
+//!   [`TreeCount::Infinite`] (a cycle of productive nodes, found without
+//!   diverging). Every statistic — [`Forest::has_tree`], [`Forest::count`],
+//!   [`Forest::depth`], [`Forest::reachable_count`],
+//!   [`ParseForest::summary`] and the canonicalizer's productivity pass —
+//!   reads one walk, which hands each strongly connected component under a
+//!   root over children first, and one node-value function, generic over a
+//!   semiring (`bool` for `has_tree`, [`TreeCount`] for `count`). A
+//!   reduction means the same to counting, enumeration and canonical forms,
+//!   so the three agree.
 //! * **Bounded enumeration** — [`Forest::trees`] materializes at most
 //!   `max_trees` concrete [`Tree`]s, terminating even on cyclic forests.
 //! * **Canonical equality** — [`Forest::extract_canonical`] normalizes any
