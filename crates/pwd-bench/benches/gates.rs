@@ -449,8 +449,11 @@ fn replacement_for(lexemes: &[Lexeme], at: usize) -> SharedStr {
 /// exactly at the edit (the best a non-incremental session can do), at the
 /// head, middle and tail of a 10k-token PL/0 buffer (smoke: 2k), on both
 /// recognize engines. Edits alternate between two texts so each is a real
-/// change. Bound in the middle, both engines: splice ≥ 10× truncate-and-
-/// refeed (smoke 2).
+/// change. Then `break_mend`: at the middle, one timed splice call is an
+/// identifier typed after a `;` that precedes a statement, which kills the
+/// document, followed by the delete that mends it; the truncate arm rolls
+/// back and refeeds the same two suffixes. Bounds, both engines: splice ≥
+/// 10× truncate-and-refeed in the middle and for `break_mend` (smoke 2).
 fn incremental(out: &mut Report, smoke: bool) {
     let grammar = grammars::pl0::cfg();
     let lexemes = pl0(pick(smoke, 2_000, 10_000), 0x1C4E, 0.3);
@@ -501,7 +504,60 @@ fn incremental(out: &mut Report, smoke: bool) {
             let gate = (label == "middle").then_some(pair.ratio >= pick(smoke, 2.0, 10.0));
             out.figure(&format!("{at}/speedup"), pair.ratio, "ratio", gate);
         }
+        break_mend(out, smoke, engine, &grammar, config, &lexemes);
     }
+}
+
+/// The `break_mend` figures of the `incremental` row for one engine.
+fn break_mend(
+    out: &mut Report,
+    smoke: bool,
+    engine: &str,
+    grammar: &Cfg,
+    config: ParserConfig,
+    lexemes: &[Lexeme],
+) {
+    let at = (lexemes.len() / 2..)
+        .find(|&i| lexemes[i - 1].kind == ";" && lexemes[i].kind == "ID")
+        .expect("a statement boundary in the second half");
+    // The identifier that follows, typed once more: `; y y :=` is dead.
+    let typed = [lexemes[at].clone()];
+    let mut spliced_backend = PwdBackend::with_config(grammar, config, "pwd-incremental");
+    let mut spliced = Session::open(&mut spliced_backend).expect("session opens");
+    spliced.enable_incremental().expect("fresh session");
+    spliced.feed_lexemes(lexemes).expect("corpus feeds");
+    let mut refed_backend = PwdBackend::with_config(grammar, config, "pwd-truncate");
+    let mut refed = Session::open(&mut refed_backend).expect("session opens");
+    refed.feed_lexemes(&lexemes[..at]).expect("prefix feeds");
+    let checkpoint = refed.checkpoint().expect("checkpoint");
+    refed.feed_lexemes(&lexemes[at..]).expect("suffix feeds");
+    let killed = [&typed[..], &lexemes[at..]].concat();
+    let mut last = None;
+    let pair = paired(
+        pick(smoke, 6, 16),
+        || {
+            ns(|| {
+                for suffix in [&killed[..], &lexemes[at..]] {
+                    refed.rollback(&checkpoint).expect("checkpoint restores");
+                    refed.feed_lexemes(suffix).expect("suffix refeeds");
+                }
+            })
+        },
+        || {
+            ns(|| {
+                let kill = spliced.splice_lexemes(at, 0, &typed).expect("splice applies");
+                let mend = spliced.splice_lexemes(at, 1, &[]).expect("splice applies");
+                last = Some((kill, mend));
+            })
+        },
+    );
+    let (kill, mend) = last.expect("at least one splice");
+    assert!(!kill.outcome.is_viable() && mend.outcome.is_viable(), "{kill:?} then {mend:?}");
+    let at = format!("{engine}/break_mend");
+    out.bests(&at, ["truncate_refeed", "splice"], &pair);
+    out.record(&format!("{at}/tokens_refed"), (kill.refed + mend.refed) as f64, "tokens");
+    let gate = pair.ratio >= pick(smoke, 2.0, 10.0);
+    out.figure(&format!("{at}/speedup"), pair.ratio, "ratio", Some(gate));
 }
 
 /// Where the hook-free build leaves its executable's path.

@@ -814,9 +814,8 @@ impl Forest {
             ForestNode::Map(red, inner) => {
                 let mut out = Vec::new();
                 for t in self.enumerate(*inner, depth - 1, cap) {
-                    self.apply(*red, t, depth - 1, &mut out);
+                    self.apply(*red, t, depth - 1, cap - out.len(), &mut out);
                     if out.len() >= cap {
-                        out.truncate(cap);
                         break;
                     }
                 }
@@ -825,27 +824,34 @@ impl Forest {
         }
     }
 
-    /// Applies a reduction to a tree, producing zero or more trees
-    /// (reductions that pair with a null-parse *forest* are one-to-many).
-    /// `map-first(g)` and `map-second(g)` apply `g` to the whole tree when
-    /// it is not a pair, so a reduction makes as many trees of every tree
-    /// it maps as [`count`](Forest::count) multiplies by.
-    fn apply(&self, red: RedId, t: Tree, depth: usize, out: &mut Vec<Tree>) {
+    /// Applies a reduction to a tree, pushing at most `cap` of the trees it
+    /// produces onto `out` (reductions that pair with a null-parse *forest*
+    /// are one-to-many). `map-first(g)` and `map-second(g)` apply `g` to
+    /// the whole tree when it is not a pair, so a reduction makes as many
+    /// trees of every tree it maps as [`count`](Forest::count) multiplies
+    /// by. That is also why every intermediate vector may stop at `cap`:
+    /// each of its trees yields the same number of trees further on, so
+    /// the first `cap` of them reach `cap` results if any number does.
+    fn apply(&self, red: RedId, t: Tree, depth: usize, cap: usize, out: &mut Vec<Tree>) {
+        if cap == 0 {
+            return;
+        }
         match self.red(red) {
             Red::Compose(g, h) => {
                 let mut mid = Vec::new();
-                self.apply(h, t, depth, &mut mid);
+                self.apply(h, t, depth, cap, &mut mid);
+                let goal = out.len() + cap;
                 for m in mid {
-                    self.apply(g, m, depth, out);
+                    self.apply(g, m, depth, goal - out.len(), out);
                 }
             }
             Red::PairLeft(s) => {
-                for l in self.enumerate(s, depth, usize::MAX) {
+                for l in self.enumerate(s, depth, cap) {
                     out.push(Tree::pair(l, t.clone()));
                 }
             }
             Red::PairRight(s) => {
-                for r in self.enumerate(s, depth, usize::MAX) {
+                for r in self.enumerate(s, depth, cap) {
                     out.push(Tree::pair(t.clone(), r));
                 }
             }
@@ -861,22 +867,22 @@ impl Forest {
             Red::MapFirst(g) => match t {
                 Tree::Pair(a, b) => {
                     let mut firsts = Vec::new();
-                    self.apply(g, (*a).clone(), depth, &mut firsts);
+                    self.apply(g, (*a).clone(), depth, cap, &mut firsts);
                     for a2 in firsts {
                         out.push(Tree::Pair(Arc::new(a2), b.clone()));
                     }
                 }
-                other => self.apply(g, other, depth, out),
+                other => self.apply(g, other, depth, cap, out),
             },
             Red::MapSecond(g) => match t {
                 Tree::Pair(a, b) => {
                     let mut seconds = Vec::new();
-                    self.apply(g, (*b).clone(), depth, &mut seconds);
+                    self.apply(g, (*b).clone(), depth, cap, &mut seconds);
                     for b2 in seconds {
                         out.push(Tree::Pair(a.clone(), Arc::new(b2)));
                     }
                 }
-                other => self.apply(g, other, depth, out),
+                other => self.apply(g, other, depth, cap, out),
             },
             Red::Label(sym, arity) => out.push(Reduce::flatten(t, arity as usize, self.name(sym))),
             Red::Func(i) => out.push((self.func(i).1)(t)),
@@ -945,6 +951,36 @@ mod tests {
             fs.trees(m, EnumLimits::default()).iter().map(|t| t.to_string()).collect();
         strs.sort();
         assert_eq!(strs, ["(x . u)", "(y . u)"]);
+    }
+
+    #[test]
+    fn bounded_enumeration_stays_bounded_under_pairing() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let func = Reduce::func("counted", move |t| {
+            seen.fetch_add(1, Ordering::Relaxed);
+            t
+        });
+        let mut fs = Forest::new();
+        let leaves: Vec<ForestId> = (0..1_000)
+            .map(|i| fs.alloc(ForestNode::Leaf(Leaf::new("x", &i.to_string()))))
+            .collect();
+        let amb = fs.alloc(ForestNode::Amb(leaves));
+        let s = fs.map(func, amb);
+        let u = fs.alloc(ForestNode::Leaf(Leaf::new("u", "u")));
+        let m = fs.map(Reduce::pair_left(s), u);
+        let one = EnumLimits { max_trees: 1, ..EnumLimits::default() };
+        assert_eq!(fs.trees(m, one).len(), 1);
+        assert!(calls.load(Ordering::Relaxed) <= 1, "{calls:?} calls for one tree");
+        // Composed and mapped reductions stop at the budget too.
+        let composed =
+            fs.map(Reduce::map_first(Reduce::pair_left(s)).compose(Reduce::pair_right(s)), u);
+        calls.store(0, Ordering::Relaxed);
+        assert_eq!(fs.trees(composed, one).len(), 1);
+        assert!(calls.load(Ordering::Relaxed) <= 2, "{calls:?} calls for one tree");
+        let three = EnumLimits { max_trees: 3, ..EnumLimits::default() };
+        assert_eq!(fs.trees(composed, three).len(), 3);
     }
 
     #[test]

@@ -138,13 +138,20 @@ pub struct SpliceReport {
     /// Position of the checkpoint-ladder rung the engine restored —
     /// everything at or below it was reused outright.
     pub rung: usize,
-    /// Tokens actually refed through the engine for this splice.
+    /// Tokens actually refed through the engine for this splice, up to
+    /// the convergence point or, when the refed state dies, up to the
+    /// death, where refeeding stops.
     pub refed: usize,
-    /// Tokens *not* refed: the reused prefix plus any convergence-skipped
-    /// suffix.
+    /// Tokens *not* refed: the reused prefix plus any suffix skipped by a
+    /// convergence or a stop at death (`refed + reused` is the stream's
+    /// length).
     pub reused: usize,
-    /// Post-edit position where the engine state converged with the
-    /// memoized pre-edit state and refeeding stopped early, if it did.
+    /// Post-edit position where the engine state converged with a
+    /// memoized state (of the pre-edit stream, or of the last stream that
+    /// parsed when this edit mends a broken one), or with a broken
+    /// stream's dead state, and refeeding stopped early, if it did; `None`
+    /// for an edit that breaks a stream that parsed, whose refeed stops at
+    /// the death.
     pub converged_at: Option<usize>,
     /// Stored checkpoints still restorable after the splice (ones above
     /// the restored rung were discarded, as with a rollback).

@@ -661,16 +661,19 @@ pub trait Recognizer: Send + Sync {
         None
     }
 
-    /// Restores `cp` — a checkpoint taken at a **later** position of the
-    /// open session whose state is known (by signature equality at an
-    /// aligned position) to be exactly what refeeding the remaining suffix
-    /// would rebuild — and restamps the session at `tokens` fed tokens.
+    /// Restores `cp` — a checkpoint of the open session whose state is
+    /// known to be exactly what refeeding the remaining suffix would
+    /// rebuild — and restamps the session at `tokens` fed tokens.
     ///
-    /// This is the splice convergence jump, the one restoration that
-    /// deliberately bypasses the timeline guard's position admission (the
-    /// jump target was invalidated by the splice's own rollback; only the
-    /// session identity is checked). It must never be exposed to callers
-    /// directly — [`Session::splice_tokens`] is the sole sound caller.
+    /// [`Session::splice_tokens`], its sole sound caller, has two uses for
+    /// it. The splice convergence jump restores a checkpoint taken at a
+    /// **later** position, the end of a timeline whose signature matched at
+    /// an aligned position. The stop at death restores the current state,
+    /// just found dead, at the stream's end: ∅ stays ∅ whatever follows.
+    /// This is the one restoration that deliberately bypasses the timeline
+    /// guard's position admission (a jump target was invalidated by the
+    /// splice's own rollback; only the session identity is checked). It
+    /// must never be exposed to callers directly.
     /// Backends without an O(1) restorable state keep the default, which
     /// refuses; the splice then degrades to refeeding the suffix from the
     /// nearest rung (for Earley that refeed *is* chart-prefix reuse, for
@@ -984,6 +987,16 @@ const _: () = assert!(std::mem::size_of::<Recorded>() == 16);
 /// token history (the splice coordinate system), the memoized per-position
 /// state signatures (the convergence fast path's oracle), and the
 /// checkpoint ladder (the bounded set of rollback targets).
+///
+/// The soundness rule of the fast path: a recorded signature at position
+/// `p` may be compared only when the timeline that recorded it fed, from
+/// `p` to its end, exactly the tokens the stream now holds from `p` to its
+/// end, and a match jumps to that timeline's end state. Three ranges of
+/// `sigs` follow from it once a refeed stops at death (see
+/// [`Session::splice_tokens`]): positions before `stopped` belong to the
+/// current timeline and land on the current end; the gap from there holds
+/// older timelines' signatures and is never compared; the shadow's
+/// positions belong to the last live timeline and land on its end.
 struct IncrementalState {
     /// Every fed token; `history.len()` tracks `tokens_fed` exactly.
     history: History,
@@ -991,6 +1004,17 @@ struct IncrementalState {
     /// the backend cannot witness one soundly); always `history.len() + 1`
     /// entries.
     sigs: Vec<Option<StateSignature>>,
+    /// The position at which the last refeed's state died, when that
+    /// refeed stopped there: the current timeline recorded `sigs` before it
+    /// and re-stamped its dead state at the end. `None` when the current
+    /// timeline recorded every position.
+    stopped: Option<usize>,
+    /// The last live timeline, kept while the document is dead.
+    shadow: Option<Shadow>,
+    /// The shadow's rungs, parked: `(distance from the stream's end,
+    /// checkpoint)`, nearest the end last. Empty without a shadow; kept
+    /// outside it so the vector's allocation is reused.
+    parked: Vec<(usize, Checkpoint)>,
     /// Ladder rungs `(position, checkpoint)`, sorted by position; rung 0 at
     /// position 0 always exists, so every splice has a restorable target.
     /// During a splice the `stale` entries break the order.
@@ -1010,7 +1034,39 @@ struct IncrementalState {
     ladder_rollback_distance: u64,
 }
 
+/// The last live timeline of a session whose splice killed it. A refeed
+/// that dies stops there, so from the death on `sigs` still holds what
+/// that timeline recorded; a later splice that mends the document converges
+/// against those signatures and lands on [`end`](Shadow::end).
+struct Shadow {
+    /// The shadow's positions are the last `tail` before the stream's end:
+    /// counted from the end, an edit before them moves none.
+    tail: usize,
+    /// The timeline's end state.
+    end: Checkpoint,
+}
+
 impl IncrementalState {
+    /// Forgets the shadow and its parked rungs: its end state no longer
+    /// ends the stream, or the current timeline has overwritten it.
+    fn drop_shadow(&mut self) {
+        self.shadow = None;
+        self.parked.clear();
+    }
+
+    /// Keeps at most the last `tail` positions of the shadow, and the
+    /// parked rungs on them.
+    fn clip_shadow(&mut self, tail: usize) {
+        let Some(shadow) = self.shadow.as_mut() else { return };
+        shadow.tail = shadow.tail.min(tail);
+        if shadow.tail == 0 {
+            self.drop_shadow();
+            return;
+        }
+        let cut = self.parked.partition_point(|&(from_end, _)| from_end > shadow.tail);
+        self.parked.drain(..cut);
+    }
+
     /// Halves the ladder density (doubling the laying stride) until the
     /// rung count is back under [`MAX_RUNGS`]. Thins by entry index, not
     /// position alignment: rungs re-anchored after a convergence jump sit
@@ -1043,19 +1099,47 @@ pub struct SpliceOutcome {
     /// restored — the reparse re-entry point.
     pub rung: usize,
     /// Tokens refed through the backend: rung→damage catch-up, the
-    /// inserted tokens, and suffix tokens fed before convergence.
+    /// inserted tokens, and suffix tokens fed before convergence or, when
+    /// the refeed stopped at death, up to the death.
     pub refed: usize,
     /// Tokens of the new stream *not* refed (prefix below the rung plus
-    /// suffix skipped by a convergence jump).
+    /// suffix skipped by a convergence jump or a stop at death), so that
+    /// `refed + reused` is the stream's length.
     pub reused: usize,
-    /// New-stream position at which the convergence fast path proved the
-    /// post-edit state equal to the memoized pre-edit state and jumped to
-    /// the saved end state, skipping the rest of the suffix; `None` when
-    /// the splice refed to the end.
+    /// New-stream position at which the convergence fast path matched a
+    /// recorded signature (of the pre-edit timeline or of the shadow, see
+    /// [`Session::splice_tokens`]) and jumped to that timeline's end state,
+    /// skipping the rest of the suffix. A refeed that stopped at death in a
+    /// document that was dead already converged too, at the first suffix
+    /// position from which both timelines are dead (∅ = ∅), where the
+    /// pre-edit one recorded its death. `None` when the splice refed to the
+    /// end or killed a live document.
     pub converged_at: Option<usize>,
     /// The session outcome after the splice (same as
     /// [`Session::outcome`]).
     pub outcome: FeedOutcome,
+}
+
+/// A splice's token edit: `removed` tokens at `at` replaced by `inserted`.
+#[derive(Clone, Copy)]
+struct Edit {
+    at: usize,
+    removed: usize,
+    inserted: usize,
+}
+
+/// How a splice's refeed ended.
+#[derive(Clone, Copy)]
+enum Refeed {
+    /// It fed to the stream's end.
+    Ran,
+    /// Its state died and was re-stamped at the stream's end: `Some(pos)`
+    /// when the refeed's state died at position `pos`, `None` when the
+    /// state at the rung was dead already.
+    Stopped(Option<usize>),
+    /// A signature matched at `pos`, and the refeed jumped to the end
+    /// state of the current timeline or, `into_shadow`, of the shadow.
+    Converged { pos: usize, into_shadow: bool },
 }
 
 impl<'a> Session<'a> {
@@ -1136,6 +1220,9 @@ impl<'a> Session<'a> {
             ladder: vec![(0, cp0)],
             stale: 0..0,
             stride: 1,
+            stopped: None,
+            shadow: None,
+            parked: Vec::new(),
             inserted: Vec::new(),
             tokens_reused: 0,
             tokens_refed: 0,
@@ -1190,6 +1277,10 @@ impl<'a> Session<'a> {
         spanned: bool,
     ) -> Result<FeedOutcome, BackendError> {
         let Some(rs) = self.recovery.as_mut() else {
+            // An append leaves the shadow's end short of the stream's end.
+            if let Some(inc) = self.incremental.as_mut() {
+                inc.drop_shadow();
+            }
             while let Some(item) = src.next_token() {
                 let backend = self.backend.get();
                 let t = item.map_err(|e| BackendError::new(backend.name(), e))?;
@@ -1248,16 +1339,6 @@ impl<'a> Session<'a> {
         inc.sigs.push(None);
         let at = inc.history.len();
         self.note_position(at).map(|_| ())
-    }
-
-    /// Refeeds the already-recorded token at history position `pos` during
-    /// a splice: a feed and [`record`](Session::record) minus the push.
-    /// Returns the signature that was memoized at position `pos + 1`.
-    fn refeed_recorded(&mut self, pos: usize) -> Result<Option<StateSignature>, BackendError> {
-        let inc = self.incremental.as_ref().expect("incremental enabled on this path");
-        let (terminal, text) = inc.history.get(pos);
-        self.backend.get().feed_terminal(terminal, text)?;
-        self.note_position(pos + 1)
     }
 
     /// Incremental-mode bookkeeping for the position just fed, `at` in the
@@ -1414,9 +1495,14 @@ impl<'a> Session<'a> {
             // The splice history follows the timeline: positions after the
             // restored one no longer exist, and neither do the ladder rungs
             // that pointed at them.
-            inc.history.truncate(cp.tokens_fed());
-            inc.sigs.truncate(cp.tokens_fed() + 1);
-            inc.ladder.retain(|(pos, _)| *pos <= cp.tokens_fed());
+            let pos = cp.tokens_fed();
+            inc.history.truncate(pos);
+            inc.sigs.truncate(pos + 1);
+            inc.ladder.retain(|(rung, _)| *rung <= pos);
+            // A restored position before the death is the current
+            // timeline's; from the death on, the gap stays a gap.
+            inc.stopped = inc.stopped.filter(|&stop| stop <= pos);
+            inc.drop_shadow();
         }
         Ok(())
     }
@@ -1435,6 +1521,27 @@ impl<'a> Session<'a> {
     /// jumps straight to the saved pre-edit end state instead of refeeding
     /// the rest — a single-token edit in a large buffer then costs a
     /// handful of feeds, not half the buffer.
+    ///
+    /// The fast path's soundness rule: a recorded signature at position `p`
+    /// may be compared only when the timeline that recorded it fed, from
+    /// `p` to its end, exactly the tokens the stream now holds from `p` to
+    /// its end, and a match jumps to that timeline's end state.
+    ///
+    /// A refeed whose state dies **stops at death**: the dead state is
+    /// re-stamped at the stream's end ([`Recognizer::splice_restore`]), so
+    /// a keystroke that breaks the document costs its catch-up from the
+    /// rung plus the tokens up to the death, and one that edits a dead
+    /// document converges with it where both are dead. The positions from
+    /// the death on keep the signatures of the timeline that fed them. When
+    /// the splice killed a live document, that timeline becomes the **shadow**, with
+    /// its end state and its rungs past the death: a later splice that
+    /// mends the document converges against the shadow like any other
+    /// splice, lands on the shadow's end and re-anchors its rungs. An edit
+    /// inside the shadow cuts its start to the edit's end; a refeed that
+    /// runs to the end alive, an append, a rollback or the session's end
+    /// drops it. Backends that refuse the jump (Earley, GLR) refeed through
+    /// death, and backends without signatures (PWD parse mode) stop at
+    /// death but refeed the suffix of a mend.
     ///
     /// Checkpoints the caller took at or before the rung stay restorable;
     /// checkpoints after it are invalidated — exactly the
@@ -1519,7 +1626,9 @@ impl<'a> Session<'a> {
             });
         }
         if at == len && remove == 0 {
-            // Pure append: the current state is already the re-entry point.
+            // Pure append: the current state is already the re-entry point,
+            // and the shadow's end no longer ends the stream.
+            self.incremental.as_mut().expect("checked above").drop_shadow();
             for (i, tok) in insert.iter().enumerate() {
                 let terminal = self.incremental.as_ref().expect("checked above").inserted[i];
                 let text = tok.token().1;
@@ -1539,7 +1648,9 @@ impl<'a> Session<'a> {
             });
         }
 
-        // The pre-edit end state: the convergence jump's landing target.
+        // The pre-edit end state: the convergence jump's landing target,
+        // and the shadow's end if this splice kills a live document.
+        let was_viable = self.backend.get_ref().is_viable();
         let end_cp = self.backend.get().checkpoint()?;
 
         // Nearest ladder rung at or before the damage start (rung 0 always
@@ -1561,6 +1672,7 @@ impl<'a> Session<'a> {
         inc.stale = idx..inc.ladder.len();
         inc.ladder_rollback_distance += (at - rung_pos) as u64;
 
+        let edit = Edit { at, removed: remove, inserted: insert.len() };
         let new_len = len - remove + insert.len();
         // The old signature aligned with the first suffix position; the
         // edit below drops it. Each later one is still in `sigs` when the
@@ -1573,16 +1685,32 @@ impl<'a> Session<'a> {
         let texts = insert.iter().map(|tok| tok.token().1);
         inc.history.splice(at, remove, inc.inserted.iter().copied().zip(texts));
         inc.sigs.splice(at + 1..at + 1 + remove, std::iter::repeat_n(None, insert.len()));
+        // Past the edit's end the shadow's timeline still fed the tokens
+        // the stream holds; before it, no longer.
+        inc.clip_shadow(len - (at + remove));
+        let dead_from = inc.stopped;
 
-        let refeed = self.refeed_spliced(at, remove, insert.len(), rung_pos, &end_cp, old_sig);
-        let converged_at = refeed.as_ref().ok().and_then(|&(_, converged)| converged);
-        self.settle_ladder(converged_at.map(|new_pos| (new_pos, remove, insert.len())))?;
-        let (refed, converged_at) = refeed?;
+        let refeed = self.refeed_spliced(edit, rung_pos, &end_cp, old_sig);
+        let ended = refeed.as_ref().ok().map(|&(_, ended)| ended);
+        self.settle(edit, ended, was_viable.then_some(end_cp))?;
+        let (refed, ended) = refeed?;
 
         let inc = self.incremental.as_mut().expect("checked above");
         debug_assert_eq!(inc.history.len(), new_len, "splice rebuilt the full token stream");
         inc.tokens_refed += refed as u64;
         inc.tokens_reused += (new_len - refed) as u64;
+        let converged_at = match ended {
+            Refeed::Converged { pos, .. } => Some(pos),
+            // A document dead from `dead_from` on agrees with a refeed that
+            // died (∅ = ∅) from where both are dead, past the edit.
+            Refeed::Stopped(died) => dead_from
+                .map(|from| {
+                    let aligned = (from + insert.len()).saturating_sub(remove);
+                    died.unwrap_or(0).max(at + insert.len()).max(aligned)
+                })
+                .filter(|&pos| pos < new_len),
+            Refeed::Ran => None,
+        };
         let outcome = self.outcome()?;
         Ok(SpliceOutcome { rung: rung_pos, refed, reused: new_len - refed, converged_at, outcome })
     }
@@ -1590,84 +1718,189 @@ impl<'a> Session<'a> {
     /// The refeed of [`splice_tokens`](Session::splice_tokens) after the
     /// rung restore and the in-place edit: the catch-up from the rung, the
     /// inserted tokens, then the suffix until convergence. `old_sig` starts
-    /// as the old signature aligned with the first suffix position. Returns
-    /// the tokens refed and the convergence position.
+    /// as the old signature aligned with the first suffix position. A state
+    /// that dies ends the refeed wherever it dies: ∅ stays ∅ whatever
+    /// follows, so the dead state is re-stamped at the stream's end (a
+    /// backend that refuses the jump feeds on, as it always has). Returns
+    /// the tokens refed and how the refeed ended.
     fn refeed_spliced(
         &mut self,
-        at: usize,
-        remove: usize,
-        inserted: usize,
+        edit: Edit,
         rung_pos: usize,
         end_cp: &Checkpoint,
         mut old_sig: Option<StateSignature>,
-    ) -> Result<(usize, Option<usize>), BackendError> {
-        let new_len = self.incremental.as_ref().expect("incremental enabled").history.len();
+    ) -> Result<(usize, Refeed), BackendError> {
+        let Edit { at, removed, inserted } = edit;
+        let inc = self.incremental.as_ref().expect("incremental enabled");
+        let new_len = inc.history.len();
+        // Where a match may land, by the soundness rule: on the current end
+        // before `current` (new positions whose old ones precede the current
+        // timeline's death), on the shadow's end from `shadow` on, and
+        // nowhere in the gap between.
+        let current = inc.stopped.map_or(new_len, |stop| (stop + inserted).saturating_sub(removed));
+        let shadow = inc.shadow.as_ref().map_or(new_len, |sh| new_len - sh.tail);
+        let suffix = at + inserted;
         let mut refed = 0usize;
-        // Catch-up (undamaged tokens between the rung and the edit) plus
-        // the inserted tokens — all already in the history.
-        for pos in rung_pos..at + inserted {
-            self.refeed_recorded(pos)?;
-            refed += 1;
+        let mut stop_at_death = true;
+        if !self.backend.get_ref().is_viable() {
+            // Dead at the rung already: the old death precedes the edit.
+            if self.jump_dead_to_end(new_len)? {
+                return Ok((0, Refeed::Stopped(None)));
+            }
+            stop_at_death = false;
         }
-        // The undamaged suffix, with a convergence check before each feed.
-        for new_pos in at + inserted..new_len {
-            // Old-coordinate position aligned with the current state.
-            let old_pos = new_pos + remove - inserted;
-            if old_pos > rung_pos {
+        for pos in rung_pos..new_len {
+            // Past the inserted tokens, check for convergence before each
+            // feed, at old-coordinate positions past the rung.
+            if pos >= suffix && pos + removed - inserted > rung_pos {
                 let inc = self.incremental.as_ref().expect("incremental enabled");
-                if let (Some(cur), Some(old)) = (inc.sigs[new_pos], old_sig) {
+                let target = if pos < current {
+                    Some(end_cp)
+                } else {
+                    inc.shadow.as_ref().filter(|_| pos >= shadow).map(|sh| &sh.end)
+                };
+                if let (Some(cur), Some(old), Some(target)) = (inc.sigs[pos], old_sig, target) {
                     // Equal signatures ⇒ equal languages ⇒ feeding the
-                    // identical remaining suffix must land on the saved
-                    // pre-edit end state. Jump there — the history and the
-                    // shifted signature tail are already in place. A
-                    // backend that refuses the jump just keeps refeeding.
-                    if cur == old && self.backend.get().splice_restore(end_cp, new_len).is_ok() {
-                        return Ok((refed, Some(new_pos)));
+                    // identical remaining suffix must land on the end state
+                    // of the timeline that recorded `old`. Jump there — the
+                    // history and the shifted signature tail are already in
+                    // place. A backend that refuses the jump just keeps
+                    // refeeding.
+                    if cur == old && self.backend.get().splice_restore(target, new_len).is_ok() {
+                        return Ok((refed, Refeed::Converged { pos, into_shadow: pos >= shadow }));
                     }
                 }
             }
-            old_sig = self.refeed_recorded(new_pos)?;
+            let inc = self.incremental.as_ref().expect("incremental enabled");
+            let (terminal, text) = inc.history.get(pos);
+            let viable = self.backend.get().feed_terminal(terminal, text)?;
             refed += 1;
+            if !viable && stop_at_death {
+                // The death's own position keeps the signature recorded
+                // there: the dead state's is never compared.
+                if self.jump_dead_to_end(new_len)? {
+                    return Ok((refed, Refeed::Stopped(Some(pos + 1))));
+                }
+                stop_at_death = false;
+            }
+            let replaced = self.note_position(pos + 1)?;
+            if pos >= suffix {
+                old_sig = replaced;
+            }
         }
-        Ok((refed, None))
+        Ok((refed, Refeed::Ran))
     }
 
-    /// Ends a splice's ladder bookkeeping. After a convergence jump
-    /// (`converged` = its new-stream position, and the tokens the edit
-    /// removed and inserted) the ladder stays dense across the
-    /// jumped-over range: from the convergence point on, the old timeline's
-    /// states recur on the new one (shifted by the edit's length delta), so
-    /// the stale rungs there are re-stamped onto the current timeline in
-    /// place and moved after the refeed's rungs, and the landing position
-    /// becomes a rung. Without this, repeated edits thin the ladder above
-    /// each edit point and later splices pay ever-longer catch-up refeeds.
-    /// Every other stale rung (all of them without a jump) is dropped.
-    fn settle_ladder(
+    /// Re-stamps the dead current state at position `len`, the stream's
+    /// end, through [`Recognizer::splice_restore`]: `false` when the
+    /// backend refuses the jump.
+    fn jump_dead_to_end(&mut self, len: usize) -> Result<bool, BackendError> {
+        let backend = self.backend.get();
+        let dead = backend.checkpoint()?;
+        Ok(backend.splice_restore(&dead, len).is_ok())
+    }
+
+    /// Ends a splice's bookkeeping of rungs, death and shadow, given how its
+    /// refeed `ended` (`None`: it failed) and, when the document was live
+    /// before the edit, its end state `was_live`.
+    ///
+    /// - After a convergence jump the ladder stays dense across the
+    ///   jumped-over range: from the convergence point on, the old
+    ///   timeline's states recur on the new one, shifted by the edit's
+    ///   length delta. So the stale rungs there (or, after a jump into the
+    ///   shadow, its parked rungs) are re-stamped onto the current timeline
+    ///   and moved after the refeed's rungs, and the landing position
+    ///   becomes a rung. Without this, repeated edits thin the ladder above
+    ///   each edit point and later splices pay ever-longer catch-up
+    ///   refeeds.
+    /// - After a stop at death, a document that was live becomes the
+    ///   shadow from the first position, at or past the death, whose
+    ///   signature is still the pre-edit one, and its stale rungs there are
+    ///   parked with it. A document that was dead keeps its shadow from
+    ///   that position on.
+    ///
+    /// Every other stale rung is dropped.
+    fn settle(
         &mut self,
-        converged: Option<(usize, usize, usize)>,
+        edit: Edit,
+        ended: Option<Refeed>,
+        was_live: Option<Checkpoint>,
     ) -> Result<(), BackendError> {
+        let Edit { at, removed, inserted } = edit;
         let inc = self.incremental.as_mut().expect("incremental enabled");
         let stale = std::mem::take(&mut inc.stale);
-        let Some((new_pos, removed, inserted)) = converged else {
-            inc.ladder.drain(stale);
-            return Ok(());
-        };
         let new_len = inc.history.len();
-        let old_pos = new_pos + removed - inserted;
-        let mut kept = stale.start;
-        for i in stale.clone() {
-            let pos = inc.ladder[i].0;
-            if pos < old_pos || pos + inserted - removed >= new_len {
-                continue;
+        match ended {
+            None | Some(Refeed::Ran) => {
+                inc.ladder.drain(stale);
+                inc.stopped = None;
+                inc.drop_shadow();
+                return Ok(());
             }
-            let shifted = pos + inserted - removed;
-            if let Some(re) = self.backend.get().reanchor_checkpoint(&inc.ladder[i].1, shifted) {
-                inc.ladder[kept] = (shifted, re);
-                kept += 1;
+            Some(Refeed::Stopped(died)) => {
+                // The refeed overwrote the signatures before the death, and
+                // the edit those up to its end.
+                let first = died.unwrap_or(0).max(at + inserted + 1);
+                let tail = new_len.saturating_sub(first);
+                match was_live {
+                    Some(end) if tail > 0 && inc.sigs[0].is_some() => {
+                        // A live document has no shadow to keep: this one
+                        // starts afresh.
+                        inc.drop_shadow();
+                        inc.parked.reserve(stale.len());
+                        for (pos, cp) in inc.ladder.drain(stale) {
+                            let shifted = (pos + inserted).checked_sub(removed);
+                            if let Some(pos) = shifted.filter(|p| (first..new_len).contains(p)) {
+                                inc.parked.push((new_len - pos, cp));
+                            }
+                        }
+                        inc.shadow = Some(Shadow { tail, end });
+                    }
+                    _ => {
+                        inc.ladder.drain(stale);
+                        inc.clip_shadow(tail);
+                    }
+                }
+                if died.is_some() {
+                    inc.stopped = died;
+                }
+                return Ok(());
+            }
+            Some(Refeed::Converged { pos: new_pos, into_shadow: false }) => {
+                inc.stopped = inc.stopped.map(|stop| stop + inserted - removed);
+                let old_pos = new_pos + removed - inserted;
+                let mut kept = stale.start;
+                for i in stale.clone() {
+                    let pos = inc.ladder[i].0;
+                    if pos < old_pos || pos + inserted - removed >= new_len {
+                        continue;
+                    }
+                    let shifted = pos + inserted - removed;
+                    if let Some(re) =
+                        self.backend.get().reanchor_checkpoint(&inc.ladder[i].1, shifted)
+                    {
+                        inc.ladder[kept] = (shifted, re);
+                        kept += 1;
+                    }
+                }
+                inc.ladder.drain(kept..stale.end);
+                inc.ladder[stale.start..].rotate_left(kept - stale.start);
+            }
+            Some(Refeed::Converged { pos: new_pos, into_shadow: true }) => {
+                inc.ladder.drain(stale);
+                for (from_end, cp) in inc.parked.drain(..) {
+                    let pos = new_len - from_end;
+                    if pos < new_pos {
+                        continue;
+                    }
+                    if let Some(re) = self.backend.get().reanchor_checkpoint(&cp, pos) {
+                        inc.ladder.push((pos, re));
+                    }
+                }
+                inc.stopped = None;
+                inc.shadow = None;
             }
         }
-        inc.ladder.drain(kept..stale.end);
-        inc.ladder[stale.start..].rotate_left(kept - stale.start);
         // The landing position itself is always a rung.
         let cp = self.backend.get().checkpoint()?;
         inc.ladder.push((new_len, cp));

@@ -5,11 +5,14 @@
 //! checkpoint timeline is a run per rollback era, and a splice edits both in
 //! place, so opening a 10,000-token document costs a handful of vector
 //! doublings more than opening a 1,000-token one, and retyping one token in
-//! the middle of either makes the same allocations. A counting global
-//! allocator measures it; its counters are thread-local, so tests running
-//! in parallel do not disturb each other's counts.
+//! the middle of either makes the same allocations. So does a keystroke
+//! that kills the document followed by one that mends it: the kill parks
+//! the live timeline's rungs in one reserved vector, not one allocation per
+//! rung. A counting global allocator measures it; its counters are
+//! thread-local, so tests running in parallel do not disturb each other's
+//! counts.
 
-use derp::api::{PwdBackend, Session};
+use derp::api::{FeedOutcome, PwdBackend, Session};
 use derp::grammar::{gen, grammars::pl0};
 use derp::lex::Lexeme;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -78,17 +81,32 @@ fn incremental_feeds_and_splices_allocate_independently_of_the_document() {
         .iter()
         .map(|&(tokens, seed)| lexer.tokenize(&gen::pl0_source(tokens, seed, 0.1)).expect("lexes"))
         .collect();
+    // Where an identifier typed after a `;` that precedes a statement
+    // kills the document.
+    let boundary = |doc: &[Lexeme]| {
+        (doc.len() / 2..)
+            .find(|&i| doc[i - 1].kind == ";" && doc[i].kind == "ID")
+            .expect("a statement boundary")
+    };
     let mut backend = PwdBackend::dfa(&cfg);
-    // Warm the engine on both documents first: the counts below are the
-    // session's, not the lazy automaton's first visits.
+    // Warm the engine on both documents, and on both killed, first: the
+    // counts below are the session's, not the lazy automaton's first
+    // visits.
     for doc in &docs {
         let mut s = Session::open(&mut backend).expect("opens");
         s.feed_lexemes(doc).expect("feeds");
         assert!(s.finish().expect("finishes"), "generated PL/0 parses");
+        let (head, tail) = doc.split_at(boundary(doc));
+        let mut s = Session::open(&mut backend).expect("opens");
+        s.feed_lexemes(head).expect("feeds");
+        s.feed("ID", "x").expect("feeds");
+        s.feed_lexemes(tail).expect("feeds");
+        assert!(!s.finish().expect("finishes"), "the killed document is rejected");
     }
 
     let mut feeds = Vec::new();
     let mut splices = Vec::new();
+    let mut breaks = Vec::new();
     for doc in &docs {
         let mut s = Session::open(&mut backend).expect("opens");
         s.enable_incremental().expect("a fresh session turns incremental");
@@ -102,6 +120,16 @@ fn incremental_feeds_and_splices_allocate_independently_of_the_document() {
             measured(|| s.splice_tokens(id, 1, &[("ID", name.as_str())]).expect("splices"));
         assert!(out.converged_at.is_some(), "a retyped name converges: {out:?}");
         splices.push((count, largest));
+        // Kill the document and mend it again: the kill parks the live
+        // timeline's rungs, and the mend re-anchors them.
+        let at = boundary(doc);
+        let ((kill, mend), count, _) = measured(|| {
+            let kill = s.splice_tokens(at, 0, &[("ID", "x")]).expect("splices");
+            (kill, s.splice_tokens(at, 1, &[]).expect("splices"))
+        });
+        assert_eq!(kill.outcome, FeedOutcome::Dead, "an identifier after `;` kills: {kill:?}");
+        assert!(mend.converged_at.is_some(), "the mend converges: {mend:?}");
+        breaks.push(count);
         assert!(s.finish().expect("finishes"));
     }
     let tokens = (docs[0].len(), docs[1].len());
@@ -110,4 +138,5 @@ fn incremental_feeds_and_splices_allocate_independently_of_the_document() {
         "incremental feeds of {tokens:?} tokens made {feeds:?} allocations"
     );
     assert_eq!(splices[0], splices[1], "one-token splices on {tokens:?} tokens: (count, largest)");
+    assert_eq!(breaks[0], breaks[1], "kill-then-mend pairs on {tokens:?} tokens");
 }
