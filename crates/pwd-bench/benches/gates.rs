@@ -211,6 +211,12 @@ fn lexeme_diverse(out: &mut Report, smoke: bool) {
 /// path, both warm. Every warm table pass must stay on the table and rows
 /// must get built, at every size. Bound at the larger size: ≥ 5× (smoke
 /// 1.5).
+///
+/// Then the cold automaton against the same warm interpreted engine: a
+/// fresh lazy engine per round (compile untimed) and its first parse,
+/// which builds every row it walks. Each new row costs a signature walk
+/// of the state's derived part. Bound at the larger size: ≤ 2.5× (smoke
+/// 4.0).
 fn automaton(out: &mut Report, smoke: bool) {
     let grammar = grammars::pl0::cfg();
     for (i, target) in [300, 1000].into_iter().enumerate() {
@@ -243,6 +249,14 @@ fn automaton(out: &mut Report, smoke: bool) {
         assert!(rows_built > 0, "the lazy automaton must build rows ({at})");
         let gate = (target == 1000).then_some(pair.ratio >= pick(smoke, 1.5, 5.0));
         out.figure(&format!("{at}/speedup"), pair.ratio, "ratio", gate);
+        let cold = paired(
+            pick(smoke, 10, 20),
+            || engine(AutomatonMode::Lazy).recognize(),
+            || interpreted.recognize(),
+        );
+        out.record(&format!("{at}/cold_ns"), cold.a_ns as f64, "ns");
+        let gate = (target == 1000).then_some(cold.ratio <= pick(smoke, 4.0, 2.5));
+        out.figure(&format!("{at}/cold_over_interpreted"), cold.ratio, "ratio", gate);
     }
 }
 

@@ -24,8 +24,9 @@
 //!   node dropped), reset+parse and fresh compile+parse.
 //! * `keying` — memo-keying effectiveness matrix on lexeme-diverse PL/0;
 //!   `--forest-dot` renders an ambiguous forest as Graphviz instead.
-//! * `automaton` — lazy-automaton row occupancy and fallback stats on the
-//!   lexeme-diverse PL/0 corpus, across a sweep of row budgets.
+//! * `automaton` — lazy-automaton row occupancy, signature words per state,
+//!   the cold pass in ms and fallback stats on the lexeme-diverse PL/0
+//!   corpus, across a sweep of row budgets.
 //! * `trace` — traced end-to-end run on lexeme-diverse PL/0: writes a
 //!   Chrome `trace_event` JSON timeline (default `TRACE_pl0.json`; open in
 //!   `chrome://tracing` or Perfetto) and prints a per-phase time table.
@@ -430,8 +431,9 @@ fn keying(args: &[String]) {
 /// Lazy-automaton row-occupancy and fallback stats on the lexeme-diverse
 /// PL/0 corpus: one warm engine per row budget, showing how many states a
 /// real grammar settles into, how dense the explored transition rows are,
-/// and what fraction of warm-pass tokens fall back to the interpreted path
-/// once the budget freezes the table.
+/// how many signature words each state holds, what the cold pass (the one
+/// that builds the rows) costs, and what fraction of warm-pass tokens fall
+/// back to the interpreted path once the budget freezes the table.
 fn automaton(target: usize) {
     let lx = grammars::pl0::lexer();
     let src = gen::pl0_source(target, 0xD1CE, 0.1);
@@ -450,7 +452,9 @@ fn automaton(target: usize) {
         let start = pwd.start;
         // Cold pass builds rows; warm pass shows the steady state.
         pwd.lang.reset();
+        let t0 = Instant::now();
         assert!(pwd.lang.recognize(start, &toks).unwrap());
+        let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
         let cold = *pwd.lang.metrics();
         pwd.lang.reset();
         assert!(pwd.lang.recognize(start, &toks).unwrap());
@@ -460,7 +464,7 @@ fn automaton(target: usize) {
             if max_rows == usize::MAX { "unbounded".to_string() } else { max_rows.to_string() };
         println!(
             "budget {budget:>9}: states={:>5} stride={:>2} explored={:>6} occupancy={:>5.1}% \
-             accept_cached={:>5} dead={:>3} frozen={}",
+             accept_cached={:>5} dead={:>3} frozen={} words/state={:>6.1}",
             stats.states,
             stats.stride,
             stats.explored_transitions,
@@ -468,9 +472,11 @@ fn automaton(target: usize) {
             stats.accept_cached,
             stats.dead_states,
             stats.frozen,
+            stats.signature_words as f64 / stats.states.max(1) as f64,
         );
         println!(
-            "  cold: rows_built={:>5} table_hits={:>6} fallbacks={:>6} hit_ratio={:>5.1}%",
+            "  cold: rows_built={:>5} table_hits={:>6} fallbacks={:>6} hit_ratio={:>5.1}% \
+             {cold_ms:.3} ms",
             cold.auto_rows_built,
             cold.auto_table_hits,
             cold.auto_fallbacks,

@@ -14,12 +14,13 @@
 //! into a small set of shapes (one per "parser mode" the grammar can be in,
 //! LR-state-like), revisited over and over with different node identities.
 //! This module interns those shapes. Every derivative root is canonicalized
-//! by a structural signature (a canonical DFS of its reachable subgraph);
-//! isomorphic roots map to one **state**, and each state owns a dense
-//! `TermId → state` transition row plus a cached nullability bit. Once the
-//! reachable states are explored, the recognize loop is
-//! `state = row[term]` — zero graph construction, memo probes, or hashing —
-//! exactly the step `pwd-regex` takes from `deriv.rs` (derivatives
+//! by a structural signature (a canonical DFS of its *derived* subgraph,
+//! with each initial-grammar node it reaches emitted as a leaf naming that
+//! node); roots isomorphic over the same leaves map to one **state**, and
+//! each state owns a dense `TermId → state` transition row plus a cached
+//! nullability bit. Once the reachable states are explored, the recognize
+//! loop is `state = row[term]` — zero graph construction, memo probes, or
+//! hashing — exactly the step `pwd-regex` takes from `deriv.rs` (derivatives
 //! interpreted) to `dfa.rs` (derivatives compiled).
 //!
 //! # Soundness
@@ -33,13 +34,20 @@
 //!    productivity marks are settled, so the start-of-parse prune pass never
 //!    touches them again). States are interned at end-of-step, after the
 //!    pruning pass, so a state's signature can never go stale.
-//! 2. **Isomorphism ⇒ same language.** The signature ignores exactly the
-//!    payloads that cannot affect a recognize-mode verdict: `ε` forests
-//!    (every `ε_s` accepts the empty word) and reduction functions (`L ↪ f`
-//!    and `L` accept the same strings). Structurally isomorphic roots
-//!    therefore denote the same language, so jumping the walk to a state's
-//!    canonical root preserves every verdict, reject position, and
-//!    per-feed viability answer — byte-identically.
+//! 2. **Isomorphism over the initial grammar ⇒ same language.** No node
+//!    below the initial boundary (`initial_nodes`) is rewritten after it is
+//!    marked, so an initial node's id denotes one language for the engine's
+//!    lifetime, and the signature emits it as a leaf (a tag plus its id)
+//!    without descending: a state costs its derived part only. Above the
+//!    boundary the signature ignores exactly the payloads that cannot affect
+//!    a recognize-mode verdict: `ε` forests (every `ε_s` accepts the empty
+//!    word) and reduction functions (`L ↪ f` and `L` accept the same
+//!    strings). Roots whose derived parts are isomorphic, over the same
+//!    leaves at the same places, therefore denote the same language, so
+//!    jumping the walk to a state's canonical root preserves every verdict,
+//!    reject position, and per-feed viability answer — byte-identically.
+//!    Identity is finer than isomorphism of whole graphs: two derived parts
+//!    over distinct but isomorphic initial nodes are two states.
 //!
 //! The automaton only engages under the class-keyed recognize gate
 //! ([`AutomatonMode`]'s docs spell it out); everywhere else the axis is
@@ -58,7 +66,9 @@
 use crate::config::AutomatonMode;
 use crate::expr::{ExprKind, Language, NodeId, NO_LINK};
 use crate::token::TermId;
+use pwd_forest::IdHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Sentinel for an unexplored transition-row slot.
 const UNEXPLORED: u32 = u32::MAX;
@@ -68,9 +78,13 @@ const F_DEAD: u8 = 1 << 0;
 const F_ACCEPT_KNOWN: u8 = 1 << 1;
 const F_ACCEPT: u8 = 1 << 2;
 
-/// Signature-stream marker for a back-reference to an already-visited node
-/// (high bit set; the low bits carry the visit index).
+/// Signature-stream marker for a back-reference to an already-visited
+/// derived node (high bit set; the low bits carry the visit index).
 const SIG_BACKREF: u32 = 1 << 31;
+
+/// Signature-stream tag of an initial-grammar node, emitted as a leaf: the
+/// tag, then the node id as its payload.
+const SIG_LEAF: u32 = 9;
 
 /// The lazy automaton layer of a [`Language`]: interned derivative states,
 /// their dense transition rows, and cached accept bits.
@@ -107,6 +121,11 @@ pub(crate) struct Automaton {
     frozen: bool,
     /// Scratch buffer for signature streams (reused across interns).
     scratch: Vec<u32>,
+    /// The signature walk's stack and its visit index (derived node → visit
+    /// number), cleared per walk and kept between walks, so a warm intern
+    /// allocates nothing. Bounded by the largest derived part walked.
+    walk: Vec<NodeId>,
+    visits: HashMap<u32, u32, BuildHasherDefault<IdHasher>>,
     /// The state each node is interned as, indexed by node (`NO_LINK` for
     /// none) and grown only as far as the highest interned node, so the
     /// per-token lookup stays one array read. Not epoch-stamped: state
@@ -187,6 +206,10 @@ pub struct AutomatonStats {
     pub dead_states: usize,
     /// Did construction hit `automaton_max_rows` and freeze?
     pub frozen: bool,
+    /// Words of canonical signature stream held for the states' exact
+    /// collision checks: each state's derived part, with initial-grammar
+    /// nodes as two-word leaves.
+    pub signature_words: usize,
 }
 
 impl AutomatonStats {
@@ -213,11 +236,15 @@ impl AutomatonStats {
 ///   `O(1)` to obtain when the lazy automaton is active and the node is
 ///   interned.
 /// - [`Digest`](StateSignature::Digest): the 64-bit FNV-1a hash of the
-///   node's canonical signature stream plus the stream length. Equal
-///   digests are equal languages up to a ~2⁻⁶⁴ hash collision; callers use
-///   this as a *fast path*, never as the source of truth for verdicts (a
-///   wrong jump is caught by nothing, so the risk budget is the same one
-///   already accepted for the automaton's intern hash pre-filter — which
+///   node's canonical signature stream plus the stream length. The stream
+///   covers the node's derived part, with each initial-grammar node it
+///   reaches named by its id (no initial node is rewritten after the first
+///   parse starts, so its id stands for its language), so a digest costs a
+///   walk of the derived part only, not of the grammar. Equal digests are
+///   equal languages up to a ~2⁻⁶⁴ hash collision; callers use this as a
+///   *fast path*, never as the source of truth for verdicts (a wrong jump
+///   is caught by nothing, so the risk budget is the same one already
+///   accepted for the automaton's intern hash pre-filter — which
 ///   additionally verifies streams; here the stream-length check narrows
 ///   collisions to same-length streams).
 ///
@@ -228,7 +255,8 @@ impl AutomatonStats {
 pub enum StateSignature {
     /// An interned lazy-automaton state id (exact).
     State(u32),
-    /// FNV-1a digest of the canonical signature stream, plus stream length.
+    /// FNV-1a digest of the canonical signature stream of the node's
+    /// derived part, plus stream length.
     Digest(u64, u32),
 }
 
@@ -304,6 +332,7 @@ impl Language {
         }
         if self.auto.roots.len() >= self.config.automaton_max_rows {
             self.auto.frozen = true;
+            self.metrics.auto_freezes += 1;
             self.obs_end(pwd_obs::Phase::AutoRow, span);
             return None;
         }
@@ -362,29 +391,48 @@ impl Language {
         self.nullable(id)
     }
 
-    /// Canonical signature of the subgraph reachable from `id`, written to
-    /// `self.auto.scratch`; returns its 64-bit FNV-1a digest.
+    /// Canonical signature of the derived subgraph reachable from `id`,
+    /// written to `self.auto.scratch`; returns its 64-bit FNV-1a digest.
     ///
     /// The stream is a pre-order DFS with back-references: first visit of a
-    /// node emits its kind tag (plus `TermId` payload for terminals),
-    /// revisits emit the node's visit index. `ε` forests and reduction
-    /// functions are deliberately *not* emitted — they cannot affect a
-    /// recognize verdict — so states merge across those payloads. Two roots
-    /// produce equal streams iff their reachable graphs are isomorphic as
-    /// ordered, shared-structure-preserving graphs, which implies equal
-    /// languages.
+    /// derived node emits its kind tag (plus `TermId` payload for
+    /// terminals), revisits emit the node's visit index. A node below
+    /// `initial_nodes` is a leaf: [`SIG_LEAF`] and its id, never descended
+    /// into. `ε` forests and reduction functions are deliberately *not*
+    /// emitted — they cannot affect a recognize verdict — so states merge
+    /// across those payloads. Two roots produce equal streams iff their
+    /// derived parts are isomorphic as ordered, shared-structure-preserving
+    /// graphs over the same initial nodes, which implies equal languages.
+    ///
+    /// Why a leaf may stand for its whole subgraph: no initial-grammar node
+    /// is rewritten after `mark_initial`. The productivity pass rewrites
+    /// only from the boundary up (`rewrite_from` in `prune.rs`), `patch`
+    /// rewrites only placeholders of the generation being built, and
+    /// `define` acts only on `Forward` nodes, which no validated start can
+    /// reach. So an initial node's id denotes one language for the engine's
+    /// lifetime, and two derived parts isomorphic over the same leaves at
+    /// the same places denote the same language. The stream stays
+    /// prefix-decodable: a leaf's id is a payload, as a terminal's index is,
+    /// and back-references number derived nodes only.
     fn auto_signature(&mut self, id: NodeId) -> u64 {
+        let initial = self.initial_nodes.unwrap_or(0);
         let mut scratch = std::mem::take(&mut self.auto.scratch);
+        let mut stack = std::mem::take(&mut self.auto.walk);
+        let mut visits = std::mem::take(&mut self.auto.visits);
         scratch.clear();
-        let mut index: HashMap<u32, u32> = HashMap::new();
-        let mut stack = vec![id];
+        visits.clear();
+        stack.push(id);
         while let Some(n) = stack.pop() {
             let n = self.resolve(n);
-            if let Some(&i) = index.get(&n.0) {
+            if n.index() < initial {
+                scratch.extend([SIG_LEAF, n.0]);
+                continue;
+            }
+            if let Some(&i) = visits.get(&n.0) {
                 scratch.push(SIG_BACKREF | i);
                 continue;
             }
-            index.insert(n.0, index.len() as u32);
+            visits.insert(n.0, visits.len() as u32);
             match &self.node(n).kind {
                 ExprKind::Empty => scratch.push(1),
                 ExprKind::Eps(_) => scratch.push(2),
@@ -425,6 +473,8 @@ impl Language {
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
         self.auto.scratch = scratch;
+        self.auto.walk = stack;
+        self.auto.visits = visits;
         hash
     }
 
@@ -483,6 +533,7 @@ impl Language {
             accept_cached: self.auto.flags.iter().filter(|&&f| f & F_ACCEPT_KNOWN != 0).count(),
             dead_states: self.auto.flags.iter().filter(|&&f| f & F_DEAD != 0).count(),
             frozen: self.auto.frozen,
+            signature_words: self.auto.sigs.iter().map(|sig| sig.len()).sum(),
         }
     }
 }
@@ -592,6 +643,7 @@ mod tests {
         assert!(stats.frozen, "budget of 2 must freeze on this input: {stats:?}");
         assert!(stats.states <= 2, "{stats:?}");
         assert!(lang.metrics().auto_fallbacks > 0, "{:?}", lang.metrics());
+        assert_eq!(lang.metrics().auto_freezes, 1, "one freeze: {:?}", lang.metrics());
         // Frozen ≠ wrong: verdicts still agree with the interpreted engine.
         let off = ParserConfig { automaton: AutomatonMode::Off, ..config };
         let (mut lang_off, s_off, _, _) = ab_language(off);
@@ -606,6 +658,7 @@ mod tests {
                 lang_off.recognize(s_off, &toks).unwrap(),
                 "n={n}"
             );
+            assert_eq!(lang.metrics().auto_freezes, 0, "the table stays frozen: n={n}");
         }
     }
 
@@ -629,15 +682,57 @@ mod tests {
         let a = lang.terminal("a");
         let b = lang.terminal("b");
         let (ta, tb) = (lang.term_node(a), lang.term_node(b));
-        let cat1 = lang.cat(ta, tb);
-        let cat2 = lang.cat(ta, tb); // isomorphic to cat1 (may hash-cons)
-        let cat3 = lang.cat(tb, ta); // different structure
+        // Alternations, so that `◦` built over them does not reassociate
+        // into fresh derived copies.
+        let initial1 = lang.alt(ta, tb);
+        let initial2 = lang.alt(ta, tb); // isomorphic to initial1, built apart
+        assert_ne!(initial1, initial2);
         lang.mark_initial();
+        // Derived roots over the same initial children.
+        let cat1 = lang.cat(ta, tb);
+        let cat2 = lang.cat(ta, tb);
+        let cat3 = lang.cat(tb, ta); // different structure
+        assert_ne!(cat1, cat2);
         let s1 = lang.auto_intern(cat1).unwrap();
         let s2 = lang.auto_intern(cat2).unwrap();
         let s3 = lang.auto_intern(cat3).unwrap();
-        assert_eq!(s1, s2, "isomorphic roots intern to one state");
+        assert_eq!(s1, s2, "isomorphic derived roots intern to one state");
         assert_ne!(s1, s3, "order matters: a◦b is not b◦a");
+        // An initial node is a leaf named by its id: two isomorphic initial
+        // nodes are two states, and so are derived roots over them.
+        let i1 = lang.auto_intern(initial1).unwrap();
+        let i2 = lang.auto_intern(initial2).unwrap();
+        assert_ne!(i1, i2, "initial nodes intern by identity, not by shape");
+        let over1 = lang.cat(initial1, ta);
+        let over2 = lang.cat(initial2, ta);
+        assert_ne!(lang.auto_intern(over1).unwrap(), lang.auto_intern(over2).unwrap());
+    }
+
+    #[test]
+    fn signature_stops_at_the_initial_grammar() {
+        // The stored stream of a derived `chain ◦ a` is its one derived node
+        // plus two leaves, however long the initial chain below it. The
+        // chain is of `∪`, so the `◦` over it does not reassociate into a
+        // derived copy of the chain.
+        let words = |len: usize| {
+            let mut lang = Language::new(recognizer_config());
+            let a = lang.terminal("a");
+            let b = lang.terminal("b");
+            let (ta, tb) = (lang.term_node(a), lang.term_node(b));
+            let mut chain = ta;
+            for i in 1..len {
+                let link = if i % 2 == 0 { ta } else { tb };
+                chain = lang.alt(link, chain);
+            }
+            lang.mark_initial();
+            assert!(lang.initial_size().unwrap() >= len);
+            let derived = lang.cat(chain, ta);
+            lang.auto_intern(derived).unwrap();
+            lang.automaton_stats().signature_words
+        };
+        let (short, long) = (words(8), words(512));
+        assert_eq!(short, long, "the walk must not descend into the initial grammar");
+        assert_eq!(short, 5, "one `◦` tag and two leaves of two words each");
     }
 
     #[test]

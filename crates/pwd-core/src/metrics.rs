@@ -49,6 +49,12 @@ pub struct Metrics {
     /// Tokens consumed by the interpreted path while the automaton was
     /// active — cold-table misses plus post-budget fallback steps.
     pub auto_fallbacks: u64,
+    /// Steps at which the automaton froze: an intern found the row budget
+    /// ([`ParserConfig::automaton_max_rows`](crate::ParserConfig::automaton_max_rows))
+    /// spent, so every unexplored transition from then on falls back. The
+    /// table stays frozen, so this reads 1 in the metrics of the parse that
+    /// froze it and 0 in later ones.
+    pub auto_freezes: u64,
     /// Error-recovery trial derivatives: cloned session states fed one
     /// candidate repair token to test its viability (zero on clean input —
     /// recovery only probes after a dead feed).

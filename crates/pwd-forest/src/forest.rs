@@ -104,10 +104,12 @@ enum ConsKey {
     Label(u32, u32, u32),
 }
 
-/// A multiplicative hasher for keys of arena-assigned integers. Not for
-/// text: input could pick colliding keys for it.
-#[derive(Default)]
-struct IdHasher(u64);
+/// A multiplicative hasher for keys of arena-assigned integers (node and
+/// forest ids, arities, symbols), for maps keyed on them through
+/// `BuildHasherDefault<IdHasher>`. Not for text: input could pick colliding
+/// keys for it.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
 
 impl IdHasher {
     fn add(&mut self, x: u64) {

@@ -88,7 +88,7 @@ mod tree;
 
 pub use canon::{CanonError, ForestSummary, ParseForest};
 pub use count::TreeCount;
-pub use forest::{EnumLimits, Forest, ForestId, ForestMark, ForestNode};
+pub use forest::{EnumLimits, Forest, ForestId, ForestMark, ForestNode, IdHasher};
 pub use knot::{Knot, KnotTable};
 pub use reduce::{RedId, Reduce};
 pub use tree::{Leaf, Tree};

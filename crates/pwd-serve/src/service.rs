@@ -349,6 +349,9 @@ pub struct MemoEffectiveness {
     /// Tokens that fell back to the interpreted derive path while the
     /// automaton was active (cold rows, or the row budget froze).
     pub auto_fallbacks: u64,
+    /// Inputs during which the automaton's row budget froze it: from then
+    /// on, new transitions fall back to the interpreted path.
+    pub auto_freezes: u64,
 }
 
 impl MemoEffectiveness {
@@ -360,6 +363,7 @@ impl MemoEffectiveness {
         self.auto_rows_built += m.auto_rows_built;
         self.auto_table_hits += m.auto_table_hits;
         self.auto_fallbacks += m.auto_fallbacks;
+        self.auto_freezes += m.auto_freezes;
     }
 
     fn merge(&mut self, other: MemoEffectiveness) {
@@ -370,6 +374,7 @@ impl MemoEffectiveness {
         self.auto_rows_built += other.auto_rows_built;
         self.auto_table_hits += other.auto_table_hits;
         self.auto_fallbacks += other.auto_fallbacks;
+        self.auto_freezes += other.auto_freezes;
     }
 
     /// Fraction of derive calls served from a cache, in `[0, 1]`, or `None`
@@ -1016,6 +1021,12 @@ impl ParseService {
             m.memo.auto_fallbacks,
         );
         prom.counter(
+            "pwd_engine_auto_freezes_total",
+            "Times the automaton's row budget froze it (new transitions fall back).",
+            &labels,
+            m.memo.auto_freezes,
+        );
+        prom.counter(
             "pwd_serve_worker_panics_total",
             "Worker panics caught at the per-input unwind boundary.",
             &labels,
@@ -1171,6 +1182,10 @@ mod tests {
         let lifetime = service.metrics().memo;
         assert_eq!(lifetime.auto_rows_built, m1.auto_rows_built);
         assert_eq!(lifetime.auto_table_hits, m1.auto_table_hits + m2.auto_table_hits);
+        // The default row budget never froze, and the exposition says so.
+        assert_eq!(lifetime.auto_freezes, 0, "{lifetime:?}");
+        let text = service.metrics_text();
+        assert!(text.contains("pwd_engine_auto_freezes_total{backend=\"pwd-dfa\"} 0"), "{text}");
     }
 
     #[test]

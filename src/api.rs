@@ -400,6 +400,10 @@ pub struct BackendMetrics {
     /// Tokens consumed by the interpreted path while the automaton was
     /// active (cold-table misses plus post-budget fallback steps).
     pub auto_fallbacks: u64,
+    /// Steps at which the automaton's row budget froze it, so that new
+    /// transitions fall back to the interpreted path from then on (PWD
+    /// recognize mode; 1 on the input that froze the table, else 0).
+    pub auto_freezes: u64,
     /// Approximate resident bytes of the backend's live parse state (PWD:
     /// the node/forest arenas plus their side pools; zero for backends
     /// without an arena).
@@ -2349,6 +2353,7 @@ impl Recognizer for PwdBackend {
             auto_rows_built: m.auto_rows_built,
             auto_table_hits: m.auto_table_hits,
             auto_fallbacks: m.auto_fallbacks,
+            auto_freezes: m.auto_freezes,
             arena_bytes: self.compiled.lang.arena_bytes() as u64,
             tokens_reused: 0,
             tokens_refed: 0,

@@ -191,7 +191,8 @@ fn streamed_observations_identical_across_automaton_axis() {
 /// `automaton_max_rows` so small the table freezes mid-input, verdicts stay
 /// identical while the metrics prove the engine actually crossed from table
 /// walk to interpreted fallback (frozen table, nonzero fallbacks, rows
-/// capped at the budget).
+/// capped at the budget, and one freeze reported by the input that froze
+/// it).
 #[test]
 fn forced_fallback_crosses_budget_boundary_without_observable_effect() {
     let shape = RandomCfgConfig::default();
@@ -204,6 +205,7 @@ fn forced_fallback_crosses_budget_boundary_without_observable_effect() {
                 recognizer(&cfg, AutomatonMode::Off, MemoKeying::ByClass, usize::MAX, "interp");
             let mut starved =
                 recognizer(&cfg, AutomatonMode::Lazy, MemoKeying::ByClass, max_rows, "starved");
+            let mut freezes = 0;
             for input_seed in 0..8 {
                 let input = random_input(&cfg, 10, seed * 577 + input_seed);
                 let kinds: Vec<&str> = input.iter().map(String::as_str).collect();
@@ -213,9 +215,11 @@ fn forced_fallback_crosses_budget_boundary_without_observable_effect() {
                     "budget {max_rows}: seed {seed}, {kinds:?}\n{cfg}"
                 );
                 fallbacks += starved.metrics().auto_fallbacks;
+                freezes += starved.metrics().auto_freezes;
             }
             let stats = starved.compiled().lang.automaton_stats();
             assert!(stats.states <= max_rows, "budget respected: {stats:?}");
+            assert_eq!(freezes, u64::from(stats.frozen), "one freeze per frozen table: {stats:?}");
             if stats.frozen {
                 frozen_arms += 1;
             }
